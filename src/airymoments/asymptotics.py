@@ -31,16 +31,34 @@ HALF = Fraction(1, 2)
 
 def product_coefficients(count: int) -> list[Fraction]:
     """The first ``count`` coefficients of the one-sided exponential
-    expansions: c_n = (prod of n+1/2+t for t < 2n) / (54^n n!)."""
+    expansions, c_n = prod_{t<2n} (2n+2t+1) / (216^n n!), computed by
+    the ratio c_n = c_{n-1} (6n-5)(6n-1) / (72n)."""
     if count < 1:
         raise DomainError("need at least one coefficient")
     out = [Fraction(1)]
     for n in range(1, count):
-        numerator = 1
-        for t in range(2 * n):
-            numerator *= 2 * n + 2 * t + 1
-        out.append(Fraction(numerator, 2 ** (2 * n) * 54**n * math.factorial(n)))
+        out.append(out[-1] * Fraction((6 * n - 5) * (6 * n - 1), 72 * n))
     return out
+
+
+def _cross_sums(count: int) -> list[int]:
+    """Integer cross sums S_N = sum_a (-1)^a C(N,a) p_a p_(N-a) for
+    N < count, where p_n = prod_{m<=n} (6m-5)(6m-1), so that c_n of
+    :func:`product_coefficients` is p_n / (72^n n!) and the order-N
+    cross term sum_a (-1)^a c_a c_(N-a) is S_N / (72^N N!)."""
+    p = [1]
+    for m in range(1, count):
+        p.append(p[-1] * (6 * m - 5) * (6 * m - 1))
+    sums = []
+    for order in range(count):
+        total = 0
+        binom = 1
+        for a in range(order + 1):
+            term = binom * p[a] * p[order - a]
+            total += -term if a % 2 else term
+            binom = binom * (order - a) // (a + 1)
+        sums.append(total)
+    return sums
 
 
 def aibi_series(terms: int) -> OffsetSeries:
@@ -50,27 +68,26 @@ def aibi_series(terms: int) -> OffsetSeries:
     a one-sided expansion whose cross terms of odd order cancel in
     pairs; the function asserts that cancellation and returns the series
     w^(1/2) * (1 + ...) on the lattice 1/2 + 3j, with ``terms``
-    coefficients.
+    coefficients.  The cross terms are summed as integers (see
+    :func:`_cross_sums`), so coefficient j is the single fraction
+    (9/4)^j S_2j / (72^2j (2j)!); the cancellation and positivity
+    checks are made on those integer sums.
     """
     if terms < 1:
         raise DomainError("need at least one term")
-    c = product_coefficients(2 * terms - 1)
-    coefficients = []
-    for j in range(terms):
-        total = Fraction(0)
-        for a in range(2 * j + 1):
-            b = 2 * j - a
-            total += (-1) ** a * c[a] * c[b]
-        coefficients.append(Fraction(9, 4) ** j * total)
+    sums = _cross_sums(2 * terms - 1)
     for m in range(1, 2 * terms - 1, 2):
-        odd = sum((-1) ** a * c[a] * c[m - a] for a in range(m + 1))
-        if odd:
+        if sums[m]:
             raise InconsistencyError(
                 f"odd cross terms failed to cancel at order {m}"
             )
-    if coefficients[0] != 1 or any(value <= 0 for value in coefficients):
+    if sums[0] != 1 or any(total <= 0 for total in sums[::2]):
         raise InconsistencyError("product expansion lost positivity")
-    return OffsetSeries(HALF, Fraction(3), tuple(coefficients))
+    coefficients = tuple(
+        Fraction(9**j * sums[2 * j], 4**j * 72 ** (2 * j) * math.factorial(2 * j))
+        for j in range(terms)
+    )
+    return OffsetSeries(HALF, Fraction(3), coefficients)
 
 
 def _det3(m: list[list[Polynomial]]) -> Polynomial:

@@ -11,7 +11,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import __version__
@@ -21,7 +21,12 @@ from .connection import (
     gm_cokernel_basis,
     h1_a1_basis,
 )
-from .errors import DomainError, InconsistencyError, StabilityError
+from .errors import (
+    DomainError,
+    InconsistencyError,
+    SizeLimitError,
+    StabilityError,
+)
 from .exact import format_rational
 from .hodge import hodge_numbers, tilde_mid_hodge, verify
 from .moments import DEFAULT_ENUMERATION_CAP, formal_decomposition, h1_dims
@@ -29,6 +34,9 @@ from .moments import DEFAULT_ENUMERATION_CAP, formal_decomposition, h1_dims
 USAGE_EXIT = 64
 CACHE_ENV = "AIRYMOMENTS_CACHE_DIR"
 COMMANDS = ("dims", "basis", "gamma", "hodge", "tilde", "decomp", "verify")
+#: Largest accepted ``--series-terms``: the exact coefficients grow so
+#: fast that a table of this length already takes several seconds.
+MAX_SERIES_TERMS = 400
 
 
 @dataclass(frozen=True)
@@ -232,6 +240,10 @@ def _dispatch(config: RunConfig):
         raise DomainError("caps must be positive")
     if config.series_terms < 1:
         raise DomainError("series terms must be positive")
+    if config.series_terms > MAX_SERIES_TERMS:
+        raise SizeLimitError(
+            f"{config.series_terms} series terms exceed the cap {MAX_SERIES_TERMS}"
+        )
     custom_text = None
     exit_code = 0
     if config.command == "dims":
@@ -412,12 +424,42 @@ def _format_latex(headers, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def cache_key(config: RunConfig) -> str:
+    """SHA-256 of every resolved setting except the cache directory,
+    plus the package version: two runs share a cache entry only if
+    they ask for the same answer from the same code."""
+    import hashlib  # imported here: only cached runs pay for it at start-up
+
+    settings = asdict(config)
+    del settings["cache_dir"]
+    settings["twist"] = format_rational(config.twist)
+    settings["version"] = __version__
+    canonical = json.dumps(settings, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def _cache_path(config: RunConfig) -> str | None:
     if config.format != "json" or not config.cache_dir:
         return None
-    k_part = ",".join(str(k) for k in config.k_values)
-    name = f"{config.command}_n{config.n}_k{k_part}_v{__version__}.json"
+    name = f"{config.command}_{cache_key(config)}.json"
     return os.path.join(config.cache_dir, name)
+
+
+def _write_atomically(path: str, document: str) -> None:
+    """Write to a temporary file beside ``path``, then rename it into
+    place, so a reader never sees a partial entry."""
+    import tempfile  # imported here: only cached runs pay for it at start-up
+
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    handle, temporary = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(handle, "w", encoding="utf-8") as out:
+            out.write(document)
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
 def run(config: RunConfig) -> tuple[int, str]:
@@ -440,9 +482,7 @@ def run(config: RunConfig) -> tuple[int, str]:
     else:
         document = custom_text or _format_text(headers, rows)
     if cache_path and exit_code == 0:
-        os.makedirs(config.cache_dir, exist_ok=True)
-        with open(cache_path, "w", encoding="utf-8") as handle:
-            handle.write(document)
+        _write_atomically(cache_path, document)
     return exit_code, document
 
 

@@ -407,13 +407,35 @@ def series_mul(a: OffsetSeries, b: OffsetSeries) -> OffsetSeries:
 
 
 def series_pow(series: OffsetSeries, exponent: int) -> OffsetSeries:
-    """Integer power ``exponent >= 1`` by repeated multiplication."""
+    """Integer power ``exponent >= 1``, truncated like repeated
+    :func:`series_mul` (same offset, step and length).
+
+    Uses J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): for
+    a_0 != 0, g = f^e satisfies g_0 = a_0^e and
+    n a_0 g_n = sum_{j=1..n} ((e+1) j - n) a_j g_{n-j},
+    which costs O(N^2) operations instead of (e-1) full products.
+    Leading zero coefficients are stripped first; the power of the rest
+    is shifted right by (zeros * e) places.
+    """
     if not isinstance(exponent, int) or exponent < 1:
         raise DomainError("series exponent must be an integer >= 1")
-    result = series
-    for _ in range(exponent - 1):
-        result = series_mul(result, series)
-    return result
+    a = series.coefficients
+    length = len(a)
+    zeros = next((i for i, c in enumerate(a) if c), length)
+    shift = zeros * exponent
+    a = a[zeros:]
+    g = []
+    if shift < length:
+        a0 = a[0]
+        g.append(a0**exponent)
+        for n in range(1, length - shift):
+            total = sum(
+                ((exponent + 1) * j - n) * a[j] * g[n - j]
+                for j in range(1, n + 1)
+            )
+            g.append(total / (n * a0))
+    padded = [Fraction(0)] * min(shift, length) + g
+    return OffsetSeries(series.offset * exponent, series.step, tuple(padded))
 
 
 def binomial(n: int, k: int) -> int:

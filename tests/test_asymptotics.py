@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airymoments.errors import DomainError, InconsistencyError
-from airymoments.exact import Polynomial, Z
+from airymoments.exact import Polynomial, Z, series_mul
 from airymoments.moments import h1_dims
 from airymoments.asymptotics import (
     GammaTable,
@@ -27,6 +28,20 @@ def test_product_coefficients_start():
     assert values[0] == 1
     assert values[1] == Fraction(5, 72)
     assert values[2] == Fraction(385, 10368)
+
+
+def _product_coefficient_by_definition(n):
+    numerator = 1
+    for t in range(2 * n):
+        numerator *= 2 * n + 2 * t + 1
+    return Fraction(numerator, 2 ** (2 * n) * 54**n * math.factorial(n))
+
+
+def test_product_coefficients_match_definition():
+    values = product_coefficients(80)
+    assert len(values) == 80
+    for n, value in enumerate(values):
+        assert value == _product_coefficient_by_definition(n)
 
 
 def test_aibi_series_first_terms():
@@ -72,6 +87,18 @@ def test_gamma_table_values():
     assert gamma(4, 4).value_at(4) == Fraction(5, 16)
     assert gamma(8, 5).value_at(5) == Fraction(5, 8)
     assert gamma(16, 7).value_at(7) == Fraction(5, 4)
+
+
+@pytest.mark.parametrize("k", [2, 4, 12, 40])
+def test_gamma_matches_iterated_oracle_products(k):
+    # third route: the ODE series raised by repeated multiplication
+    base = aibi_series_ode_oracle(20)
+    powered = base
+    for _ in range(k // 2 - 1):
+        powered = series_mul(powered, base)
+    table = gamma(k, 20)
+    assert table.offset == powered.offset
+    assert table.values == powered.coefficients
 
 
 def test_gamma_lattice():

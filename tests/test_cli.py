@@ -16,6 +16,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def cache_name(*argv):
+    config = cli.config_from_args(cli.build_parser().parse_args(list(argv)))
+    return f"{config.command}_{cli.cache_key(config)}.json"
+
+
 def test_parse_k_range():
     assert parse_k_range("5") == (5,)
     assert parse_k_range("3..6") == (3, 4, 5, 6)
@@ -156,7 +161,7 @@ def test_cache_round_trip(capsys, tmp_path, monkeypatch):
     )
     assert code == 0
     cached = os.listdir(tmp_path)
-    assert cached == [f"hodge_n2_k6_v{cli.__version__}.json"]
+    assert cached == [cache_name("hodge", "--k", "6", "--format", "json")]
     code, warm, _ = run_cli(
         capsys, "hodge", "--k", "6", "--format", "json"
     )
@@ -166,11 +171,56 @@ def test_cache_round_trip(capsys, tmp_path, monkeypatch):
 
 def test_cache_serves_stored_bytes(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
-    path = tmp_path / f"dims_n2_k5_v{cli.__version__}.json"
+    path = tmp_path / cache_name("dims", "--k", "5", "--format", "json")
     path.write_text('{"sentinel":true}\n')
     code, out, _ = run_cli(capsys, "dims", "--k", "5", "--format", "json")
     assert code == 0
     assert out == '{"sentinel":true}\n'
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (("basis", "--k", "5", "--space", "a1"),
+         ("basis", "--k", "5", "--space", "gm")),
+        (("basis", "--k", "8", "--space", "a1"),
+         ("basis", "--k", "8", "--space", "mid")),
+        (("basis", "--k", "5", "--space", "gm"),
+         ("basis", "--k", "5", "--space", "gm", "--rho", "1/2")),
+        (("gamma", "--k", "4", "--series-terms", "2"),
+         ("gamma", "--k", "4", "--series-terms", "5")),
+        (("dims", "--k", "6"), ("dims", "--k", "6", "--n", "3")),
+    ],
+)
+def test_cache_key_covers_every_setting(capsys, tmp_path, first, second):
+    tail = ("--format", "json", "--cache-dir", str(tmp_path))
+    fresh = run_cli(capsys, *second, "--format", "json")
+    assert fresh[0] == 0
+    assert run_cli(capsys, *first, *tail)[0] == 0
+    assert run_cli(capsys, *second, *tail) == fresh
+    assert run_cli(capsys, *second, *tail) == fresh
+    assert len(os.listdir(tmp_path)) == 2
+
+
+def test_cache_handles_long_k_ranges(capsys, tmp_path):
+    argv = ("hodge", "--k", "2..120", "--format", "json")
+    fresh = run_cli(capsys, *argv)
+    assert fresh[0] == 0
+    tail = ("--cache-dir", str(tmp_path))
+    assert run_cli(capsys, *argv, *tail) == fresh
+    assert os.listdir(tmp_path) == [cache_name(*argv)]
+    assert run_cli(capsys, *argv, *tail) == fresh
+
+
+def test_cache_write_leaves_no_temporary_file(capsys, tmp_path, monkeypatch):
+    def failing_replace(source, target):
+        raise OSError("rigged")
+
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        main(["dims", "--k", "5", "--format", "json",
+              "--cache-dir", str(tmp_path)])
+    assert os.listdir(tmp_path) == []
 
 
 def test_text_output_is_never_cached(capsys, tmp_path, monkeypatch):
@@ -193,6 +243,16 @@ def test_domain_errors_exit_one(capsys):
     assert "error" in err
     assert run_cli(capsys, "tilde", "--k", "2")[0] == 1
     assert run_cli(capsys, "gamma", "--k", "5")[0] == 1
+
+
+def test_series_terms_are_bounded(capsys):
+    too_many = str(cli.MAX_SERIES_TERMS + 1)
+    code, out, err = run_cli(
+        capsys, "gamma", "--k", "4", "--series-terms", too_many
+    )
+    assert code == 1
+    assert out == ""
+    assert "cap" in err
 
 
 def test_verify_failure_exits_two(capsys, monkeypatch):

@@ -204,14 +204,35 @@ def test_series_pow_requires_positive_integer():
         series_pow(s, 0)
 
 
-@given(st.lists(rationals, min_size=1, max_size=5), st.integers(1, 4))
-@settings(max_examples=60, deadline=None)
-def test_series_pow_matches_iterated_product(coeffs, exponent):
-    s = OffsetSeries(Fraction(1, 3), 2, tuple(coeffs))
+def _iterated_power(s, exponent):
     expected = s
     for _ in range(exponent - 1):
         expected = series_mul(expected, s)
-    assert series_pow(s, exponent) == expected
+    return expected
+
+
+@given(
+    st.integers(0, 3),
+    st.lists(rationals, min_size=1, max_size=6),
+    st.integers(1, 8),
+)
+@settings(max_examples=120, deadline=None)
+def test_series_pow_matches_iterated_product(zeros, coeffs, exponent):
+    s = OffsetSeries(Fraction(1, 3), 2, (0,) * zeros + tuple(coeffs))
+    assert series_pow(s, exponent) == _iterated_power(s, exponent)
+
+
+@pytest.mark.parametrize("exponent", range(1, 9))
+@pytest.mark.parametrize(
+    "coeffs",
+    [(0,), (0, 0, 0, 0), (0, 3), (0, 0, 1, 2, 5), (0, Fraction(-1, 2), 7, 1)],
+)
+def test_series_pow_leading_and_all_zero(coeffs, exponent):
+    s = OffsetSeries(Fraction(1, 2), 3, coeffs)
+    powered = series_pow(s, exponent)
+    assert powered == _iterated_power(s, exponent)
+    assert len(powered) == len(s)
+    assert powered.offset == exponent * s.offset
 
 
 @given(st.integers(1, 5), st.integers(0, 7))
