@@ -27,7 +27,7 @@ from .errors import (
     SizeLimitError,
     StabilityError,
 )
-from .exact import format_rational
+from .exact import Polynomial, format_rational
 from .hodge import hodge_numbers, tilde_mid_hodge, verify
 from .moments import DEFAULT_ENUMERATION_CAP, formal_decomposition, h1_dims
 
@@ -37,6 +37,11 @@ COMMANDS = ("dims", "basis", "gamma", "hodge", "tilde", "decomp", "verify")
 #: Largest accepted ``--series-terms``: the exact coefficients grow so
 #: fast that a table of this length already takes several seconds.
 MAX_SERIES_TERMS = 400
+#: Most k values one ``--k A..B`` range may hold.
+MAX_K_VALUES = 10_000
+#: Longest accepted k literal: far past any k a command can finish for,
+#: and far below the 4300 digits at which ``int()`` refuses a literal.
+MAX_K_DIGITS = 100
 
 
 @dataclass(frozen=True)
@@ -60,18 +65,25 @@ class _UsageError(Exception):
 
 
 def parse_k_range(text: str, parity: str | None = None) -> tuple[int, ...]:
-    """Parse "7" or "2..20" (inclusive), optionally filtered by parity."""
-    single = re.fullmatch(r"\d+", text)
-    if single:
-        values = [int(text)]
-    else:
-        ranged = re.fullmatch(r"(\d+)\.\.(\d+)", text)
-        if not ranged:
-            raise _UsageError(f"malformed k range {text!r} (use K or A..B)")
-        low, high = int(ranged.group(1)), int(ranged.group(2))
-        if low > high:
-            raise _UsageError(f"empty k range {text!r}")
-        values = list(range(low, high + 1))
+    """Parse "7" or "2..20" (inclusive), optionally filtered by parity.
+
+    Literals longer than MAX_K_DIGITS digits and ranges of more than
+    MAX_K_VALUES values raise SizeLimitError."""
+    match = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text)
+    if not match:
+        raise _UsageError(f"malformed k range {text!r} (use K or A..B)")
+    literals = [g for g in match.groups() if g is not None]
+    if any(len(literal) > MAX_K_DIGITS for literal in literals):
+        raise SizeLimitError(f"k literal longer than {MAX_K_DIGITS} digits")
+    low, high = int(literals[0]), int(literals[-1])
+    if low > high:
+        raise _UsageError(f"empty k range {text!r}")
+    if high - low + 1 > MAX_K_VALUES:
+        raise SizeLimitError(
+            f"k range {text!r} holds {high - low + 1} values, above the "
+            f"cap {MAX_K_VALUES}"
+        )
+    values = range(low, high + 1)
     if parity == "odd":
         values = [k for k in values if k % 2]
     elif parity == "even":
@@ -215,24 +227,6 @@ def _table_payload(table, k: int):
     return obj, rows
 
 
-def _poly_string(coefficients) -> str:
-    parts = []
-    for degree, coeff in enumerate(coefficients):
-        if not coeff:
-            continue
-        if degree == 0:
-            parts.append(format_rational(coeff))
-        else:
-            var = "x" if degree == 1 else f"x^{degree}"
-            if coeff == 1:
-                parts.append(var)
-            elif coeff == -1:
-                parts.append(f"-{var}")
-            else:
-                parts.append(f"{format_rational(coeff)}*{var}")
-    return " + ".join(reversed(parts)).replace("+ -", "- ") if parts else "0"
-
-
 def _dispatch(config: RunConfig):
     """Compute one command; returns (headers, rows, json_obj, exit_code,
     optional custom text)."""
@@ -339,7 +333,12 @@ def _dispatch(config: RunConfig):
                 )
             for coeffs, mult in decomposition.entries:
                 rows.append(
-                    [str(config.n), str(k), _poly_string(coeffs), str(mult)]
+                    [
+                        str(config.n),
+                        str(k),
+                        Polynomial.from_coefficients(coeffs).format("x"),
+                        str(mult),
+                    ]
                 )
         obj = objs[0] if len(objs) == 1 else objs
     else:
@@ -493,16 +492,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:
-        config = config_from_args(args)
+        exit_code, document = run(config_from_args(args))
     except _UsageError as exc:
         print(f"airymoments: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    try:
-        exit_code, document = run(config)
-    except DomainError as exc:
-        print(f"airymoments: error: {exc}", file=sys.stderr)
-        return 1
-    except StabilityError as exc:
+    except (DomainError, StabilityError) as exc:
         print(f"airymoments: error: {exc}", file=sys.stderr)
         return 1
     except InconsistencyError as exc:

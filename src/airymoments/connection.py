@@ -29,7 +29,7 @@ from .errors import (
     SizeLimitError,
     StabilityError,
 )
-from .exact import Polynomial, binomial, compositions, row_reduce, RationalMatrix
+from .exact import Polynomial, binomial, compositions
 
 HALF = Fraction(1, 2)
 
@@ -77,12 +77,6 @@ class ConnectionModule:
             for i, poly in column:
                 dense[i][j] = poly
         return dense
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise DomainError(f"unknown generator {label!r}") from None
 
 
 def build_airy(n: int) -> ConnectionModule:
@@ -206,9 +200,6 @@ class ModuleElement:
         )
         object.__setattr__(self, "coordinates", cleaned)
 
-    def as_dict(self) -> dict[str, Polynomial]:
-        return dict(self.coordinates)
-
     def is_zero(self) -> bool:
         return not self.coordinates
 
@@ -301,7 +292,14 @@ def residue(element: ModuleElement) -> dict[str, Fraction]:
 
 
 class _Echelon:
-    """Incremental integer row echelon keyed by leading coordinate."""
+    """Incremental integer row echelon keyed by leading coordinate.
+
+    The one exact elimination kernel of the package: rows are inserted
+    fraction-free (each stored row is primitive with a positive leading
+    entry), vectors are reduced to normal form against the stored rows,
+    and ranks and linear systems are solved by inserting into a fresh
+    echelon.
+    """
 
     def __init__(self):
         self.rows: dict[int, dict[int, int]] = {}
@@ -349,8 +347,41 @@ class _Echelon:
                 self._reduce_content(row)
         return False
 
+    def normal_form(self, vector: dict[int, Fraction]) -> dict[int, Fraction]:
+        """Fully reduce a rational vector against the stored rows; the
+        result is zero exactly when the vector lies in the row space."""
+        rows = self.rows
+        work = dict(vector)
+        out: dict[int, Fraction] = {}
+        while work:
+            pos = min(work)
+            value = work.pop(pos)
+            pivot = rows.get(pos)
+            if pivot is None:
+                out[pos] = value
+                continue
+            factor = Fraction(value, pivot[pos])
+            for q, v in pivot.items():
+                if q == pos:
+                    continue
+                updated = work.get(q, 0) - factor * v
+                if updated:
+                    work[q] = updated
+                else:
+                    work.pop(q, None)
+        return out
+
     def pivots_at_or_above(self, threshold: int) -> int:
         return sum(1 for lead in self.rows if lead >= threshold)
+
+
+def _cleared(vector: dict[int, Fraction]) -> dict[int, int]:
+    """The rational vector times the lcm of its denominators."""
+    scale = math.lcm(*(v.denominator for v in vector.values()))
+    return {
+        pos: v.numerator * (scale // v.denominator)
+        for pos, v in vector.items()
+    }
 
 
 @dataclass
@@ -370,44 +401,50 @@ _STABLE_CACHE: dict[tuple, _StableImage] = {}
 
 def _derivation_terms(
     module: ConnectionModule, where: str
-) -> list[list[tuple[int, int, Fraction]]]:
+) -> tuple[int, list[list[tuple[int, int, int]]]]:
     """Static part of the derivation as (degree shift, target, coeff)
-    per generator; the degree-dependent diagonal term is added by the
-    row builder."""
+    per generator, every coefficient multiplied by ``scale``, the lcm
+    of their denominators (2 under the half twist, else 1), so rows are
+    built in integers; the degree-dependent diagonal term is added by
+    the row builder.  Returns (scale, terms).
+
+    Scaling a row by a positive integer leaves the echelon unchanged,
+    because insertion divides out the content of every row."""
     columns = module.partial if where == "a1" else module.theta
-    out = []
-    for column in columns:
-        terms = []
-        for i, poly in column:
-            for m, c in poly.terms:
-                terms.append((m, i, c))
-        out.append(terms)
-    return out
+    scale = math.lcm(
+        *(c.denominator for column in columns
+          for _, poly in column for _, c in poly.terms)
+    )
+    out = [
+        [
+            (m, i, c.numerator * (scale // c.denominator))
+            for i, poly in column
+            for m, c in poly.terms
+        ]
+        for column in columns
+    ]
+    return scale, out
 
 
 def _image_row(
     where: str,
-    terms: list[tuple[int, int, Fraction]],
+    terms: list[tuple[int, int, int]],
+    scale: int,
     d: int,
     j: int,
     gens: int,
     anchor: int,
 ) -> dict[int, int]:
-    """Integer coordinate row of the derivation applied to z^d * g_j."""
-    sparse: dict[int, Fraction] = {}
-    if where == "a1":
-        if d:
-            sparse[(anchor - (d - 1)) * gens + j] = Fraction(d)
-    else:
-        if d:
-            sparse[(anchor - d) * gens + j] = Fraction(d)
+    """Integer coordinate row of ``scale`` times the derivation applied
+    to z^d * g_j."""
+    row: dict[int, int] = {}
+    if d:
+        lowered = d - 1 if where == "a1" else d
+        row[(anchor - lowered) * gens + j] = d * scale
     for m, i, c in terms:
         pos = (anchor - (d + m)) * gens + i
-        sparse[pos] = sparse.get(pos, Fraction(0)) + c
-    denominator = math.lcm(*(v.denominator for v in sparse.values())) if sparse else 1
-    return {
-        pos: int(v * denominator) for pos, v in sparse.items() if v
-    }
+        row[pos] = row.get(pos, 0) + c
+    return {pos: v for pos, v in row.items() if v}
 
 
 def _stable_image(
@@ -419,7 +456,7 @@ def _stable_image(
         return cached
     gens = module.rank
     anchor = ceiling + 2
-    terms = _derivation_terms(module, where)
+    scale, terms = _derivation_terms(module, where)
     echelon = _Echelon()
     degree = 3 * (module.k + 1) + 6
     processed = -1
@@ -431,7 +468,7 @@ def _stable_image(
             )
         for d in range(processed + 1, degree + 1):
             for j in range(gens):
-                row = _image_row(where, terms[j], d, j, gens, anchor)
+                row = _image_row(where, terms[j], scale, d, j, gens, anchor)
                 if not echelon.insert(row):
                     raise InconsistencyError(
                         "derivation row reduced to zero: the derivation "
@@ -499,32 +536,6 @@ def _element_ids(
     return out
 
 
-def _normal_form(
-    vector: dict[int, Fraction], echelon: _Echelon
-) -> dict[int, Fraction]:
-    """Fully reduce a rational vector against the integer echelon; the
-    result is zero exactly when the vector lies in the row space."""
-    work = dict(vector)
-    out: dict[int, Fraction] = {}
-    while work:
-        pos = min(work)
-        value = work.pop(pos)
-        pivot = echelon.rows.get(pos)
-        if pivot is None:
-            out[pos] = value
-            continue
-        factor = value / pivot[pos]
-        for q, v in pivot.items():
-            if q == pos:
-                continue
-            updated = work.get(q, Fraction(0)) - factor * v
-            if updated:
-                work[q] = updated
-            else:
-                work.pop(q, None)
-    return out
-
-
 def _normal_forms(
     classes,
     module: ConnectionModule,
@@ -533,7 +544,7 @@ def _normal_forms(
 ) -> tuple[_StableImage, list[dict[int, Fraction]]]:
     state = _stable_image(module, where, ceiling)
     return state, [
-        _normal_form(_element_ids(c, module, state), state.echelon)
+        state.echelon.normal_form(_element_ids(c, module, state))
         for c in classes
     ]
 
@@ -567,8 +578,9 @@ def gm_cokernel_basis(
             f"closed-form basis has {len(classes)} classes but the "
             f"brute-force dimension is {dim} (k={k}, twist={module.twist})"
         )
-    state, forms = _normal_forms(classes, module, "gm", truncation_ceiling)
-    if _rank_of_forms(forms) != len(classes):
+    _, forms = _normal_forms(classes, module, "gm", truncation_ceiling)
+    independent = _Echelon()
+    if not all(independent.insert(_cleared(form)) for form in forms):
         raise InconsistencyError(
             f"closed-form classes are dependent in cohomology (k={k}, "
             f"twist={module.twist})"
@@ -580,30 +592,6 @@ def gm_cokernel_basis(
         classes=tuple(classes),
         g_levels=None,
     )
-
-
-def _rank_of_forms(forms: list[dict[int, Fraction]]) -> int:
-    pivots: dict[int, dict[int, Fraction]] = {}
-    rank = 0
-    for form in forms:
-        work = dict(form)
-        while work:
-            pos = min(work)
-            pivot = pivots.get(pos)
-            if pivot is None:
-                pivots[pos] = work
-                rank += 1
-                break
-            factor = work.pop(pos) / pivot[pos]
-            for q, v in pivot.items():
-                if q == pos:
-                    continue
-                updated = work.get(q, Fraction(0)) - factor * v
-                if updated:
-                    work[q] = updated
-                else:
-                    work.pop(q, None)
-    return rank
 
 
 def omega_class(i: int) -> ModuleElement:
@@ -649,40 +637,34 @@ def reduce_to_basis(
 
     Works inside the stabilised brute-force quotient: the element and
     the basis classes are reduced to normal form against the image of
-    the derivation, and the resulting exact linear system is solved.
-    Raises InconsistencyError when the basis classes are dependent or
-    the element lies outside their span.
+    the derivation.  Each class form i is then inserted into a fresh
+    echelon together with a tag coordinate, an id past every monomial,
+    so the target reduces to minus its coordinates on the tags.
+    Raises InconsistencyError when the element lies outside the span of
+    the basis classes or the classes are dependent.
     """
     if module.twist != basis.twist:
         raise DomainError("element module and basis have different twists")
     where = "gm" if basis.space == "gm" else "a1"
-    _, forms = _normal_forms(
+    state, forms = _normal_forms(
         list(basis.classes) + [element], module, where, truncation_ceiling
     )
     target = forms.pop()
-    count = len(forms)
-    if count == 0:
+    if not forms:
         if target:
             raise InconsistencyError(
                 "element is nonzero in cohomology but the basis is empty"
             )
         return ()
-    positions = sorted(set().union(*forms, target))
-    dense = [
-        [form.get(pos, Fraction(0)) for form in forms]
-        + [target.get(pos, Fraction(0))]
-        for pos in positions
-    ]
-    echelon, pivots, rank = row_reduce(
-        RationalMatrix.from_rows(dense) if dense else RationalMatrix(0, count + 1)
-    )
-    if count in pivots:
+    tag = (state.anchor + 1) * state.gens
+    solver = _Echelon()
+    for i, form in enumerate(forms):
+        solver.insert(_cleared({**form, tag + i: Fraction(1)}))
+    residual = solver.normal_form(target)
+    if any(pos < tag for pos in residual):
         raise InconsistencyError(
             "element does not lie in the span of the basis classes"
         )
-    if rank < count:
+    if any(lead >= tag for lead in solver.rows):
         raise InconsistencyError("basis classes are dependent in cohomology")
-    solution = [Fraction(0)] * count
-    for r, col in enumerate(pivots):
-        solution[col] = echelon.entry(r, count)
-    return tuple(solution)
+    return tuple(-residual.get(tag + i, Fraction(0)) for i in range(len(forms)))

@@ -1,11 +1,11 @@
-"""Exact scalar arithmetic: rationals, sparse polynomials, rational
-matrices with deterministic reduction, and series on a shifted exponent
-lattice.
+"""Exact scalar arithmetic: rationals, sparse polynomials, series on a
+shifted exponent lattice, and the integer helpers behind them.
 
 Everything here is exact.  Rationals are ``fractions.Fraction`` (always
-in lowest terms), polynomials and matrices store only nonzero entries,
-and all reductions are deterministic: the same input always yields the
-same object, independent of construction order.
+in lowest terms), polynomials store only nonzero terms, and all
+constructions are deterministic: the same input always yields the same
+object, independent of construction order.  Exact linear algebra lives
+in one place, the integer echelon of :mod:`airymoments.connection`.
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-
-#: Exact rational scalar type used throughout the package.
-Rational = Fraction
-
 
 def format_rational(q: Fraction) -> str:
     """Serialise ``q`` as ``"num/den"``, or a bare integer when den == 1."""
@@ -181,6 +177,11 @@ class Polynomial:
         return quotient
 
     def __str__(self) -> str:
+        return self.format("z")
+
+    def format(self, variable: str) -> str:
+        """Highest degree first, written in ``variable``:
+        ``"5/6*x^2 - x + 1"``."""
         if not self.terms:
             return "0"
         parts = []
@@ -188,7 +189,7 @@ class Polynomial:
             if d == 0:
                 parts.append(format_rational(c))
             else:
-                var = "z" if d == 1 else f"z^{d}"
+                var = variable if d == 1 else f"{variable}^{d}"
                 if c == 1:
                     parts.append(var)
                 elif c == -1:
@@ -202,9 +203,6 @@ class Polynomial:
 #: The polynomial ``z``, for building expressions.
 Z = Polynomial.monomial(1)
 
-ZERO_POLY = Polynomial()
-ONE_POLY = Polynomial.constant(1)
-
 
 def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor over the rationals."""
@@ -213,133 +211,6 @@ def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_zero():
         return a
     return a * (1 / a.leading_coefficient())
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Sparse matrix over the rationals with a fixed shape.
-
-    Entries are a sorted tuple of ``(row, col, value)`` with all values
-    nonzero, so equal matrices compare equal.
-    """
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, int, Fraction], ...] = ()
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise DomainError("matrix shape must be nonnegative")
-        cleaned: dict[tuple[int, int], Fraction] = {}
-        for r, c, v in self.entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise DomainError(f"entry ({r},{c}) outside a {self.rows}x{self.cols} matrix")
-            value = _coerce(v)
-            if value:
-                cleaned[(r, c)] = cleaned.get((r, c), Fraction(0)) + value
-        normalised = tuple(
-            (r, c, cleaned[(r, c)])
-            for (r, c) in sorted(cleaned)
-            if cleaned[(r, c)]
-        )
-        object.__setattr__(self, "entries", normalised)
-
-    @classmethod
-    def from_rows(cls, data) -> RationalMatrix:
-        data = [list(row) for row in data]
-        rows = len(data)
-        cols = len(data[0]) if data else 0
-        if any(len(row) != cols for row in data):
-            raise DomainError("ragged rows")
-        entries = tuple(
-            (r, c, _coerce(v))
-            for r, row in enumerate(data)
-            for c, v in enumerate(row)
-        )
-        return cls(rows, cols, entries)
-
-    def entry(self, r: int, c: int) -> Fraction:
-        for er, ec, v in self.entries:
-            if (er, ec) == (r, c):
-                return v
-        return Fraction(0)
-
-    def to_rows(self) -> list[list[Fraction]]:
-        dense = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for r, c, v in self.entries:
-            dense[r][c] = v
-        return dense
-
-    def transpose(self) -> RationalMatrix:
-        return RationalMatrix(
-            self.cols, self.rows, tuple((c, r, v) for r, c, v in self.entries)
-        )
-
-
-def _rref(dense: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (matrix, pivot columns)."""
-    if not dense:
-        return dense, []
-    rows, cols = len(dense), len(dense[0])
-    pivots: list[int] = []
-    target = 0
-    for col in range(cols):
-        pivot_row = None
-        for r in range(target, rows):
-            if dense[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        dense[target], dense[pivot_row] = dense[pivot_row], dense[target]
-        scale = dense[target][col]
-        dense[target] = [v / scale for v in dense[target]]
-        for r in range(rows):
-            if r != target and dense[r][col]:
-                factor = dense[r][col]
-                dense[r] = [
-                    a - factor * b for a, b in zip(dense[r], dense[target])
-                ]
-        pivots.append(col)
-        target += 1
-        if target == rows:
-            break
-    return dense, pivots
-
-
-def row_reduce(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...], int]:
-    """Reduced row echelon form with pivot columns and rank.
-
-    The reduction is fully deterministic: pivots are chosen leftmost
-    first, scanning rows top to bottom, and zero rows sink to the bottom.
-    """
-    dense, pivots = _rref(matrix.to_rows())
-    entries = tuple(
-        (r, c, v)
-        for r, row in enumerate(dense)
-        for c, v in enumerate(row)
-        if v
-    )
-    echelon = RationalMatrix(matrix.rows, matrix.cols, entries)
-    return echelon, tuple(pivots), len(pivots)
-
-
-def cokernel_basis(matrix: RationalMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the cokernel of ``matrix`` acting on column vectors.
-
-    Reduces the transpose and returns the standard-basis vectors sitting
-    at the non-pivot row positions, so the result is a canonical set of
-    representatives for ``target / image``.
-    """
-    _, pivots, _ = row_reduce(matrix.transpose())
-    pivot_set = set(pivots)
-    basis = []
-    for position in range(matrix.rows):
-        if position not in pivot_set:
-            vector = [Fraction(0)] * matrix.rows
-            vector[position] = Fraction(1)
-            basis.append(tuple(vector))
-    return basis
 
 
 @dataclass(frozen=True)
@@ -375,18 +246,6 @@ class OffsetSeries:
 
     def exponent(self, j: int) -> Fraction:
         return self.offset + self.step * j
-
-    def coefficient_at(self, exponent) -> Fraction:
-        """Coefficient at an exact exponent; zero off the lattice."""
-        e = _coerce(exponent)
-        if e >= self.truncation_order:
-            raise DomainError(
-                f"exponent {e} is beyond the truncation order {self.truncation_order}"
-            )
-        position = (e - self.offset) / self.step
-        if position < 0 or position.denominator != 1:
-            return Fraction(0)
-        return self.coefficients[int(position)]
 
 
 def series_mul(a: OffsetSeries, b: OffsetSeries) -> OffsetSeries:

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from airymoments.errors import InconsistencyError
+from airymoments.errors import InconsistencyError, SizeLimitError
 from airymoments.cli import main, parse_k_range
 from airymoments import cli
 
@@ -280,3 +280,23 @@ def test_internal_inconsistency_exits_three(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "hodge", "--k", "4")
     assert code == 3
     assert "inconsistency" in err
+
+
+def test_k_range_length_is_bounded(capsys):
+    assert len(parse_k_range(f"1..{cli.MAX_K_VALUES}")) == cli.MAX_K_VALUES
+    with pytest.raises(SizeLimitError):
+        parse_k_range(f"1..{cli.MAX_K_VALUES + 1}", parity="odd")
+    code, out, err = run_cli(capsys, "dims", "--k", "1..1000000000000")
+    assert code == 1
+    assert out == ""
+    assert "cap" in err
+
+
+def test_over_long_k_literal_is_rejected(capsys):
+    nines = "9" * 5000
+    for k in (nines, f"2..{nines}"):
+        code, out, err = run_cli(capsys, "dims", "--k", k)
+        assert code == 1
+        assert out == ""
+        assert "digits" in err
+        assert "Traceback" not in err

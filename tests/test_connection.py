@@ -12,9 +12,11 @@ from airymoments.errors import (
     SizeLimitError,
     StabilityError,
 )
+from airymoments.asymptotics import mid_basis
 from airymoments.exact import Polynomial, Z
 from airymoments.connection import (
     CohomologyBasis,
+    ModuleElement,
     build_airy,
     build_symk,
     gm_cokernel_basis,
@@ -219,6 +221,58 @@ def test_reduce_is_linear(a, b):
     assert lhs == tuple(a * p + b * q for p, q in zip(x1, x2))
 
 
+def _exact_form(module, where, j, poly):
+    """The derivation applied to poly * g_j, read off the module's
+    columns: d/dz on the affine line, z d/dz + twist on the punctured
+    line (the twist sits in the theta columns)."""
+    if where == "a1":
+        columns, own = module.partial, poly.derivative()
+    else:
+        columns, own = module.theta, poly.derivative().shift(1)
+    parts = [(module.labels[j], own)]
+    parts += [(module.labels[i], poly * p) for i, p in columns[j]]
+    return ModuleElement(tuple(parts))
+
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@pytest.mark.parametrize(
+    "space, twist, ks",
+    [
+        ("gm", Fraction(0), st.integers(1, 12)),
+        ("gm", HALF, st.integers(1, 12)),
+        (
+            "mid",
+            Fraction(0),
+            st.one_of(st.sampled_from(range(4, 25, 4)), st.integers(2, 24)),
+        ),
+    ],
+    ids=["gm-rho0", "gm-rho1/2", "mid"],
+)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_reduce_round_trips_combinations(space, twist, ks, data):
+    k = data.draw(ks, label="k")
+    module = build_symk(2, k, twist)
+    if space == "gm":
+        basis, where = gm_cokernel_basis(k, twist), "gm"
+    else:
+        basis, where = mid_basis(k), "a1"
+    coords = data.draw(
+        st.lists(small_fractions, min_size=len(basis), max_size=len(basis)),
+        label="coords",
+    )
+    j = data.draw(st.integers(0, k), label="generator")
+    poly = Polynomial.from_coefficients(
+        data.draw(st.lists(small_fractions, max_size=3), label="poly")
+    )
+    element = _exact_form(module, where, j, poly)
+    for c, cls in zip(coords, basis.classes):
+        element = element + c * cls
+    assert reduce_to_basis(element, basis, module) == tuple(coords)
+
+
 def test_reduce_rejects_dependent_basis():
     m = build_symk(2, 3)
     degenerate = CohomologyBasis(
@@ -227,8 +281,10 @@ def test_reduce_rejects_dependent_basis():
         twist=Fraction(0),
         classes=(omega_class(1), omega_class(1)),
     )
-    with pytest.raises(InconsistencyError):
+    with pytest.raises(InconsistencyError, match="span"):
         reduce_to_basis(omega_class(2), degenerate, m)
+    with pytest.raises(InconsistencyError, match="dependent"):
+        reduce_to_basis(omega_class(1), degenerate, m)
 
 
 def test_reduce_rejects_class_outside_span():

@@ -6,18 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from airymoments.connection import _Echelon
 from airymoments.errors import DomainError
 from airymoments.exact import (
     OffsetSeries,
     Polynomial,
-    RationalMatrix,
     Z,
-    cokernel_basis,
     compositions,
     format_rational,
     parse_rational,
     polynomial_gcd,
-    row_reduce,
     series_mul,
     series_pow,
 )
@@ -54,6 +52,9 @@ def test_polynomial_basics():
     assert p.coefficient(1) == 2
     assert p(Fraction(1, 2)) == Fraction(9, 4)
     assert str(p) == "z^2 + 2*z + 1"
+    q = Polynomial.from_coefficients([Fraction(-5, 6), -1, 0, Fraction(5, 6)])
+    assert q.format("x") == "5/6*x^3 - x - 5/6"
+    assert str(q) == q.format("z") == "5/6*z^3 - z - 5/6"
     assert (Z * Z + 2 * Z + 1) == p
 
 
@@ -103,36 +104,59 @@ def test_polynomial_product_degree(a, b):
         )
 
 
+# The exact elimination kernel: a matrix is a list of integer rows, and
+# row r becomes the sparse vector {column: entry}.
+
+
+def _sparse(row) -> dict:
+    return {col: value for col, value in enumerate(row) if value}
+
+
+def _echelon(rows) -> tuple[_Echelon, int]:
+    """Echelon of the rows and its rank (the inserts that landed)."""
+    echelon = _Echelon()
+    rank = sum(echelon.insert(_sparse(row)) for row in rows)
+    return echelon, rank
+
+
+def _transpose(rows):
+    return [list(column) for column in zip(*rows)]
+
+
+def _cokernel_positions(rows) -> list[int]:
+    """Coordinates whose unit vectors represent a basis of the cokernel
+    of the matrix acting on column vectors: the non-pivot positions of
+    the echelon of its columns."""
+    image, _ = _echelon(_transpose(rows))
+    return [pos for pos in range(len(rows)) if pos not in image.rows]
+
+
 def test_row_reduce_frozen_example():
-    m = RationalMatrix.from_rows([[1, 2], [2, 4]])
-    echelon, pivots, rank = row_reduce(m)
-    assert echelon.to_rows() == [
-        [Fraction(1), Fraction(2)],
-        [Fraction(0), Fraction(0)],
-    ]
-    assert pivots == (0,)
-    assert rank == 1
+    echelon = _Echelon()
+    assert echelon.insert({0: 1, 1: 2})
+    assert not echelon.insert({0: 2, 1: 4})
+    assert echelon.rows == {0: {0: 1, 1: 2}}
+    # stored rows are primitive with a positive leading entry
+    assert echelon.insert({1: -6, 2: 4})
+    assert echelon.rows[1] == {1: 3, 2: -2}
 
 
 def test_cokernel_of_zero_map():
-    m = RationalMatrix.from_rows([[0]])
-    assert cokernel_basis(m) == [(Fraction(1),)]
+    assert _cokernel_positions([[0]]) == [0]
 
 
 def test_cokernel_of_injection():
-    m = RationalMatrix.from_rows([[1], [0]])
-    assert cokernel_basis(m) == [(Fraction(0), Fraction(1))]
+    assert _cokernel_positions([[1], [0]]) == [1]
 
 
 def test_full_rank_has_trivial_cokernel():
-    m = RationalMatrix.from_rows([[1, 1], [0, 1]])
-    assert cokernel_basis(m) == []
+    assert _cokernel_positions([[1, 1], [0, 1]]) == []
 
 
-matrices = st.integers(1, 5).flatmap(
+integer_matrices = st.integers(1, 5).flatmap(
     lambda rows: st.integers(1, 5).flatmap(
         lambda cols: st.lists(
-            st.lists(rationals, min_size=cols, max_size=cols),
+            st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
             min_size=rows,
             max_size=rows,
         )
@@ -140,31 +164,52 @@ matrices = st.integers(1, 5).flatmap(
 )
 
 
-@given(matrices)
-@settings(max_examples=60, deadline=None)
+@given(integer_matrices)
+@settings(max_examples=80, deadline=None)
 def test_rank_equals_transpose_rank(rows):
-    m = RationalMatrix.from_rows(rows)
-    _, _, rank = row_reduce(m)
-    _, _, transposed = row_reduce(m.transpose())
+    _, rank = _echelon(rows)
+    _, transposed = _echelon(_transpose(rows))
     assert rank == transposed
 
 
-@given(matrices)
+@given(integer_matrices)
 @settings(max_examples=60, deadline=None)
 def test_rank_nullity_for_cokernel(rows):
-    m = RationalMatrix.from_rows(rows)
-    _, _, rank = row_reduce(m)
-    assert rank + len(cokernel_basis(m)) == m.rows
+    _, rank = _echelon(rows)
+    cokernel = _cokernel_positions(rows)
+    assert rank + len(cokernel) == len(rows)
+    # the image and the cokernel representatives span the whole space
+    whole, _ = _echelon(_transpose(rows))
+    assert all(whole.insert({pos: 1}) for pos in cokernel)
+    assert len(whole.rows) == len(rows)
 
 
-@given(matrices)
+@given(integer_matrices)
 @settings(max_examples=60, deadline=None)
 def test_row_reduce_idempotent(rows):
-    m = RationalMatrix.from_rows(rows)
-    echelon, pivots, rank = row_reduce(m)
-    again, pivots2, rank2 = row_reduce(echelon)
-    assert again == echelon
-    assert (pivots, rank) == (pivots2, rank2)
+    echelon, rank = _echelon(rows)
+    again = _Echelon()
+    assert all(again.insert(dict(row)) for row in echelon.rows.values())
+    assert again.rows == echelon.rows
+    assert not any(echelon.insert(dict(row)) for row in again.rows.values())
+    assert len(echelon.rows) == rank
+
+
+@given(
+    integer_matrices,
+    st.lists(rationals, min_size=5, max_size=5),
+)
+@settings(max_examples=80, deadline=None)
+def test_normal_form_of_row_combination_is_zero(rows, weights):
+    echelon, _ = _echelon(rows)
+    combination: dict[int, Fraction] = {}
+    for weight, row in zip(weights, rows):
+        for col, value in enumerate(row):
+            combination[col] = combination.get(col, Fraction(0)) + weight * value
+    sparse = {col: value for col, value in combination.items() if value}
+    assert echelon.normal_form(sparse) == {}
+    unit = {len(rows[0]): Fraction(1)}
+    assert echelon.normal_form(unit) == unit
 
 
 def test_series_product_truncates_to_shorter_factor():
@@ -187,15 +232,6 @@ def test_series_step_mismatch_rejected():
     b = OffsetSeries(0, 2, (1,))
     with pytest.raises(DomainError):
         series_mul(a, b)
-
-
-def test_series_coefficient_lookup():
-    s = OffsetSeries(Fraction(1, 2), 3, (5, 7))
-    assert s.coefficient_at(Fraction(1, 2)) == 5
-    assert s.coefficient_at(Fraction(7, 2)) == 7
-    assert s.coefficient_at(1) == 0
-    with pytest.raises(DomainError):
-        s.coefficient_at(Fraction(13, 2))
 
 
 def test_series_pow_requires_positive_integer():
