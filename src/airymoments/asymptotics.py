@@ -20,7 +20,6 @@ from .connection import (
     CohomologyBasis,
     build_symk,
     h1_a1_basis,
-    monomial_element,
     omega_class,
 )
 from .errors import DomainError, InconsistencyError

@@ -11,8 +11,9 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .asymptotics import gamma, mid_basis
@@ -33,20 +34,21 @@ from .moments import DEFAULT_ENUMERATION_CAP, formal_decomposition, h1_dims
 
 USAGE_EXIT = 64
 CACHE_ENV = "AIRYMOMENTS_CACHE_DIR"
-COMMANDS = ("dims", "basis", "gamma", "hodge", "tilde", "decomp", "verify")
 #: Largest accepted ``--series-terms``: the exact coefficients grow so
 #: fast that a table of this length already takes several seconds.
 MAX_SERIES_TERMS = 400
-#: Most k values one ``--k A..B`` range may hold.
-MAX_K_VALUES = 10_000
-#: Longest accepted k literal: far past any k a command can finish for,
-#: and far below the 4300 digits at which ``int()`` refuses a literal.
+#: Largest accepted k: every table grows with k, and several commands
+#: never return at a huge one.  It also bounds a range's length.
+MAX_K = 10_000
+#: Longest accepted k literal, checked before ``int()``, which refuses
+#: literals from 4300 digits on.
 MAX_K_DIGITS = 100
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One fully-resolved CLI invocation."""
+    """One fully-resolved CLI invocation.  Its defaults are the only
+    ones: the parser leaves out every option not given."""
 
     command: str
     k_values: tuple[int, ...]
@@ -57,7 +59,10 @@ class RunConfig:
     truncation_ceiling: int = DEFAULT_TRUNCATION_CEILING
     series_terms: int = 30
     space: str = "a1"
-    twist: Fraction = field(default_factory=lambda: Fraction(0))
+    twist: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "twist", Fraction(self.twist))
 
 
 class _UsageError(Exception):
@@ -67,8 +72,8 @@ class _UsageError(Exception):
 def parse_k_range(text: str, parity: str | None = None) -> tuple[int, ...]:
     """Parse "7" or "2..20" (inclusive), optionally filtered by parity.
 
-    Literals longer than MAX_K_DIGITS digits and ranges of more than
-    MAX_K_VALUES values raise SizeLimitError."""
+    Literals longer than MAX_K_DIGITS digits and values above MAX_K
+    raise SizeLimitError."""
     match = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text)
     if not match:
         raise _UsageError(f"malformed k range {text!r} (use K or A..B)")
@@ -76,13 +81,10 @@ def parse_k_range(text: str, parity: str | None = None) -> tuple[int, ...]:
     if any(len(literal) > MAX_K_DIGITS for literal in literals):
         raise SizeLimitError(f"k literal longer than {MAX_K_DIGITS} digits")
     low, high = int(literals[0]), int(literals[-1])
+    if high > MAX_K:
+        raise SizeLimitError(f"k = {high} is above the cap {MAX_K}")
     if low > high:
         raise _UsageError(f"empty k range {text!r}")
-    if high - low + 1 > MAX_K_VALUES:
-        raise SizeLimitError(
-            f"k range {text!r} holds {high - low + 1} values, above the "
-            f"cap {MAX_K_VALUES}"
-        )
     values = range(low, high + 1)
     if parity == "odd":
         values = [k for k in values if k % 2]
@@ -110,63 +112,62 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "dims": "closed-form cohomology dimensions (all and middle)",
-        "basis": "cohomology basis classes",
-        "gamma": "asymptotic correction coefficients",
-        "hodge": "Hodge-number table",
-        "tilde": "graded table of the extended family (even k >= 4)",
-        "decomp": "formal exponents at infinity",
-        "verify": "internal consistency checks",
-    }
-    for name in COMMANDS:
-        cmd = sub.add_parser(name, help=descriptions[name])
-        cmd.add_argument("--k", required=True, help="value K or range A..B")
-        cmd.add_argument(
-            "--format",
-            choices=("text", "json", "csv", "latex"),
-            default="text",
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(
+            name, help=command.help, argument_default=argparse.SUPPRESS
         )
+        cmd.add_argument("--k", required=True, help="value K or range A..B")
+        cmd.add_argument("--format", choices=("text", "json", "csv", "latex"))
         cmd.add_argument("--parity", choices=("odd", "even"))
         cmd.add_argument("--cache-dir")
-        if name in ("dims", "decomp"):
-            cmd.add_argument("--n", type=int, default=2)
-            cmd.add_argument(
-                "--enumeration-cap", type=int, default=DEFAULT_ENUMERATION_CAP
-            )
-        if name == "basis":
-            cmd.add_argument(
-                "--space", choices=("a1", "gm", "mid"), default="a1"
-            )
-            cmd.add_argument("--rho", choices=("0", "1/2"), default="0")
-            cmd.add_argument(
-                "--truncation-ceiling",
-                type=int,
-                default=DEFAULT_TRUNCATION_CEILING,
-            )
-        if name == "gamma":
-            cmd.add_argument("--series-terms", type=int, default=30)
+        for flag in command.options:
+            cmd.add_argument(flag, **OPTIONS[flag])
     return parser
 
 
 def config_from_args(args) -> RunConfig:
-    k_values = parse_k_range(args.k, args.parity)
-    return RunConfig(
-        command=args.command,
-        k_values=k_values,
-        n=getattr(args, "n", 2),
-        format=args.format,
-        cache_dir=args.cache_dir or os.environ.get(CACHE_ENV),
-        enumeration_cap=getattr(
-            args, "enumeration_cap", DEFAULT_ENUMERATION_CAP
-        ),
-        truncation_ceiling=getattr(
-            args, "truncation_ceiling", DEFAULT_TRUNCATION_CEILING
-        ),
-        series_terms=getattr(args, "series_terms", 30),
-        space=getattr(args, "space", "a1"),
-        twist=Fraction(getattr(args, "rho", "0")),
+    settings = dict(vars(args))
+    k_values = parse_k_range(settings.pop("k"), settings.pop("parity", None))
+    settings["cache_dir"] = (
+        settings.get("cache_dir") or os.environ.get(CACHE_ENV)
     )
+    return RunConfig(k_values=k_values, **settings)
+
+
+class Command(NamedTuple):
+    """One entry of ``COMMANDS``.  The handler maps a RunConfig to
+    (rows, JSON object, exit code, custom text or None); it looks
+    library functions up in this module when called, so tests can
+    replace them."""
+
+    help: str
+    options: tuple[str, ...]
+    headers: tuple[str, ...]
+    handler: Callable[[RunConfig], tuple]
+
+
+def _each_k(one_k):
+    """Handler from a per-k one, which maps (config, k) to (JSON object,
+    rows): the rows concatenate, and the JSON objects form a list, or
+    stay a bare object for one k."""
+
+    def compute(config: RunConfig):
+        objs, rows = [], []
+        for k in config.k_values:
+            obj, k_rows = one_k(config, k)
+            objs.append(obj)
+            rows.extend(k_rows)
+        return rows, objs[0] if len(objs) == 1 else objs, 0, None
+
+    return compute
+
+
+def _dims(config: RunConfig, k: int):
+    dims = h1_dims(config.n, k, cap=config.enumeration_cap)
+    obj = {"all": dims.all, "mid": dims.mid}
+    if len(config.k_values) > 1:
+        obj = {"k": k, **obj}
+    return obj, [[str(k), str(dims.all), str(dims.mid)]]
 
 
 def _element_json(element) -> dict:
@@ -176,7 +177,7 @@ def _element_json(element) -> dict:
     }
 
 
-def _basis_payload(config: RunConfig, k: int):
+def _basis(config: RunConfig, k: int):
     if config.space == "gm":
         basis = gm_cokernel_basis(
             k, config.twist, truncation_ceiling=config.truncation_ceiling
@@ -189,24 +190,36 @@ def _basis_payload(config: RunConfig, k: int):
         basis = h1_a1_basis(k)
     else:
         basis = mid_basis(k)
+    levels = (
+        None
+        if basis.g_levels is None
+        else [format_rational(level) for level in basis.g_levels]
+    )
     obj = {
         "k": k,
         "space": basis.space,
         "twist": format_rational(basis.twist),
         "classes": [_element_json(c) for c in basis.classes],
-        "g_levels": (
-            None
-            if basis.g_levels is None
-            else [format_rational(level) for level in basis.g_levels]
-        ),
+        "g_levels": levels,
     }
-    rows = []
-    for pos, element in enumerate(basis.classes):
-        level = (
-            "" if basis.g_levels is None
-            else format_rational(basis.g_levels[pos])
-        )
-        rows.append([str(k), str(pos + 1), str(element), level])
+    rows = [
+        [str(k), str(pos + 1), str(element), levels[pos] if levels else ""]
+        for pos, element in enumerate(basis.classes)
+    ]
+    return obj, rows
+
+
+def _gamma(config: RunConfig, k: int):
+    table = gamma(k, config.series_terms)
+    obj = {
+        "k": k,
+        "offset": format_rational(table.offset),
+        "values": [format_rational(v) for v in table.values],
+    }
+    rows = [
+        [str(k), format_rational(table.offset + 3 * j), format_rational(value)]
+        for j, value in enumerate(table.values)
+    ]
     return obj, rows
 
 
@@ -227,163 +240,132 @@ def _table_payload(table, k: int):
     return obj, rows
 
 
-def _dispatch(config: RunConfig):
-    """Compute one command; returns (headers, rows, json_obj, exit_code,
-    optional custom text)."""
-    if config.enumeration_cap < 1 or config.truncation_ceiling < 1:
-        raise DomainError("caps must be positive")
-    if config.series_terms < 1:
-        raise DomainError("series terms must be positive")
-    if config.series_terms > MAX_SERIES_TERMS:
-        raise SizeLimitError(
-            f"{config.series_terms} series terms exceed the cap {MAX_SERIES_TERMS}"
+def _decomp(config: RunConfig, k: int):
+    decomposition = formal_decomposition(
+        config.n, k, cap=config.enumeration_cap
+    )
+    obj = {
+        "n": config.n,
+        "k": k,
+        "regular_rank": decomposition.regular_rank,
+        "exponents": [
+            {
+                "coefficients": [format_rational(c) for c in coeffs],
+                "multiplicity": mult,
+            }
+            for coeffs, mult in decomposition.entries
+        ],
+    }
+    rows = []
+    if decomposition.regular_rank:
+        rows.append(
+            [str(config.n), str(k), "0", str(decomposition.regular_rank)]
         )
-    custom_text = None
-    exit_code = 0
-    if config.command == "dims":
-        headers = ["k", "all", "mid"]
-        rows = []
-        objs = []
-        for k in config.k_values:
-            dims = h1_dims(config.n, k, cap=config.enumeration_cap)
-            rows.append([str(k), str(dims.all), str(dims.mid)])
-            objs.append({"k": k, "all": dims.all, "mid": dims.mid})
-        obj = (
-            {"all": objs[0]["all"], "mid": objs[0]["mid"]}
-            if len(objs) == 1
-            else objs
+    for coeffs, mult in decomposition.entries:
+        rows.append(
+            [
+                str(config.n),
+                str(k),
+                Polynomial.from_coefficients(coeffs).format("x"),
+                str(mult),
+            ]
         )
-    elif config.command == "basis":
-        headers = ["k", "index", "class", "level"]
-        rows = []
-        objs = []
-        for k in config.k_values:
-            payload, k_rows = _basis_payload(config, k)
-            objs.append(payload)
-            rows.extend(k_rows)
-        obj = objs[0] if len(objs) == 1 else objs
-    elif config.command == "gamma":
-        headers = ["k", "exponent", "value"]
-        rows = []
-        objs = []
-        for k in config.k_values:
-            table = gamma(k, config.series_terms)
-            objs.append(
-                {
-                    "k": k,
-                    "offset": format_rational(table.offset),
-                    "values": [format_rational(v) for v in table.values],
-                }
-            )
-            for j, value in enumerate(table.values):
-                rows.append(
-                    [
-                        str(k),
-                        format_rational(table.offset + 3 * j),
-                        format_rational(value),
-                    ]
+    return obj, rows
+
+
+def _verify(config: RunConfig):
+    """The verifier over the whole range, with its own text report and
+    exit code 2 when a check fails."""
+    report = verify(config.k_values)
+    rows = [
+        [str(r.k), r.check, "yes" if r.passed else "NO", r.expected, r.got]
+        for r in report.results
+    ]
+    failures = report.failures()
+    obj = {
+        "k": list(config.k_values),
+        "passed": report.passed,
+        "checks": len(report.results),
+        "failures": [
+            {"k": r.k, "check": r.check, "expected": r.expected, "got": r.got}
+            for r in failures
+        ],
+    }
+    lines = []
+    for k in sorted(set(config.k_values)):
+        k_results = [r for r in report.results if r.k == k]
+        bad = [r for r in k_results if not r.passed]
+        if bad:
+            for r in bad:
+                lines.append(
+                    f"k={k} {r.check}: FAILED "
+                    f"(expected {r.expected}, got {r.got})"
                 )
-        obj = objs[0] if len(objs) == 1 else objs
-    elif config.command in ("hodge", "tilde"):
-        headers = ["k", "p", "q", "h"]
-        rows = []
-        objs = []
-        for k in config.k_values:
-            table = (
-                hodge_numbers(k)[0]
-                if config.command == "hodge"
-                else tilde_mid_hodge(k)
-            )
-            payload, k_rows = _table_payload(table, k)
-            objs.append(payload)
-            rows.extend(k_rows)
-        obj = objs[0] if len(objs) == 1 else objs
-    elif config.command == "decomp":
-        headers = ["n", "k", "exponent", "multiplicity"]
-        rows = []
-        objs = []
-        for k in config.k_values:
-            decomposition = formal_decomposition(
-                config.n, k, cap=config.enumeration_cap
-            )
-            objs.append(
-                {
-                    "n": config.n,
-                    "k": k,
-                    "regular_rank": decomposition.regular_rank,
-                    "exponents": [
-                        {
-                            "coefficients": [
-                                format_rational(c) for c in coeffs
-                            ],
-                            "multiplicity": mult,
-                        }
-                        for coeffs, mult in decomposition.entries
-                    ],
-                }
-            )
-            if decomposition.regular_rank:
-                rows.append(
-                    [
-                        str(config.n),
-                        str(k),
-                        "0",
-                        str(decomposition.regular_rank),
-                    ]
-                )
-            for coeffs, mult in decomposition.entries:
-                rows.append(
-                    [
-                        str(config.n),
-                        str(k),
-                        Polynomial.from_coefficients(coeffs).format("x"),
-                        str(mult),
-                    ]
-                )
-        obj = objs[0] if len(objs) == 1 else objs
-    else:
-        report = verify(config.k_values)
-        headers = ["k", "check", "passed", "expected", "got"]
-        rows = [
-            [str(r.k), r.check, "yes" if r.passed else "NO", r.expected, r.got]
-            for r in report.results
-        ]
-        failures = report.failures()
-        obj = {
-            "k": list(config.k_values),
-            "passed": report.passed,
-            "checks": len(report.results),
-            "failures": [
-                {
-                    "k": r.k,
-                    "check": r.check,
-                    "expected": r.expected,
-                    "got": r.got,
-                }
-                for r in failures
-            ],
-        }
-        lines = []
-        for k in sorted(set(config.k_values)):
-            k_results = [r for r in report.results if r.k == k]
-            bad = [r for r in k_results if not r.passed]
-            if bad:
-                for r in bad:
-                    lines.append(
-                        f"k={k} {r.check}: FAILED "
-                        f"(expected {r.expected}, got {r.got})"
-                    )
-            else:
-                lines.append(f"k={k}: {len(k_results)} checks passed")
-        lines.append(
-            "all passed"
-            if report.passed
-            else f"{len(failures)} of {len(report.results)} checks failed"
-        )
-        custom_text = "\n".join(lines) + "\n"
-        if not report.passed:
-            exit_code = 2
-    return headers, rows, obj, exit_code, custom_text
+        else:
+            lines.append(f"k={k}: {len(k_results)} checks passed")
+    lines.append(
+        "all passed"
+        if report.passed
+        else f"{len(failures)} of {len(report.results)} checks failed"
+    )
+    return rows, obj, 0 if report.passed else 2, "\n".join(lines) + "\n"
+
+
+#: ``add_argument`` keywords of every option beyond the shared ones.
+#: None has a parser default (see RunConfig).
+OPTIONS = {
+    "--n": {"type": int},
+    "--enumeration-cap": {"type": int},
+    "--space": {"choices": ("a1", "gm", "mid")},
+    "--rho": {"dest": "twist", "choices": ("0", "1/2")},
+    "--truncation-ceiling": {"type": int},
+    "--series-terms": {"type": int},
+}
+
+COMMANDS = {
+    "dims": Command(
+        "closed-form cohomology dimensions (all and middle)",
+        ("--n", "--enumeration-cap"),
+        ("k", "all", "mid"),
+        _each_k(_dims),
+    ),
+    "basis": Command(
+        "cohomology basis classes",
+        ("--space", "--rho", "--truncation-ceiling"),
+        ("k", "index", "class", "level"),
+        _each_k(_basis),
+    ),
+    "gamma": Command(
+        "asymptotic correction coefficients",
+        ("--series-terms",),
+        ("k", "exponent", "value"),
+        _each_k(_gamma),
+    ),
+    "hodge": Command(
+        "Hodge-number table",
+        (),
+        ("k", "p", "q", "h"),
+        _each_k(lambda config, k: _table_payload(hodge_numbers(k)[0], k)),
+    ),
+    "tilde": Command(
+        "graded table of the extended family (even k >= 4)",
+        (),
+        ("k", "p", "q", "h"),
+        _each_k(lambda config, k: _table_payload(tilde_mid_hodge(k), k)),
+    ),
+    "decomp": Command(
+        "formal exponents at infinity",
+        ("--n", "--enumeration-cap"),
+        ("n", "k", "exponent", "multiplicity"),
+        _each_k(_decomp),
+    ),
+    "verify": Command(
+        "internal consistency checks",
+        (),
+        ("k", "check", "passed", "expected", "got"),
+        _verify,
+    ),
+}
 
 
 def _format_text(headers, rows) -> str:
@@ -463,23 +445,32 @@ def _write_atomically(path: str, document: str) -> None:
 
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute one command; returns (exit code, emitted document)."""
-    if config.command not in COMMANDS:
+    command = COMMANDS.get(config.command)
+    if command is None:
         raise DomainError(f"unknown command {config.command!r}")
     if not config.k_values:
         raise DomainError("empty k range")
+    if config.enumeration_cap < 1 or config.truncation_ceiling < 1:
+        raise DomainError("caps must be positive")
+    if config.series_terms < 1:
+        raise DomainError("series terms must be positive")
+    if config.series_terms > MAX_SERIES_TERMS:
+        raise SizeLimitError(
+            f"{config.series_terms} series terms exceed the cap {MAX_SERIES_TERMS}"
+        )
     cache_path = _cache_path(config)
     if cache_path and os.path.exists(cache_path):
         with open(cache_path, "r", encoding="utf-8") as handle:
             return 0, handle.read()
-    headers, rows, obj, exit_code, custom_text = _dispatch(config)
+    rows, obj, exit_code, custom_text = command.handler(config)
     if config.format == "json":
         document = json.dumps(obj, separators=(",", ":")) + "\n"
     elif config.format == "csv":
-        document = _format_csv(headers, rows)
+        document = _format_csv(command.headers, rows)
     elif config.format == "latex":
-        document = _format_latex(headers, rows)
+        document = _format_latex(command.headers, rows)
     else:
-        document = custom_text or _format_text(headers, rows)
+        document = custom_text or _format_text(command.headers, rows)
     if cache_path and exit_code == 0:
         _write_atomically(cache_path, document)
     return exit_code, document

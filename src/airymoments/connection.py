@@ -47,23 +47,34 @@ Column = tuple[tuple[int, Polynomial], ...]
 class ConnectionModule:
     """Free module over the polynomial ring carrying a derivation.
 
-    ``partial`` describes d/dz on generators: column j lists pairs
-    (i, p) meaning that d/dz of generator j contains p(z) times
-    generator i.  ``theta`` describes z d/dz + twist in the same layout.
-    For a nonzero twist only ``theta`` is polynomial, so ``partial`` is
-    None.
+    ``partial`` describes d/dz on generators, untwisted: column j
+    lists pairs (i, p) meaning that d/dz of generator j contains p(z)
+    times generator i.  The twist enters only through ``theta``.
     """
 
     n: int
     k: int
     twist: Fraction
     labels: tuple[str, ...]
-    partial: tuple[Column, ...] | None
-    theta: tuple[Column, ...]
+    partial: tuple[Column, ...]
 
     @property
     def rank(self) -> int:
         return len(self.labels)
+
+    @property
+    def theta(self) -> tuple[Column, ...]:
+        """z d/dz + twist in the layout of ``partial``: each column
+        shifted up one degree, plus the twist on the diagonal."""
+        columns = []
+        for j, column in enumerate(self.partial):
+            terms = {i: p.shift(1) for i, p in column}
+            if self.twist:
+                terms[j] = terms.get(j, Polynomial()) + Polynomial.constant(
+                    self.twist
+                )
+            columns.append(tuple(sorted(terms.items())))
+        return tuple(columns)
 
     def derivation_matrix(self) -> list[list[Polynomial]]:
         """Dense matrix of the module's natural derivation, d/dz when
@@ -87,21 +98,18 @@ def build_airy(n: int) -> ConnectionModule:
         raise DomainError("connection order must be at least 2")
     labels = tuple(f"v{i}" for i in range(n))
     partial = []
-    theta = []
     for j in range(n):
         if j < n - 1:
             column = ((j + 1, Polynomial.constant(1)),)
         else:
             column = ((0, Polynomial.monomial(1)),)
         partial.append(column)
-        theta.append(tuple((i, p.shift(1)) for i, p in column))
     return ConnectionModule(
         n=n,
         k=1,
         twist=Fraction(0),
         labels=labels,
         partial=tuple(partial),
-        theta=tuple(theta),
     )
 
 
@@ -143,7 +151,6 @@ def build_symk(
     exponents = tuple(sorted(compositions(n, k), reverse=True))
     index = {a: pos for pos, a in enumerate(exponents)}
     partial: list[Column] = []
-    theta: list[Column] = []
     for a in exponents:
         terms: dict[int, Polynomial] = {}
         for i in range(n - 1):
@@ -161,22 +168,13 @@ def build_symk(
             terms[pos] = terms.get(pos, Polynomial()) + Polynomial.monomial(
                 1, a[n - 1]
             )
-        column = tuple(sorted(terms.items()))
-        partial.append(column)
-        twisted: dict[int, Polynomial] = {
-            i: p.shift(1) for i, p in column
-        }
-        if twist:
-            own = index[a]
-            twisted[own] = twisted.get(own, Polynomial()) + Polynomial.constant(twist)
-        theta.append(tuple(sorted(twisted.items())))
+        partial.append(tuple(sorted(terms.items())))
     return ConnectionModule(
         n=n,
         k=k,
         twist=twist,
         labels=_symk_labels(n, exponents),
-        partial=None if twist else tuple(partial),
-        theta=tuple(theta),
+        partial=tuple(partial),
     )
 
 

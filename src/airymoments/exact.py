@@ -244,9 +244,6 @@ class OffsetSeries:
         """First exponent whose coefficient is *not* determined."""
         return self.offset + self.step * len(self.coefficients)
 
-    def exponent(self, j: int) -> Fraction:
-        return self.offset + self.step * j
-
 
 def series_mul(a: OffsetSeries, b: OffsetSeries) -> OffsetSeries:
     """Product of two lattice series; offsets add, truncation is the min.

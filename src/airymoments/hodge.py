@@ -307,13 +307,10 @@ def _verify_one(k: int) -> list[CheckResult]:
             )
         )
     else:
+        bound = Fraction(k, 2) + 1
         if k >= 4:
-            tilde = tilde_mid_hodge(k)
-            tilde_counter: Counter = Counter()
-            for level, _, h in tilde.entries:
-                tilde_counter[level] += h
+            tilde_counter = tilde_mid_hodge(k).p_multiset()
             reference = g_levels(k, "tilde").counter()
-            bound = Fraction(k, 2) + 1
             lhs = {
                 level: mult
                 for level, mult in tilde_counter.items()
@@ -338,7 +335,6 @@ def _verify_one(k: int) -> list[CheckResult]:
         reflected = Counter(
             {Fraction(k + 1) - p: mult for p, mult in mid_counter.items()}
         )
-        bound = Fraction(k, 2) + 1
         high = Counter(
             {p: mult for p, mult in mid_counter.items() if p > bound}
         )

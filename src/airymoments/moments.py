@@ -9,7 +9,6 @@ operations enumerate compositions and are guarded by a configurable cap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache

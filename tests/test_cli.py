@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 
@@ -283,9 +284,9 @@ def test_internal_inconsistency_exits_three(capsys, monkeypatch):
 
 
 def test_k_range_length_is_bounded(capsys):
-    assert len(parse_k_range(f"1..{cli.MAX_K_VALUES}")) == cli.MAX_K_VALUES
+    assert len(parse_k_range(f"1..{cli.MAX_K}")) == cli.MAX_K
     with pytest.raises(SizeLimitError):
-        parse_k_range(f"1..{cli.MAX_K_VALUES + 1}", parity="odd")
+        parse_k_range(f"1..{cli.MAX_K + 1}", parity="odd")
     code, out, err = run_cli(capsys, "dims", "--k", "1..1000000000000")
     assert code == 1
     assert out == ""
@@ -300,3 +301,65 @@ def test_over_long_k_literal_is_rejected(capsys):
         assert out == ""
         assert "digits" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hodge", "--k", "1000000000000000000001"),
+        ("tilde", "--k", str(cli.MAX_K + 2)),
+        ("verify", "--k", f"{cli.MAX_K}..{cli.MAX_K + 1}"),
+        ("basis", "--k", str(cli.MAX_K + 1), "--space", "mid"),
+    ],
+)
+def test_huge_k_is_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "cap" in err
+
+
+TAKES = {
+    "dims": ("--n", "--enumeration-cap"),
+    "basis": ("--space", "--rho", "--truncation-ceiling"),
+    "gamma": ("--series-terms",),
+    "hodge": (),
+    "tilde": (),
+    "decomp": ("--n", "--enumeration-cap"),
+    "verify": (),
+}
+SAMPLE = {
+    "--n": "3",
+    "--enumeration-cap": "1000",
+    "--space": "gm",
+    "--rho": "1/2",
+    "--truncation-ceiling": "512",
+    "--series-terms": "3",
+}
+
+
+@pytest.mark.parametrize("flag", sorted(SAMPLE))
+@pytest.mark.parametrize("command", sorted(TAKES))
+def test_options_are_scoped_to_their_commands(capsys, command, flag):
+    code, out, err = run_cli(capsys, command, "--k", "4", flag, SAMPLE[flag])
+    if flag in TAKES[command]:
+        assert code != 64
+    else:
+        assert code == 64
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "rho, code", [("0", 0), ("1/2", 0), ("0.5", 64), ("2/4", 64), ("1", 64)]
+)
+def test_rho_accepts_exactly_zero_and_one_half(capsys, rho, code):
+    argv = ("basis", "--k", "3", "--space", "gm", "--rho", rho)
+    assert run_cli(capsys, *argv)[0] == code
+
+
+def test_help_lists_every_command(capsys):
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    listed = re.search(r"\{([a-z,]+)\}", out).group(1)
+    assert listed.split(",") == list(TAKES)

@@ -68,7 +68,9 @@ def test_symmetric_square_derivation():
 
 def test_symmetric_power_half_twist_shifts_diagonal():
     m = build_symk(2, 2, HALF)
-    assert m.partial is None
+    assert m.partial == build_symk(2, 2).partial
+    for j, column in enumerate(m.theta):
+        assert dict(column)[j] == Polynomial.constant(HALF)
     matrix = m.derivation_matrix()
     assert matrix[0][0] == Polynomial.constant(HALF)
     assert matrix[1][0] == 2 * Z
