@@ -17,11 +17,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .asymptotics import gamma, mid_basis
-from .connection import (
-    DEFAULT_TRUNCATION_CEILING,
-    gm_cokernel_basis,
-    h1_a1_basis,
-)
+from .connection import gm_cokernel_basis, h1_a1_basis
 from .errors import (
     DomainError,
     InconsistencyError,
@@ -30,7 +26,7 @@ from .errors import (
 )
 from .exact import Polynomial, format_rational
 from .hodge import hodge_numbers, tilde_mid_hodge, verify
-from .moments import DEFAULT_ENUMERATION_CAP, formal_decomposition, h1_dims
+from .moments import formal_decomposition, h1_dims
 
 USAGE_EXIT = 64
 CACHE_ENV = "AIRYMOMENTS_CACHE_DIR"
@@ -55,8 +51,6 @@ class RunConfig:
     n: int = 2
     format: str = "text"
     cache_dir: str | None = None
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-    truncation_ceiling: int = DEFAULT_TRUNCATION_CEILING
     series_terms: int = 30
     space: str = "a1"
     twist: Fraction = Fraction(0)
@@ -163,7 +157,7 @@ def _each_k(one_k):
 
 
 def _dims(config: RunConfig, k: int):
-    dims = h1_dims(config.n, k, cap=config.enumeration_cap)
+    dims = h1_dims(config.n, k)
     obj = {"all": dims.all, "mid": dims.mid}
     if len(config.k_values) > 1:
         obj = {"k": k, **obj}
@@ -179,9 +173,7 @@ def _element_json(element) -> dict:
 
 def _basis(config: RunConfig, k: int):
     if config.space == "gm":
-        basis = gm_cokernel_basis(
-            k, config.twist, truncation_ceiling=config.truncation_ceiling
-        )
+        basis = gm_cokernel_basis(k, config.twist)
     elif config.twist:
         raise DomainError(
             "the half twist only applies to the punctured-line basis"
@@ -195,6 +187,14 @@ def _basis(config: RunConfig, k: int):
         if basis.g_levels is None
         else [format_rational(level) for level in basis.g_levels]
     )
+    rows = [
+        [str(k), str(pos + 1), str(element), levels[pos] if levels else ""]
+        for pos, element in enumerate(basis.classes)
+    ]
+    if config.format != "json":
+        # Dense coefficient lists of every class are costly at large k
+        # and only JSON prints them.
+        return None, rows
     obj = {
         "k": k,
         "space": basis.space,
@@ -202,10 +202,6 @@ def _basis(config: RunConfig, k: int):
         "classes": [_element_json(c) for c in basis.classes],
         "g_levels": levels,
     }
-    rows = [
-        [str(k), str(pos + 1), str(element), levels[pos] if levels else ""]
-        for pos, element in enumerate(basis.classes)
-    ]
     return obj, rows
 
 
@@ -241,9 +237,7 @@ def _table_payload(table, k: int):
 
 
 def _decomp(config: RunConfig, k: int):
-    decomposition = formal_decomposition(
-        config.n, k, cap=config.enumeration_cap
-    )
+    decomposition = formal_decomposition(config.n, k)
     obj = {
         "n": config.n,
         "k": k,
@@ -315,23 +309,21 @@ def _verify(config: RunConfig):
 #: None has a parser default (see RunConfig).
 OPTIONS = {
     "--n": {"type": int},
-    "--enumeration-cap": {"type": int},
     "--space": {"choices": ("a1", "gm", "mid")},
     "--rho": {"dest": "twist", "choices": ("0", "1/2")},
-    "--truncation-ceiling": {"type": int},
     "--series-terms": {"type": int},
 }
 
 COMMANDS = {
     "dims": Command(
         "closed-form cohomology dimensions (all and middle)",
-        ("--n", "--enumeration-cap"),
+        ("--n",),
         ("k", "all", "mid"),
         _each_k(_dims),
     ),
     "basis": Command(
         "cohomology basis classes",
-        ("--space", "--rho", "--truncation-ceiling"),
+        ("--space", "--rho"),
         ("k", "index", "class", "level"),
         _each_k(_basis),
     ),
@@ -355,7 +347,7 @@ COMMANDS = {
     ),
     "decomp": Command(
         "formal exponents at infinity",
-        ("--n", "--enumeration-cap"),
+        ("--n",),
         ("n", "k", "exponent", "multiplicity"),
         _each_k(_decomp),
     ),
@@ -450,8 +442,6 @@ def run(config: RunConfig) -> tuple[int, str]:
         raise DomainError(f"unknown command {config.command!r}")
     if not config.k_values:
         raise DomainError("empty k range")
-    if config.enumeration_cap < 1 or config.truncation_ceiling < 1:
-        raise DomainError("caps must be positive")
     if config.series_terms < 1:
         raise DomainError("series terms must be positive")
     if config.series_terms > MAX_SERIES_TERMS:

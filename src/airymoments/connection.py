@@ -34,10 +34,10 @@ from .exact import Polynomial, binomial, compositions
 HALF = Fraction(1, 2)
 
 #: Refuse to build symmetric powers with more generators than this.
-DEFAULT_SIZE_CAP = 100_000
+SIZE_CAP = 100_000
 
 #: Largest truncation degree the brute-force engine will try.
-DEFAULT_TRUNCATION_CEILING = 4096
+TRUNCATION_CEILING = 4096
 
 #: Sparse column of a derivation: (target index, polynomial coefficient).
 Column = tuple[tuple[int, Polynomial], ...]
@@ -119,13 +119,7 @@ def _symk_labels(n: int, exponents: tuple[tuple[int, ...], ...]) -> tuple[str, .
     return tuple("v(" + ",".join(map(str, a)) + ")" for a in exponents)
 
 
-def build_symk(
-    n: int,
-    k: int,
-    twist: Fraction | int = 0,
-    *,
-    size_cap: int = DEFAULT_SIZE_CAP,
-) -> ConnectionModule:
+def build_symk(n: int, k: int, twist: Fraction | int = 0) -> ConnectionModule:
     """The k-th symmetric power of the order-n Airy-type connection.
 
     Generators are monomials of total degree k in the solutions basis,
@@ -144,9 +138,9 @@ def build_symk(
     if twist and n != 2:
         raise DomainError("the half twist is only defined for order 2")
     rank = binomial(n - 1 + k, k)
-    if rank > size_cap:
+    if rank > SIZE_CAP:
         raise SizeLimitError(
-            f"symmetric power has {rank} generators, above the cap {size_cap}"
+            f"symmetric power has {rank} generators, above the cap {SIZE_CAP}"
         )
     exponents = tuple(sorted(compositions(n, k), reverse=True))
     index = {a: pos for pos, a in enumerate(exponents)}
@@ -445,24 +439,36 @@ def _image_row(
     return {pos: v for pos, v in row.items() if v}
 
 
-def _stable_image(
-    module: ConnectionModule, where: str, ceiling: int
-) -> _StableImage:
-    key = (module.n, module.k, module.twist, where, ceiling)
+def _stable_image(module: ConnectionModule, where: str) -> _StableImage:
+    import hashlib  # imported here: only brute-force runs pay for it
+
+    degree = 3 * (module.k + 1) + 6
+    # The certificate compares at least two truncations, degree and
+    # 2 * degree, so refuse before any work when the second is too high.
+    if 2 * degree > TRUNCATION_CEILING:
+        raise SizeLimitError(
+            f"certifying k = {module.k} needs truncation degree "
+            f"{2 * degree}, above the cap {TRUNCATION_CEILING}"
+        )
+    # Keyed on the derivation itself, plus k for the first truncation:
+    # two modules with equal (n, k) but different columns must not
+    # share an echelon.
+    digest = hashlib.sha256(repr(module.partial).encode("utf-8")).hexdigest()
+    key = (digest, module.k, module.twist, where)
     cached = _STABLE_CACHE.get(key)
     if cached is not None:
         return cached
     gens = module.rank
-    anchor = ceiling + 2
+    anchor = TRUNCATION_CEILING + 2
     scale, terms = _derivation_terms(module, where)
     echelon = _Echelon()
-    degree = 3 * (module.k + 1) + 6
     processed = -1
     previous = None
     while True:
-        if degree > ceiling:
+        if degree > TRUNCATION_CEILING:
             raise StabilityError(
-                f"dimension did not stabilise below truncation degree {ceiling}"
+                "dimension did not stabilise below truncation degree "
+                f"{TRUNCATION_CEILING}"
             )
         for d in range(processed + 1, degree + 1):
             for j in range(gens):
@@ -492,12 +498,7 @@ def _stable_image(
         degree *= 2
 
 
-def h1_dim_bruteforce(
-    module: ConnectionModule,
-    where: str,
-    *,
-    truncation_ceiling: int = DEFAULT_TRUNCATION_CEILING,
-) -> tuple[int, int]:
+def h1_dim_bruteforce(module: ConnectionModule, where: str) -> tuple[int, int]:
     """Dimension of H^1 for ``module`` over the affine line ("a1") or
     the punctured line ("gm"), by exact elimination on truncations.
 
@@ -509,7 +510,7 @@ def h1_dim_bruteforce(
         raise DomainError(f"unknown cohomology space {where!r}")
     if where == "a1" and module.twist:
         raise DomainError("affine-line cohomology requires an untwisted module")
-    state = _stable_image(module, where, truncation_ceiling)
+    state = _stable_image(module, where)
     return state.dim, state.degree
 
 
@@ -528,31 +529,23 @@ def _element_ids(
             if d > state.window:
                 raise StabilityError(
                     f"element degree {d} exceeds the stabilised window "
-                    f"{state.window}; raise the truncation ceiling"
+                    f"{state.window}"
                 )
             out[(state.anchor - d) * state.gens + i] = c
     return out
 
 
 def _normal_forms(
-    classes,
-    module: ConnectionModule,
-    where: str,
-    ceiling: int,
+    classes, module: ConnectionModule, where: str
 ) -> tuple[_StableImage, list[dict[int, Fraction]]]:
-    state = _stable_image(module, where, ceiling)
+    state = _stable_image(module, where)
     return state, [
         state.echelon.normal_form(_element_ids(c, module, state))
         for c in classes
     ]
 
 
-def gm_cokernel_basis(
-    k: int,
-    twist: Fraction | int = 0,
-    *,
-    truncation_ceiling: int = DEFAULT_TRUNCATION_CEILING,
-) -> CohomologyBasis:
+def gm_cokernel_basis(k: int, twist: Fraction | int = 0) -> CohomologyBasis:
     """Basis of H^1 over the punctured line for the k-th symmetric power
     of the order-2 connection, twist 0 or 1/2.
 
@@ -568,15 +561,13 @@ def gm_cokernel_basis(
     top = kp + 1 if k % 2 else kp
     classes = [monomial_element("u0", p) for p in range(top, 0, -1)]
     classes += [monomial_element(f"u{j}") for j in range(k + 1)]
-    dim, _ = h1_dim_bruteforce(
-        module, "gm", truncation_ceiling=truncation_ceiling
-    )
+    dim, _ = h1_dim_bruteforce(module, "gm")
     if dim != len(classes):
         raise InconsistencyError(
             f"closed-form basis has {len(classes)} classes but the "
             f"brute-force dimension is {dim} (k={k}, twist={module.twist})"
         )
-    _, forms = _normal_forms(classes, module, "gm", truncation_ceiling)
+    _, forms = _normal_forms(classes, module, "gm")
     independent = _Echelon()
     if not all(independent.insert(_cleared(form)) for form in forms):
         raise InconsistencyError(
@@ -628,8 +619,6 @@ def reduce_to_basis(
     element: ModuleElement,
     basis: CohomologyBasis,
     module: ConnectionModule,
-    *,
-    truncation_ceiling: int = DEFAULT_TRUNCATION_CEILING,
 ) -> tuple[Fraction, ...]:
     """Coordinates of ``element``'s cohomology class in ``basis``.
 
@@ -645,7 +634,7 @@ def reduce_to_basis(
         raise DomainError("element module and basis have different twists")
     where = "gm" if basis.space == "gm" else "a1"
     state, forms = _normal_forms(
-        list(basis.classes) + [element], module, where, truncation_ceiling
+        list(basis.classes) + [element], module, where
     )
     target = forms.pop()
     if not forms:

@@ -13,11 +13,11 @@ class DomainError(ValueError):
 
 
 class SizeLimitError(DomainError):
-    """Requested computation exceeds a configured size cap."""
+    """Requested computation exceeds one of the fixed size caps."""
 
 
 class StabilityError(RuntimeError):
-    """A truncated computation failed to stabilise below its ceiling."""
+    """A truncated computation failed to stabilise below the fixed ceiling."""
 
 
 class InconsistencyError(RuntimeError):

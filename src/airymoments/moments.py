@@ -4,7 +4,8 @@ and cohomology dimension formulas, the formal exponent multiset at
 infinity, and the discrete invariants of the Fourier-dual family.
 
 Everything in this module is a finite exact computation; the expensive
-operations enumerate compositions and are guarded by a configurable cap.
+operations enumerate compositions and are guarded by fixed caps on the
+order and on the number of compositions.
 """
 
 from __future__ import annotations
@@ -17,8 +18,13 @@ from typing import NamedTuple
 from .errors import DomainError, InconsistencyError, SizeLimitError
 from .exact import Polynomial, binomial, compositions
 
-#: Default ceiling on the number of compositions an enumeration may visit.
-DEFAULT_ENUMERATION_CAP = 10**7
+#: Most compositions an enumeration may visit.
+ENUMERATION_CAP = 10**7
+
+#: Largest connection order.  The residue table, built before any
+#: enumeration, takes at most 0.3 s up to this order but over 2 s at
+#: some orders below 200 (n = 165, 195 on a 2-vCPU VM).
+MAX_ORDER = 100
 
 
 @lru_cache(maxsize=None)
@@ -47,17 +53,18 @@ def _power_residues(n: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(table)
 
 
-def _check_cap(n: int, k: int, cap: int) -> None:
-    if cap < 1:
-        raise DomainError("enumeration cap must be positive")
+def _check_cap(n: int, k: int) -> None:
+    if n > MAX_ORDER:
+        raise SizeLimitError(f"order {n} is above the cap {MAX_ORDER}")
     count = binomial(n - 1 + k, k)
-    if count > cap:
+    if count > ENUMERATION_CAP:
         raise SizeLimitError(
-            f"enumerating {count} compositions exceeds the cap {cap}"
+            f"enumerating {count} compositions exceeds the cap "
+            f"{ENUMERATION_CAP}"
         )
 
 
-def s_nk(n: int, k: int, *, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+def s_nk(n: int, k: int) -> int:
     """Number of compositions a of k into n parts whose weighted power sum
     vanishes in the n-th cyclotomic field.
 
@@ -69,7 +76,7 @@ def s_nk(n: int, k: int, *, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
         raise DomainError("need at least two parts")
     if k < 0:
         raise DomainError("total must be nonnegative")
-    _check_cap(n, k, cap)
+    _check_cap(n, k)
     residues = _power_residues(n)
     width = len(residues[0])
     count = 0
@@ -86,10 +93,10 @@ def s_nk(n: int, k: int, *, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     return count
 
 
-def irr(n: int, k: int, *, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+def irr(n: int, k: int) -> int:
     """Irregularity at infinity of the k-th symmetric power of the
     order-n connection: (n+1)/n * (binom(n-1+k, k) - s_nk)."""
-    total = binomial(n - 1 + k, k) - s_nk(n, k, cap=cap)
+    total = binomial(n - 1 + k, k) - s_nk(n, k)
     value = Fraction(n + 1, n) * total
     if value.denominator != 1:
         raise InconsistencyError(
@@ -105,7 +112,7 @@ class H1Dims(NamedTuple):
     mid: int
 
 
-def h1_dims(n: int, k: int, *, cap: int = DEFAULT_ENUMERATION_CAP) -> H1Dims:
+def h1_dims(n: int, k: int) -> H1Dims:
     """Closed-form dimensions of H^1 over the affine line for the k-th
     symmetric power of the order-n connection, with the middle part.
 
@@ -117,7 +124,7 @@ def h1_dims(n: int, k: int, *, cap: int = DEFAULT_ENUMERATION_CAP) -> H1Dims:
         raise DomainError("connection order must be at least 2")
     if k < 1:
         raise DomainError("symmetric power must be at least 1")
-    s = s_nk(n, k, cap=cap)
+    s = s_nk(n, k)
     total = Fraction(binomial(k + n - 1, k), n) - Fraction(n + 1, n) * s
     if total.denominator != 1:
         raise InconsistencyError(
@@ -159,9 +166,7 @@ class ExponentMultiset:
         ]
 
 
-def formal_decomposition(
-    n: int, k: int, *, cap: int = DEFAULT_ENUMERATION_CAP
-) -> ExponentMultiset:
+def formal_decomposition(n: int, k: int) -> ExponentMultiset:
     """Multiset of formal exponents at infinity for the k-th symmetric
     power of the order-n connection.
 
@@ -173,7 +178,7 @@ def formal_decomposition(
         raise DomainError("connection order must be at least 2")
     if k < 0:
         raise DomainError("symmetric power must be nonnegative")
-    _check_cap(n, k, cap)
+    _check_cap(n, k)
     residues = _power_residues(n)
     width = len(residues[0])
     scale = Fraction(-n, n + 1)
@@ -191,7 +196,7 @@ def formal_decomposition(
             continue
         key = tuple(scale * c for c in acc)
         tally[key] = tally.get(key, 0) + 1
-    if regular != s_nk(n, k, cap=cap):
+    if regular != s_nk(n, k):
         raise InconsistencyError(
             "regular rank disagrees with the direct lattice count"
         )
@@ -214,12 +219,11 @@ def rho_preimage(k: int, epsilon: int, p: int) -> int:
     if k < 1:
         raise DomainError("k must be positive")
     _check_epsilon(epsilon)
-    count = 0
-    for j in range(k + 1):
-        total = k + j + epsilon
-        if total % 3 and total // 3 == p:
-            count += 1
-    return count
+    # k + j + epsilon runs over [k + epsilon, 2k + epsilon], and the
+    # totals over p not divisible by 3 are 3p + 1 and 3p + 2.
+    return sum(
+        1 for t in (3 * p + 1, 3 * p + 2) if k + epsilon <= t <= 2 * k + epsilon
+    )
 
 
 def psi_eigenspace_dim(k: int, epsilon: int, epsilon_prime: int) -> int:

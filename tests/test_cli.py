@@ -3,12 +3,13 @@ from __future__ import annotations
 import json
 import os
 import re
+import time
 
 import pytest
 
 from airymoments.errors import InconsistencyError, SizeLimitError
 from airymoments.cli import main, parse_k_range
-from airymoments import cli
+from airymoments import cli, moments
 
 
 def run_cli(capsys, *argv):
@@ -319,13 +320,33 @@ def test_huge_k_is_rejected(capsys, argv):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("basis", "--space", "gm", "--k", "700"),
+        ("basis", "--space", "gm", "--rho", "1/2", "--k", "680"),
+        ("dims", "--n", str(moments.MAX_ORDER + 1), "--k", "1"),
+        ("decomp", "--n", str(moments.MAX_ORDER + 1), "--k", "1"),
+    ],
+)
+def test_work_beyond_the_fixed_bounds_is_refused_fast(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert "cap" in err
+
+
+# --enumeration-cap and --truncation-ceiling stay in SAMPLE though no
+# command takes them: the bounds are fixed, so every command refuses them.
 TAKES = {
-    "dims": ("--n", "--enumeration-cap"),
-    "basis": ("--space", "--rho", "--truncation-ceiling"),
+    "dims": ("--n",),
+    "basis": ("--space", "--rho"),
     "gamma": ("--series-terms",),
     "hodge": (),
     "tilde": (),
-    "decomp": ("--n", "--enumeration-cap"),
+    "decomp": ("--n",),
     "verify": (),
 }
 SAMPLE = {

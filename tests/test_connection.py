@@ -16,6 +16,7 @@ from airymoments.asymptotics import mid_basis
 from airymoments.exact import Polynomial, Z
 from airymoments.connection import (
     CohomologyBasis,
+    ConnectionModule,
     ModuleElement,
     build_airy,
     build_symk,
@@ -85,8 +86,9 @@ def test_build_symk_validation():
         build_symk(3, 2, HALF)
     with pytest.raises(DomainError):
         build_symk(2, 2, Fraction(1, 3))
-    with pytest.raises(SizeLimitError):
-        build_symk(2, 50, size_cap=10)
+    # 125,751 generators, above the fixed cap of 100,000
+    with pytest.raises(SizeLimitError, match="cap"):
+        build_symk(3, 500)
 
 
 def test_general_order_labels_are_exponent_tuples():
@@ -141,8 +143,41 @@ def test_bruteforce_where_validation():
 
 
 def test_bruteforce_ceiling_failure():
-    with pytest.raises(StabilityError):
-        h1_dim_bruteforce(build_symk(2, 2), "a1", truncation_ceiling=10)
+    # From k = 680 on, the second truncation 2 * (3(k+1) + 6) is above
+    # the ceiling 4096, so no run can certify: refused before any row.
+    for where in ("a1", "gm"):
+        with pytest.raises(SizeLimitError, match="cap"):
+            h1_dim_bruteforce(build_symk(2, 680), where)
+
+
+def test_bruteforce_unstable_dimension_raises():
+    # d/dz v = z^1000 v has a 1000-dimensional cokernel, but windows
+    # of degree 513 and 1026 see 514 and 1000 classes; the next
+    # doubling passes the ceiling.
+    module = ConnectionModule(
+        n=1,
+        k=339,
+        twist=Fraction(0),
+        labels=("v",),
+        partial=(((0, Polynomial.monomial(1000)),),),
+    )
+    with pytest.raises(StabilityError, match="did not stabilise"):
+        h1_dim_bruteforce(module, "a1")
+
+
+def test_echelon_cache_tells_derivations_apart():
+    # d/dz v0 = v1, d/dz v1 = z^2 v0 is not the Airy module, though it
+    # has the same (n, k, twist): its cokernel has dimension 2, not 1.
+    module = ConnectionModule(
+        n=2,
+        k=1,
+        twist=Fraction(0),
+        labels=("v0", "v1"),
+        partial=(((1, ONE),), ((0, Polynomial.monomial(2)),)),
+    )
+    assert h1_dim_bruteforce(build_symk(2, 1), "a1")[0] == 1
+    assert h1_dim_bruteforce(module, "a1")[0] == 2
+    assert h1_dim_bruteforce(build_symk(2, 1), "a1")[0] == 1
 
 
 def test_gm_basis_shapes():

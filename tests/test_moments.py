@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from airymoments.errors import DomainError, SizeLimitError
 from airymoments.exact import Polynomial
 from airymoments.moments import (
+    MAX_ORDER,
     cyclotomic,
     formal_decomposition,
     h1_dims,
@@ -45,10 +46,18 @@ def test_s_2k_alternates(k):
 
 
 def test_s_nk_cap_enforced():
-    with pytest.raises(SizeLimitError):
-        s_nk(5, 40, cap=100)
-    with pytest.raises(DomainError):
-        s_nk(2, 3, cap=0)
+    # 62,891,499 compositions, above the fixed cap of 10**7
+    with pytest.raises(SizeLimitError, match="cap"):
+        s_nk(8, 40)
+
+
+@pytest.mark.parametrize("fn", [s_nk, h1_dims, irr, formal_decomposition])
+def test_order_is_capped_before_the_residue_table(fn):
+    cyclotomic.cache_clear()
+    with pytest.raises(SizeLimitError, match="order"):
+        fn(MAX_ORDER + 1, 1)
+    assert cyclotomic.cache_info().currsize == 0
+    assert h1_dims(MAX_ORDER, 1).all >= 0
 
 
 def test_irr_frozen_values():
@@ -152,6 +161,20 @@ def test_rho_preimages_partition_domain(k, epsilon):
     assert all(
         rho_preimage(k, epsilon, p) in (0, 1, 2) for p in range(k + 3)
     )
+
+
+def _rho_preimage_scan(k, epsilon, p):
+    # The definition, one j at a time.
+    return sum(
+        1
+        for j in range(k + 1)
+        if (k + j + epsilon) % 3 and (k + j + epsilon) // 3 == p
+    )
+
+
+@given(st.integers(1, 80), st.integers(0, 2), st.integers(-5, 90))
+def test_rho_preimage_matches_scan(k, epsilon, p):
+    assert rho_preimage(k, epsilon, p) == _rho_preimage_scan(k, epsilon, p)
 
 
 def test_rho_preimage_domain():
