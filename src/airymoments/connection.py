@@ -76,19 +76,6 @@ class ConnectionModule:
             columns.append(tuple(sorted(terms.items())))
         return tuple(columns)
 
-    def derivation_matrix(self) -> list[list[Polynomial]]:
-        """Dense matrix of the module's natural derivation, d/dz when
-        the twist is zero and z d/dz + twist otherwise; entry [i][j] is
-        the generator-i coefficient of the image of generator j."""
-        columns = self.theta if self.twist else self.partial
-        dense = [
-            [Polynomial() for _ in self.labels] for _ in self.labels
-        ]
-        for j, column in enumerate(columns):
-            for i, poly in column:
-                dense[i][j] = poly
-        return dense
-
 
 def build_airy(n: int) -> ConnectionModule:
     """The order-n Airy-type connection: companion module of the
@@ -287,25 +274,22 @@ class _Echelon:
     """Incremental integer row echelon keyed by leading coordinate.
 
     The one exact elimination kernel of the package: rows are inserted
-    fraction-free (each stored row is primitive with a positive leading
-    entry), vectors are reduced to normal form against the stored rows,
-    and ranks and linear systems are solved by inserting into a fresh
-    echelon.
+    fraction-free, vectors are reduced to normal form against the stored
+    rows, and ranks and linear systems are solved by inserting into a
+    fresh echelon.
+
+    Each stored row is primitive with a positive leading entry, which
+    makes it unique.  Its content is divided out once, when it is
+    stored: an elimination step only scales the working row by a
+    positive rational, so skipping the division in between meets the
+    same pivots and stores the same rows.  ``normal_form`` is
+    fraction-free as well: it carries an integer vector and one positive
+    common denominator, and makes a ``Fraction`` only for the entries it
+    returns.
     """
 
     def __init__(self):
         self.rows: dict[int, dict[int, int]] = {}
-
-    @staticmethod
-    def _reduce_content(row: dict[int, int]) -> None:
-        g = 0
-        for value in row.values():
-            g = math.gcd(g, value)
-            if g == 1:
-                return
-        if g > 1:
-            for pos in row:
-                row[pos] //= g
 
     def insert(self, row: dict[int, int]) -> bool:
         """Reduce ``row`` against the current rows and store what is
@@ -315,18 +299,20 @@ class _Echelon:
             lead = min(row)
             pivot = rows.get(lead)
             if pivot is None:
-                self._reduce_content(row)
+                g = math.gcd(*row.values())
                 if row[lead] < 0:
-                    for pos in row:
-                        row[pos] = -row[pos]
+                    g = -g
+                if g != 1:
+                    row = {pos: value // g for pos, value in row.items()}
                 rows[lead] = row
                 return True
             a = pivot[lead]
             b = row.pop(lead)
             g = math.gcd(a, b)
             ma, mb = a // g, b // g
-            for pos in row:
-                row[pos] *= ma
+            if ma != 1:
+                for pos in row:
+                    row[pos] *= ma
             for pos, value in pivot.items():
                 if pos == lead:
                     continue
@@ -335,28 +321,35 @@ class _Echelon:
                     row[pos] = updated
                 else:
                     row.pop(pos, None)
-            if row:
-                self._reduce_content(row)
         return False
 
     def normal_form(self, vector: dict[int, Fraction]) -> dict[int, Fraction]:
         """Fully reduce a rational vector against the stored rows; the
-        result is zero exactly when the vector lies in the row space."""
+        result is zero exactly when the vector lies in the row space.
+
+        The work is the vector times ``scale``, a positive integer that
+        grows by a/g at a pivot with leading entry a."""
         rows = self.rows
-        work = dict(vector)
+        scale, work = _cleared(vector)
         out: dict[int, Fraction] = {}
         while work:
             pos = min(work)
             value = work.pop(pos)
             pivot = rows.get(pos)
             if pivot is None:
-                out[pos] = value
+                out[pos] = Fraction(value, scale)
                 continue
-            factor = Fraction(value, pivot[pos])
+            a = pivot[pos]
+            g = math.gcd(a, value)
+            ma, mb = a // g, value // g
+            if ma != 1:
+                scale *= ma
+                for q in work:
+                    work[q] *= ma
             for q, v in pivot.items():
                 if q == pos:
                     continue
-                updated = work.get(q, 0) - factor * v
+                updated = work.get(q, 0) - mb * v
                 if updated:
                     work[q] = updated
                 else:
@@ -367,10 +360,11 @@ class _Echelon:
         return sum(1 for lead in self.rows if lead >= threshold)
 
 
-def _cleared(vector: dict[int, Fraction]) -> dict[int, int]:
-    """The rational vector times the lcm of its denominators."""
+def _cleared(vector: dict[int, Fraction]) -> tuple[int, dict[int, int]]:
+    """(scale, the rational vector times scale), where scale is the lcm
+    of its denominators."""
     scale = math.lcm(*(v.denominator for v in vector.values()))
-    return {
+    return scale, {
         pos: v.numerator * (scale // v.denominator)
         for pos, v in vector.items()
     }
@@ -569,7 +563,7 @@ def gm_cokernel_basis(k: int, twist: Fraction | int = 0) -> CohomologyBasis:
         )
     _, forms = _normal_forms(classes, module, "gm")
     independent = _Echelon()
-    if not all(independent.insert(_cleared(form)) for form in forms):
+    if not all(independent.insert(_cleared(form)[1]) for form in forms):
         raise InconsistencyError(
             f"closed-form classes are dependent in cohomology (k={k}, "
             f"twist={module.twist})"
@@ -646,7 +640,7 @@ def reduce_to_basis(
     tag = (state.anchor + 1) * state.gens
     solver = _Echelon()
     for i, form in enumerate(forms):
-        solver.insert(_cleared({**form, tag + i: Fraction(1)}))
+        solver.insert(_cleared({**form, tag + i: Fraction(1)})[1])
     residual = solver.normal_form(target)
     if any(pos < tag for pos in residual):
         raise InconsistencyError(

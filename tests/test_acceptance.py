@@ -86,7 +86,7 @@ def test_criterion_1_graded_tables(capsys):
 
 
 def test_criterion_2_bruteforce_order_two(capsys):
-    with criterion(capsys, "criterion 2: brute force vs closed form, order 2", 300.0):
+    with criterion(capsys, "criterion 2: brute force vs closed form, order 2", 30.0):
         for k in range(1, 21):
             dim, _ = h1_dim_bruteforce(build_symk(2, k), "a1")
             assert dim == h1_dims(2, k).all, f"k={k}"
@@ -99,7 +99,7 @@ def test_criterion_2_bruteforce_order_two(capsys):
 
 
 def test_criterion_3_bruteforce_higher_order(capsys):
-    with criterion(capsys, "criterion 3: brute force vs closed form, orders 3 and 4", 600.0):
+    with criterion(capsys, "criterion 3: brute force vs closed form, orders 3 and 4", 30.0):
         for k in range(2, 9):
             dim, _ = h1_dim_bruteforce(build_symk(3, k), "a1")
             assert dim == h1_dims(3, k).all, f"n=3, k={k}"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,11 +15,13 @@ from airymoments.errors import (
     StabilityError,
 )
 from airymoments.asymptotics import mid_basis
+from airymoments.moments import h1_dims
 from airymoments.exact import Polynomial, Z
 from airymoments.connection import (
     CohomologyBasis,
     ConnectionModule,
     ModuleElement,
+    _stable_image,
     build_airy,
     build_symk,
     gm_cokernel_basis,
@@ -34,23 +38,30 @@ HALF = Fraction(1, 2)
 ONE = Polynomial.constant(1)
 
 
+def _entry(columns, i: int, j: int) -> Polynomial:
+    """Generator-i coefficient of the image of generator j."""
+    return dict(columns[j]).get(i, Polynomial())
+
+
 def test_airy_order_two_derivation():
     m = build_airy(2)
     assert m.labels == ("v0", "v1")
-    matrix = m.derivation_matrix()
-    assert matrix[0][0].is_zero()
-    assert matrix[0][1] == Z
-    assert matrix[1][0] == ONE
-    assert matrix[1][1].is_zero()
+    assert _entry(m.partial, 0, 0).is_zero()
+    assert _entry(m.partial, 0, 1) == Z
+    assert _entry(m.partial, 1, 0) == ONE
+    assert _entry(m.partial, 1, 1).is_zero()
+    # z d/dz: every column shifted up one degree
+    assert _entry(m.theta, 1, 0) == Z
+    assert _entry(m.theta, 0, 1) == Z * Z
 
 
 def test_airy_general_order_wraps_with_z():
     m = build_airy(4)
-    matrix = m.derivation_matrix()
-    assert matrix[1][0] == ONE
-    assert matrix[2][1] == ONE
-    assert matrix[3][2] == ONE
-    assert matrix[0][3] == Z
+    assert _entry(m.partial, 1, 0) == ONE
+    assert _entry(m.partial, 2, 1) == ONE
+    assert _entry(m.partial, 3, 2) == ONE
+    assert _entry(m.partial, 0, 3) == Z
+    assert all(len(column) == 1 for column in m.partial)
     with pytest.raises(DomainError):
         build_airy(1)
 
@@ -58,13 +69,13 @@ def test_airy_general_order_wraps_with_z():
 def test_symmetric_square_derivation():
     m = build_symk(2, 2)
     assert m.labels == ("u0", "u1", "u2")
-    matrix = m.derivation_matrix()
     # d/dz u0 = 2 u1, d/dz u1 = u2 + z u0, d/dz u2 = 2z u1
-    assert matrix[1][0] == Polynomial.constant(2)
-    assert matrix[2][1] == ONE
-    assert matrix[0][1] == Z
-    assert matrix[1][2] == 2 * Z
-    assert matrix[0][0].is_zero()
+    assert _entry(m.partial, 1, 0) == Polynomial.constant(2)
+    assert _entry(m.partial, 2, 1) == ONE
+    assert _entry(m.partial, 0, 1) == Z
+    assert _entry(m.partial, 1, 2) == 2 * Z
+    assert _entry(m.partial, 0, 0).is_zero()
+    assert _entry(m.theta, 1, 2) == 2 * Z * Z
 
 
 def test_symmetric_power_half_twist_shifts_diagonal():
@@ -72,9 +83,8 @@ def test_symmetric_power_half_twist_shifts_diagonal():
     assert m.partial == build_symk(2, 2).partial
     for j, column in enumerate(m.theta):
         assert dict(column)[j] == Polynomial.constant(HALF)
-    matrix = m.derivation_matrix()
-    assert matrix[0][0] == Polynomial.constant(HALF)
-    assert matrix[1][0] == 2 * Z
+    assert _entry(m.theta, 0, 0) == Polynomial.constant(HALF)
+    assert _entry(m.theta, 1, 0) == 2 * Z
 
 
 def test_build_symk_validation():
@@ -178,6 +188,69 @@ def test_echelon_cache_tells_derivations_apart():
     assert h1_dim_bruteforce(build_symk(2, 1), "a1")[0] == 1
     assert h1_dim_bruteforce(module, "a1")[0] == 2
     assert h1_dim_bruteforce(build_symk(2, 1), "a1")[0] == 1
+
+
+# Every stored echelon row, with the anchor, window, degree and
+# dimension, of these modules, hashed when the kernel still divided out
+# the content after every elimination step.  A cheaper kernel must
+# store the same rows, so the digest must not move.
+PINNED_MODULES = (
+    [(2, k, twist, where) for k in (1, 2, 3, 5, 8, 11)
+     for twist, where in ((0, "a1"), (0, "gm"), (HALF, "gm"))]
+    + [(3, k, 0, where) for k in range(1, 5) for where in ("a1", "gm")]
+    + [(4, k, 0, where) for k in range(1, 4) for where in ("a1", "gm")]
+)
+PINNED_DIGEST = "e40fab51db03a8a274e942e3c9406083409164066e19384e0fda902576a745f9"
+
+
+def test_stored_echelon_rows_are_pinned():
+    start = time.perf_counter()
+    digest = hashlib.sha256()
+    for n, k, twist, where in PINNED_MODULES:
+        state = _stable_image(build_symk(n, k, twist), where)
+        digest.update(repr((
+            n, k, str(twist), where,
+            state.anchor, state.window, state.degree, state.dim,
+        )).encode())
+        digest.update(repr(sorted(
+            (lead, sorted(row.items()))
+            for lead, row in state.echelon.rows.items()
+        )).encode())
+    assert digest.hexdigest() == PINNED_DIGEST
+    assert time.perf_counter() - start < 1.0
+
+
+# Closed forms against the brute force over random (n, k).  Budget: an
+# uncached draw takes at most about 0.2 s on a 2-vCPU VM (n = 2 at
+# k = 40 in gm, n = 4 at k = 7), so each draw must finish in 5 s.
+DRAW_BUDGET_S = 5.0
+
+symmetric_powers = st.one_of(
+    st.tuples(st.just(2), st.integers(1, 40)),
+    st.tuples(st.just(3), st.integers(1, 10)),
+    st.tuples(st.just(4), st.integers(1, 7)),
+)
+
+
+@given(symmetric_powers)
+@settings(max_examples=25, deadline=None)
+def test_closed_form_dims_match_bruteforce(power):
+    n, k = power
+    start = time.perf_counter()
+    dim, _ = h1_dim_bruteforce(build_symk(n, k), "a1")
+    assert dim == h1_dims(n, k).all
+    assert time.perf_counter() - start < DRAW_BUDGET_S
+
+
+@given(st.integers(1, 40), st.sampled_from((Fraction(0), HALF)))
+@settings(max_examples=20, deadline=None)
+def test_gm_dimension_formula_matches_bruteforce(k, twist):
+    kp = (k - 1) // 2
+    expected = 3 * (kp + 1) if k % 2 else k + kp + 1
+    start = time.perf_counter()
+    dim, _ = h1_dim_bruteforce(build_symk(2, k, twist), "gm")
+    assert dim == expected
+    assert time.perf_counter() - start < DRAW_BUDGET_S
 
 
 def test_gm_basis_shapes():
@@ -340,8 +413,6 @@ def test_reduce_twist_mismatch():
 
 
 def test_general_order_bruteforce_matches_closed_form():
-    from airymoments.moments import h1_dims
-
     assert h1_dim_bruteforce(build_symk(3, 3), "a1")[0] == h1_dims(3, 3).all
     assert h1_dim_bruteforce(build_symk(4, 3), "a1")[0] == h1_dims(4, 3).all
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -210,6 +211,131 @@ def test_normal_form_of_row_combination_is_zero(rows, weights):
     assert echelon.normal_form(sparse) == {}
     unit = {len(rows[0]): Fraction(1)}
     assert echelon.normal_form(unit) == unit
+
+
+# Reference kernel: the same elimination with the content divided out
+# after every step and normal forms carried in Fractions.  The kernel
+# must store the same rows, in the same order, and return the same
+# normal forms.
+
+
+def _oracle_reduce_content(row: dict[int, int]) -> None:
+    g = 0
+    for value in row.values():
+        g = math.gcd(g, value)
+        if g == 1:
+            return
+    if g > 1:
+        for pos in row:
+            row[pos] //= g
+
+
+def _oracle_insert(rows: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
+    while row:
+        lead = min(row)
+        pivot = rows.get(lead)
+        if pivot is None:
+            _oracle_reduce_content(row)
+            if row[lead] < 0:
+                for pos in row:
+                    row[pos] = -row[pos]
+            rows[lead] = row
+            return True
+        a = pivot[lead]
+        b = row.pop(lead)
+        g = math.gcd(a, b)
+        ma, mb = a // g, b // g
+        for pos in row:
+            row[pos] *= ma
+        for pos, value in pivot.items():
+            if pos == lead:
+                continue
+            updated = row.get(pos, 0) - mb * value
+            if updated:
+                row[pos] = updated
+            else:
+                row.pop(pos, None)
+        if row:
+            _oracle_reduce_content(row)
+    return False
+
+
+def _oracle_normal_form(rows, vector: dict[int, Fraction]) -> dict[int, Fraction]:
+    work = dict(vector)
+    out: dict[int, Fraction] = {}
+    while work:
+        pos = min(work)
+        value = work.pop(pos)
+        pivot = rows.get(pos)
+        if pivot is None:
+            out[pos] = value
+            continue
+        factor = Fraction(value, pivot[pos])
+        for q, v in pivot.items():
+            if q == pos:
+                continue
+            updated = work.get(q, 0) - factor * v
+            if updated:
+                work[q] = updated
+            else:
+                work.pop(q, None)
+    return out
+
+
+WIDE = 10**6
+wide_entries = st.one_of(
+    st.just(0), st.integers(-3, 3), st.integers(-WIDE, WIDE)
+)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse integer rows with wide entries, negative leads included,
+    plus a few integer combinations of them, which reduce to zero."""
+    cols = draw(st.integers(1, 8))
+    rows = draw(st.lists(
+        st.lists(wide_entries, min_size=cols, max_size=cols),
+        min_size=1,
+        max_size=10,
+    ))
+    for _ in range(draw(st.integers(0, 3))):
+        weights = draw(st.lists(
+            st.integers(-1000, 1000), min_size=len(rows), max_size=len(rows)
+        ))
+        rows.append([
+            sum(w * row[c] for w, row in zip(weights, rows))
+            for c in range(cols)
+        ])
+    return draw(st.permutations(rows))
+
+
+@given(sparse_matrices())
+@settings(max_examples=120, deadline=None)
+def test_insert_matches_reference_kernel(rows):
+    echelon = _Echelon()
+    reference: dict[int, dict[int, int]] = {}
+    for row in rows:
+        landed = echelon.insert(_sparse(row))
+        assert landed == _oracle_insert(reference, _sparse(row))
+    assert list(echelon.rows.items()) == list(reference.items())
+
+
+wide_rationals = st.fractions(
+    min_value=-WIDE, max_value=WIDE, max_denominator=60
+)
+
+
+@given(sparse_matrices(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_normal_form_matches_reference_kernel(rows, data):
+    echelon, _ = _echelon(rows)
+    width = len(rows[0]) + 2
+    vector = data.draw(st.dictionaries(
+        st.integers(0, width - 1), wide_rationals, max_size=width
+    ))
+    expected = _oracle_normal_form(echelon.rows, vector)
+    assert echelon.normal_form(vector) == expected
+    assert echelon.normal_form({}) == {} == _oracle_normal_form(echelon.rows, {})
 
 
 def test_series_product_truncates_to_shorter_factor():
