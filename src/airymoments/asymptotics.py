@@ -3,11 +3,12 @@ order-2 Airy-type equation, and the middle-cohomology basis built from
 them.
 
 The expansion of the normalised solution product in the inverse variable
-w = 1/z is computed by two independent routes: the classical product of
-the one-sided expansions (Pochhammer-style coefficients), and a formal
-solution of the third-order symmetric-square equation derived from the
-connection by a cyclic-vector elimination.  The even powers of that
-series give the correction coefficients for the middle-cohomology basis.
+w = 1/z is computed by two independent routes: the closed-form ratio of
+consecutive coefficients (DLMF 9.7(ii)), and a formal solution of the
+third-order symmetric-square equation derived from the connection by a
+cyclic-vector elimination.  The k/2-th powers of that series, computed
+in integers, give the correction coefficients for the middle-cohomology
+basis.
 """
 
 from __future__ import annotations
@@ -23,68 +24,36 @@ from .connection import (
     omega_class,
 )
 from .errors import DomainError, InconsistencyError
-from .exact import OffsetSeries, Polynomial, polynomial_gcd, series_pow
+from .exact import OffsetSeries, Polynomial, polynomial_gcd
 
 HALF = Fraction(1, 2)
 
 
-def product_coefficients(count: int) -> list[Fraction]:
-    """The first ``count`` coefficients of the one-sided exponential
-    expansions, c_n = prod_{t<2n} (2n+2t+1) / (216^n n!), computed by
-    the ratio c_n = c_{n-1} (6n-5)(6n-1) / (72n)."""
-    if count < 1:
-        raise DomainError("need at least one coefficient")
-    out = [Fraction(1)]
-    for n in range(1, count):
-        out.append(out[-1] * Fraction((6 * n - 5) * (6 * n - 1), 72 * n))
-    return out
-
-
-def _cross_sums(count: int) -> list[int]:
-    """Integer cross sums S_N = sum_a (-1)^a C(N,a) p_a p_(N-a) for
-    N < count, where p_n = prod_{m<=n} (6m-5)(6m-1), so that c_n of
-    :func:`product_coefficients` is p_n / (72^n n!) and the order-N
-    cross term sum_a (-1)^a c_a c_(N-a) is S_N / (72^N N!)."""
-    p = [1]
-    for m in range(1, count):
-        p.append(p[-1] * (6 * m - 5) * (6 * m - 1))
-    sums = []
-    for order in range(count):
-        total = 0
-        binom = 1
-        for a in range(order + 1):
-            term = binom * p[a] * p[order - a]
-            total += -term if a % 2 else term
-            binom = binom * (order - a) // (a + 1)
-        sums.append(total)
-    return sums
+def _aibi_numerators(terms: int) -> list[int]:
+    """Integers A_j for j < ``terms``, with A_0 = 1 and
+    A_j = A_(j-1) (6j-5)(6j-3)(6j-1), so that coefficient j of
+    :func:`aibi_series` is A_j / (96^j j!)."""
+    numerators = [1]
+    for j in range(1, terms):
+        numerators.append(
+            numerators[-1] * (6 * j - 5) * (6 * j - 3) * (6 * j - 1)
+        )
+    return numerators
 
 
 def aibi_series(terms: int) -> OffsetSeries:
-    """Expansion of the normalised solution product in w = 1/z.
+    """Expansion of the normalised solution product in w = 1/z: the
+    series w^(1/2) * (1 + ...) on the lattice 1/2 + 3j, with ``terms``
+    coefficients.
 
-    The product of the two exponentially growing/decaying solutions has
-    a one-sided expansion whose cross terms of odd order cancel in
-    pairs; the function asserts that cancellation and returns the series
-    w^(1/2) * (1 + ...) on the lattice 1/2 + 3j, with ``terms``
-    coefficients.  The cross terms are summed as integers (see
-    :func:`_cross_sums`), so coefficient j is the single fraction
-    (9/4)^j S_2j / (72^2j (2j)!); the cancellation and positivity
-    checks are made on those integer sums.
+    Coefficient j follows the closed-form ratio
+    c_j = c_(j-1) (6j-5)(6j-3)(6j-1) / (96 j), c_0 = 1 (DLMF 9.7(ii)).
     """
     if terms < 1:
         raise DomainError("need at least one term")
-    sums = _cross_sums(2 * terms - 1)
-    for m in range(1, 2 * terms - 1, 2):
-        if sums[m]:
-            raise InconsistencyError(
-                f"odd cross terms failed to cancel at order {m}"
-            )
-    if sums[0] != 1 or any(total <= 0 for total in sums[::2]):
-        raise InconsistencyError("product expansion lost positivity")
     coefficients = tuple(
-        Fraction(9**j * sums[2 * j], 4**j * 72 ** (2 * j) * math.factorial(2 * j))
-        for j in range(terms)
+        Fraction(a, 96**j * math.factorial(j))
+        for j, a in enumerate(_aibi_numerators(terms))
     )
     return OffsetSeries(HALF, Fraction(3), coefficients)
 
@@ -239,17 +208,39 @@ class GammaTable:
 
 def gamma(k: int, terms: int) -> GammaTable:
     """Asymptotic coefficients of the k/2-th power of the normalised
-    solution product, for even k, on the lattice k/4 + 3j."""
+    solution product, for even k, on the lattice k/4 + 3j.
+
+    With alpha = k/2 and the integers A_j of :func:`_aibi_numerators`,
+    value n is B_n / (96^n n!), where B_0 = 1 and J.C.P. Miller's power
+    recurrence (Knuth, TAOCP vol. 2, 4.7) reads, in integers,
+    m B_m = sum_{j=1..m} ((alpha+1) j - m) C(m,j) A_j B_(m-j).
+    The series sum A_j y^j / j! has integer coefficients as an
+    exponential generating function, so its integer power does too and
+    the division by m is exact; that is asserted at every step.
+    """
     if k < 2 or k % 2:
         raise DomainError("the power is defined for even k >= 2")
     if terms < 1:
         raise DomainError("need at least one term")
-    powered = series_pow(aibi_series(terms), k // 2)
-    if powered.offset != Fraction(k, 4):
-        raise InconsistencyError(
-            f"power series starts at {powered.offset}, expected {Fraction(k, 4)}"
-        )
-    return GammaTable(k=k, offset=powered.offset, values=powered.coefficients)
+    weight = k // 2 + 1
+    numerators = _aibi_numerators(terms)
+    powered = [1]
+    for m in range(1, terms):
+        total = 0
+        binom = 1
+        for j in range(1, m + 1):
+            binom = binom * (m - j + 1) // j
+            total += (weight * j - m) * binom * numerators[j] * powered[m - j]
+        value, remainder = divmod(total, m)
+        if remainder:
+            raise InconsistencyError(
+                f"power recurrence left a fraction at step {m}"
+            )
+        powered.append(value)
+    values = tuple(
+        Fraction(b, 96**n * math.factorial(n)) for n, b in enumerate(powered)
+    )
+    return GammaTable(k=k, offset=Fraction(k, 4), values=values)
 
 
 def mid_basis(k: int) -> CohomologyBasis:

@@ -88,36 +88,6 @@ def hodge_numbers(k: int) -> tuple[HodgeTable, HodgeTable]:
 
 
 @dataclass(frozen=True)
-class SpectrumPolynomial:
-    """Formal sum of h * t^p terms with rational exponents, ascending."""
-
-    terms: tuple[tuple[Fraction, int], ...]
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exponent, coeff in self.terms:
-            if exponent == 0:
-                parts.append(str(coeff))
-                continue
-            if exponent.denominator == 1:
-                power = "t" if exponent == 1 else f"t^{exponent}"
-            else:
-                power = f"t^{{{exponent}}}"
-            parts.append(power if coeff == 1 else f"{coeff}*{power}")
-        return " + ".join(parts)
-
-
-def hodge_polynomial(table: HodgeTable) -> SpectrumPolynomial:
-    """The spectrum of a table: sum over entries of h * t^p."""
-    counter = table.p_multiset()
-    return SpectrumPolynomial(
-        terms=tuple(sorted(counter.items()))
-    )
-
-
-@dataclass(frozen=True)
 class GLevelMultiset:
     """Multiset of irregular filtration levels of a closed-form basis."""
 

@@ -1,7 +1,7 @@
 """Closed-form combinatorics for symmetric powers of order-n Airy-type
-connections: lattice-point counts over cyclotomic relations, irregularity
-and cohomology dimension formulas, the formal exponent multiset at
-infinity, and the discrete invariants of the Fourier-dual family.
+connections: lattice-point counts over cyclotomic relations, cohomology
+dimension formulas, the formal exponent multiset at infinity, and the
+discrete invariants of the Fourier-dual family.
 
 Everything in this module is a finite exact computation; the expensive
 operations enumerate compositions and are guarded by fixed caps on the
@@ -93,18 +93,6 @@ def s_nk(n: int, k: int) -> int:
     return count
 
 
-def irr(n: int, k: int) -> int:
-    """Irregularity at infinity of the k-th symmetric power of the
-    order-n connection: (n+1)/n * (binom(n-1+k, k) - s_nk)."""
-    total = binomial(n - 1 + k, k) - s_nk(n, k)
-    value = Fraction(n + 1, n) * total
-    if value.denominator != 1:
-        raise InconsistencyError(
-            f"irregularity {value} is not an integer for n={n}, k={k}"
-        )
-    return int(value)
-
-
 class H1Dims(NamedTuple):
     """Dimensions of first de Rham cohomology and its middle part."""
 
@@ -158,12 +146,6 @@ class ExponentMultiset:
     @property
     def irregular_count(self) -> int:
         return sum(mult for _, mult in self.entries)
-
-    def exponent_polynomials(self) -> list[tuple[Polynomial, int]]:
-        return [
-            (Polynomial.from_coefficients(coeffs), mult)
-            for coeffs, mult in self.entries
-        ]
 
 
 def formal_decomposition(n: int, k: int) -> ExponentMultiset:
@@ -224,18 +206,6 @@ def rho_preimage(k: int, epsilon: int, p: int) -> int:
     return sum(
         1 for t in (3 * p + 1, 3 * p + 2) if k + epsilon <= t <= 2 * k + epsilon
     )
-
-
-def psi_eigenspace_dim(k: int, epsilon: int, epsilon_prime: int) -> int:
-    """Dimension of the nearby-cycle eigenspace pairing twist epsilon
-    with character epsilon_prime: the count of j in [0,k] with
-    k + j = epsilon_prime - epsilon mod 3."""
-    if k < 1:
-        raise DomainError("k must be positive")
-    _check_epsilon(epsilon)
-    _check_epsilon(epsilon_prime)
-    residue = (epsilon_prime - epsilon) % 3
-    return sum(1 for j in range(k + 1) if (k + j) % 3 == residue)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from airymoments import asymptotics
 from airymoments.errors import DomainError, InconsistencyError
-from airymoments.exact import Polynomial, Z, series_mul
+from airymoments.exact import OffsetSeries, Polynomial, Z
 from airymoments.moments import h1_dims
 from airymoments.asymptotics import (
     GammaTable,
@@ -16,18 +19,12 @@ from airymoments.asymptotics import (
     aibi_series_ode_oracle,
     gamma,
     mid_basis,
-    product_coefficients,
     symmetric_square_operator,
 )
 
+from series_reference import series_mul, series_pow
+
 HALF = Fraction(1, 2)
-
-
-def test_product_coefficients_start():
-    values = product_coefficients(3)
-    assert values[0] == 1
-    assert values[1] == Fraction(5, 72)
-    assert values[2] == Fraction(385, 10368)
 
 
 def _product_coefficient_by_definition(n):
@@ -37,11 +34,25 @@ def _product_coefficient_by_definition(n):
     return Fraction(numerator, 2 ** (2 * n) * 54**n * math.factorial(n))
 
 
-def test_product_coefficients_match_definition():
-    values = product_coefficients(80)
-    assert len(values) == 80
-    for n, value in enumerate(values):
-        assert value == _product_coefficient_by_definition(n)
+def test_product_coefficients_start():
+    values = [_product_coefficient_by_definition(n) for n in range(3)]
+    assert values == [1, Fraction(5, 72), Fraction(385, 10368)]
+
+
+def test_product_route_matches_aibi_series():
+    # third route: the product of the one-sided expansions, whose cross
+    # terms of odd order cancel in pairs
+    terms = 60
+    c = [_product_coefficient_by_definition(n) for n in range(2 * terms - 1)]
+    cross = [
+        sum((-1) ** a * c[a] * c[order - a] for a in range(order + 1))
+        for order in range(2 * terms - 1)
+    ]
+    assert not any(cross[1::2])
+    expected = tuple(
+        Fraction(9, 4) ** j * cross[2 * j] for j in range(terms)
+    )
+    assert aibi_series(terms).coefficients == expected
 
 
 def test_aibi_series_first_terms():
@@ -51,6 +62,15 @@ def test_aibi_series_first_terms():
     assert series.coefficients[0] == 1
     assert series.coefficients[1] == Fraction(5, 32)
     assert series.coefficients[2] == Fraction(1155, 2048)
+
+
+def test_aibi_numerators_are_odd_double_factorials():
+    # A_j is the product of the odd numbers below 6j: (6j)! / (8^j (3j)!)
+    numerators = asymptotics._aibi_numerators(120)
+    assert numerators == [
+        math.factorial(6 * j) // (8**j * math.factorial(3 * j))
+        for j in range(120)
+    ]
 
 
 def test_aibi_series_needs_a_term():
@@ -76,7 +96,7 @@ def test_ode_oracle_agrees_with_product_route():
     assert direct.coefficients == oracle.coefficients
 
 
-@given(st.integers(min_value=1, max_value=25))
+@given(st.integers(min_value=1, max_value=120))
 @settings(max_examples=15, deadline=None)
 def test_routes_agree_at_any_length(terms):
     assert aibi_series(terms).coefficients == \
@@ -99,6 +119,67 @@ def test_gamma_matches_iterated_oracle_products(k):
     table = gamma(k, 20)
     assert table.offset == powered.offset
     assert table.values == powered.coefficients
+
+
+@given(st.integers(min_value=1, max_value=200), st.integers(1, 40))
+@settings(max_examples=25, deadline=None)
+def test_gamma_matches_fraction_power_of_the_oracle(half_k, terms):
+    powered = series_pow(aibi_series_ode_oracle(terms), half_k)
+    table = gamma(2 * half_k, terms)
+    assert table.offset == powered.offset
+    assert table.values == powered.coefficients
+
+
+@given(
+    st.lists(st.integers(1, 10**6), min_size=1, max_size=25),
+    st.integers(1, 30),
+)
+@settings(max_examples=60, deadline=None)
+def test_integer_power_matches_fraction_power_of_any_positive_series(
+    tail, half_k
+):
+    # the division by m is exact for any integer EGF, not only Ai*Bi's
+    numerators = [1] + tail
+    series = OffsetSeries(HALF, 3, tuple(
+        Fraction(a, 96**j * math.factorial(j))
+        for j, a in enumerate(numerators)
+    ))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(asymptotics, "_aibi_numerators", lambda terms: numerators)
+        table = gamma(2 * half_k, len(numerators))
+    assert table.values == series_pow(series, half_k).coefficients
+
+
+def test_gamma_at_k_two_is_the_series_itself():
+    assert gamma(2, 150).values == aibi_series(150).coefficients
+
+
+def test_gamma_refuses_an_inexact_power_step(monkeypatch):
+    monkeypatch.setattr(
+        asymptotics, "_aibi_numerators", lambda terms: [1, Fraction(1, 2)]
+    )
+    with pytest.raises(InconsistencyError, match="step 1"):
+        gamma(2, 2)
+
+
+# SHA-256 over aibi_series(200), gamma(k, 40) for even k in 2..200 and
+# gamma(10000, 30), recorded from the product route and the Fraction
+# power before both were replaced by integer recurrences.
+PINNED_SERIES_DIGEST = (
+    "96d2f7494567b0ce912cc90d6416818d9e8e51c2ecff6f6b663f9354ed2351c0"
+)
+
+
+def test_series_tables_are_pinned():
+    start = time.perf_counter()
+    digest = hashlib.sha256()
+    coefficients = aibi_series(200).coefficients
+    digest.update(repr(("aibi", 200, [str(c) for c in coefficients])).encode())
+    for k, terms in [(k, 40) for k in range(2, 201, 2)] + [(10000, 30)]:
+        values = [str(v) for v in gamma(k, terms).values]
+        digest.update(repr(("gamma", k, terms, values)).encode())
+    assert digest.hexdigest() == PINNED_SERIES_DIGEST
+    assert time.perf_counter() - start < 5.0
 
 
 def test_gamma_lattice():

@@ -257,6 +257,19 @@ def test_series_terms_are_bounded(capsys):
     assert "cap" in err
 
 
+# Budget: the largest table takes about 1.5 s on a 2-vCPU VM at any k.
+@pytest.mark.parametrize("k", ["2", str(cli.MAX_K)])
+def test_largest_series_table_returns_within_budget(capsys, k):
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "gamma", "--k", k,
+        "--series-terms", str(cli.MAX_SERIES_TERMS),
+    )
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert len(out.splitlines()) > cli.MAX_SERIES_TERMS
+
+
 def test_verify_failure_exits_two(capsys, monkeypatch):
     from airymoments.hodge import CheckResult, VerifyReport
 

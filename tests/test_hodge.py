@@ -12,10 +12,8 @@ from airymoments.moments import h1_dims
 from airymoments.hodge import (
     GLevelMultiset,
     HodgeTable,
-    SpectrumPolynomial,
     g_levels,
     hodge_numbers,
-    hodge_polynomial,
     tilde_mid_hodge,
     verify,
     yu_pole_level,
@@ -85,27 +83,6 @@ def test_tables_satisfy_the_structural_rules(k):
     else:
         assert off_weight == []
     assert set(mid.entries) <= set(full.entries)
-
-
-def test_spectrum_polynomial_rendering():
-    assert str(SpectrumPolynomial(terms=())) == "0"
-    assert str(SpectrumPolynomial(terms=((F(0), 2),))) == "2"
-    assert str(SpectrumPolynomial(terms=((F(1), 1),))) == "t"
-    assert str(SpectrumPolynomial(terms=((F(3), 1),))) == "t^3"
-    assert (
-        str(SpectrumPolynomial(terms=((F(5, 3), 1), (F(8, 3), 2))))
-        == "t^{5/3} + 2*t^{8/3}"
-    )
-
-
-def test_hodge_polynomial_of_goldens():
-    full6, _ = hodge_numbers(6)
-    assert str(hodge_polynomial(full6)) == "t^{8/3} + t^{13/3}"
-    assert (
-        str(hodge_polynomial(tilde_mid_hodge(6)))
-        == "t^{7/3} + 2*t^{8/3} + t^3 + t^{10/3} + t^{11/3}"
-        " + t^4 + 2*t^{13/3} + t^{14/3}"
-    )
 
 
 def test_g_level_multisets():

@@ -14,9 +14,7 @@ from airymoments.moments import (
     cyclotomic,
     formal_decomposition,
     h1_dims,
-    irr,
     mk_invariants,
-    psi_eigenspace_dim,
     rho_preimage,
     s_nk,
 )
@@ -51,23 +49,13 @@ def test_s_nk_cap_enforced():
         s_nk(8, 40)
 
 
-@pytest.mark.parametrize("fn", [s_nk, h1_dims, irr, formal_decomposition])
+@pytest.mark.parametrize("fn", [s_nk, h1_dims, formal_decomposition])
 def test_order_is_capped_before_the_residue_table(fn):
     cyclotomic.cache_clear()
     with pytest.raises(SizeLimitError, match="order"):
         fn(MAX_ORDER + 1, 1)
     assert cyclotomic.cache_info().currsize == 0
     assert h1_dims(MAX_ORDER, 1).all >= 0
-
-
-def test_irr_frozen_values():
-    assert irr(2, 3) == 6
-    assert irr(3, 3) == 12
-
-
-@given(st.integers(0, 40))
-def test_irr_order_two_closed_form(k):
-    assert irr(2, k) == 3 * ((k + 1) // 2)
 
 
 def test_h1_dims_frozen_values():
@@ -113,13 +101,6 @@ def test_formal_decomposition_order_two_square():
         Fraction(-4, 3),
         Fraction(4, 3),
     ]
-
-
-def test_formal_decomposition_reports_polynomials():
-    d = formal_decomposition(3, 2)
-    polys = d.exponent_polynomials()
-    assert all(isinstance(p, Polynomial) for p, _ in polys)
-    assert d.regular_rank + d.irregular_count == comb(4, 2)
 
 
 @given(st.integers(2, 4), st.integers(0, 8))
@@ -182,17 +163,6 @@ def test_rho_preimage_domain():
         rho_preimage(6, 3, 1)
     with pytest.raises(DomainError):
         rho_preimage(0, 0, 1)
-
-
-def test_psi_eigenspace_frozen_values():
-    assert psi_eigenspace_dim(6, 0, 0) == 3
-    assert psi_eigenspace_dim(6, 1, 2) == 2
-
-
-@given(st.integers(1, 40), st.integers(0, 2))
-def test_psi_eigenspaces_fill_the_fiber(k, epsilon):
-    total = sum(psi_eigenspace_dim(k, epsilon, e) for e in range(3))
-    assert total == k + 1
 
 
 def test_mk_invariants_frozen_k6():
