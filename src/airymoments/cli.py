@@ -25,7 +25,7 @@ from .errors import (
     StabilityError,
 )
 from .exact import Polynomial, format_rational
-from .hodge import hodge_numbers, tilde_mid_hodge, verify
+from .hodge import format_thirds, hodge_numbers, tilde_mid_hodge, verify
 from .moments import formal_decomposition, h1_dims
 
 USAGE_EXIT = 64
@@ -37,6 +37,10 @@ MAX_SERIES_TERMS = 400
 #: Largest accepted k: every table grows with k, and several commands
 #: never return at a huge one.  It also bounds a range's length.
 MAX_K = 10_000
+#: Largest accepted k for ``basis --space mid``: the table there takes
+#: about 0.7 s at k = 4000 and 7 s at 8000 (2-vCPU VM), and from about
+#: k = 8200 on a coefficient has more digits than Python prints.
+MAX_MID_K = 4_000
 #: Longest accepted k literal, checked before ``int()``, which refuses
 #: literals from 4300 digits on.
 MAX_K_DIGITS = 100
@@ -226,13 +230,13 @@ def _table_payload(table, k: int):
         "family": table.family,
         "weight": table.weight,
         "entries": [
-            {"p": format_rational(p), "q": format_rational(q), "h": h}
-            for p, q, h in table.entries
+            {"p": format_thirds(p), "q": format_thirds(q), "h": h}
+            for p, q, h in table.thirds
         ],
     }
     rows = [
-        [str(k), format_rational(p), format_rational(q), str(h)]
-        for p, q, h in table.entries
+        [str(k), format_thirds(p), format_thirds(q), str(h)]
+        for p, q, h in table.thirds
     ]
     return obj, rows
 
@@ -448,6 +452,15 @@ def run(config: RunConfig) -> tuple[int, str]:
     if config.series_terms > MAX_SERIES_TERMS:
         raise SizeLimitError(
             f"{config.series_terms} series terms exceed the cap {MAX_SERIES_TERMS}"
+        )
+    if (
+        config.command == "basis"
+        and config.space == "mid"
+        and max(config.k_values) > MAX_MID_K
+    ):
+        raise SizeLimitError(
+            f"k = {max(config.k_values)} is above the cap {MAX_MID_K} "
+            "for the middle basis"
         )
     cache_path = _cache_path(config)
     if cache_path and os.path.exists(cache_path):

@@ -433,17 +433,23 @@ def _image_row(
     return {pos: v for pos, v in row.items() if v}
 
 
+def _first_truncation(k: int) -> int:
+    """The first truncation degree of the certificate for Sym^k.  It
+    compares at least two truncations, degree and 2 * degree, so this
+    refuses when the second is above the ceiling."""
+    degree = 3 * (k + 1) + 6
+    if 2 * degree > TRUNCATION_CEILING:
+        raise SizeLimitError(
+            f"certifying k = {k} needs truncation degree "
+            f"{2 * degree}, above the cap {TRUNCATION_CEILING}"
+        )
+    return degree
+
+
 def _stable_image(module: ConnectionModule, where: str) -> _StableImage:
     import hashlib  # imported here: only brute-force runs pay for it
 
-    degree = 3 * (module.k + 1) + 6
-    # The certificate compares at least two truncations, degree and
-    # 2 * degree, so refuse before any work when the second is too high.
-    if 2 * degree > TRUNCATION_CEILING:
-        raise SizeLimitError(
-            f"certifying k = {module.k} needs truncation degree "
-            f"{2 * degree}, above the cap {TRUNCATION_CEILING}"
-        )
+    degree = _first_truncation(module.k)
     # Keyed on the derivation itself, plus k for the first truncation:
     # two modules with equal (n, k) but different columns must not
     # share an echelon.
@@ -550,6 +556,7 @@ def gm_cokernel_basis(k: int, twist: Fraction | int = 0) -> CohomologyBasis:
     """
     if k < 1:
         raise DomainError("symmetric power must be at least 1")
+    _first_truncation(k)  # refuse before building the module
     module = build_symk(2, k, twist)
     kp = (k - 1) // 2
     top = kp + 1 if k % 2 else kp
@@ -585,9 +592,15 @@ def omega_class(i: int) -> ModuleElement:
     return monomial_element("u0", i - 1)
 
 
+def omega_thirds(k: int, i: int) -> int:
+    """Three times the irregular filtration level of the i-th basis
+    class: 3(k+1) - (k+2i)."""
+    return 2 * k + 3 - 2 * i
+
+
 def omega_level(k: int, i: int) -> Fraction:
     """Irregular filtration level of the i-th basis class."""
-    return Fraction(k + 1) - Fraction(k + 2 * i, 3)
+    return Fraction(omega_thirds(k, i), 3)
 
 
 def h1_a1_basis(k: int) -> CohomologyBasis:

@@ -12,37 +12,59 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .connection import omega_level
+from .connection import omega_thirds
 from .errors import DomainError
 from .moments import h1_dims, rho_preimage
+
+
+def format_thirds(t: int) -> str:
+    """The string of the level t/3: "t/3", or the bare integer t//3
+    when 3 divides t; equal to ``format_rational(Fraction(t, 3))``."""
+    return f"{t}/3" if t % 3 else str(t // 3)
+
+
+def _thirds_view(counter: Counter) -> Counter:
+    return Counter({Fraction(t, 3): mult for t, mult in counter.items()})
 
 
 @dataclass(frozen=True)
 class HodgeTable:
     """Graded Hodge numbers as entries (p, q, h), sorted by (p, q).
 
-    ``weight`` is the weight of the pure part, k+1; one entry of the
-    k = 0 mod 4 tables sits in weight k+2 instead, visible as
-    p + q = weight + 1.
+    Every p and q lies on the lattice (1/3)Z, so the table stores
+    ``thirds``, the entries (3p, 3q, h) in integers; ``entries`` is
+    the Fraction view of them.  ``weight`` is the weight of the pure
+    part, k+1; one entry of the k = 0 mod 4 tables sits in weight k+2
+    instead, visible as p + q = weight + 1.
     """
 
     k: int
     family: str
     weight: int
-    entries: tuple[tuple[Fraction, Fraction, int], ...]
+    thirds: tuple[tuple[int, int, int], ...]
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, Fraction, int], ...]:
+        return tuple(
+            (Fraction(p, 3), Fraction(q, 3), h) for p, q, h in self.thirds
+        )
 
     def total(self) -> int:
-        return sum(h for _, _, h in self.entries)
+        return sum(h for _, _, h in self.thirds)
 
-    def p_multiset(self) -> Counter:
+    def p_thirds(self) -> Counter:
+        """Multiset of 3p, weighted by h."""
         counter: Counter = Counter()
-        for p, _, h in self.entries:
+        for p, _, h in self.thirds:
             counter[p] += h
         return counter
 
+    def p_multiset(self) -> Counter:
+        return _thirds_view(self.p_thirds())
+
     def is_symmetric(self) -> bool:
         counter: Counter = Counter()
-        for p, q, h in self.entries:
+        for p, q, h in self.thirds:
             counter[(p, q)] += h
         return all(counter[(q, p)] == h for (p, q), h in counter.items())
 
@@ -59,47 +81,66 @@ def hodge_numbers(k: int) -> tuple[HodgeTable, HodgeTable]:
     if k < 2:
         raise DomainError("need a symmetric power of at least 2")
     weight = k + 1
-    entries: list[tuple[Fraction, Fraction, int]] = []
-    mid_entries: list[tuple[Fraction, Fraction, int]] = []
+    entries: list[tuple[int, int, int]] = []
     kp = (k - 1) // 2
     if k % 2:
         for i in range(1, kp + 2):
-            p = Fraction(k + 2 * i, 3)
-            entries.append((p, weight - p, 1))
+            p = k + 2 * i
+            entries.append((p, 3 * weight - p, 1))
         mid_entries = entries[:]
     else:
         pair_count = kp // 2 if k % 4 else (kp - 1) // 2
         for i in range(1, pair_count + 1):
-            low = Fraction(k + 2 * i, 3)
-            high = weight - low
+            low = k + 2 * i
+            high = 3 * weight - low
             entries.append((low, high, 1))
             entries.append((high, low, 1))
         mid_entries = entries[:]
         if k % 4 == 0:
-            middle = Fraction(k + 2, 2)
+            middle = 3 * (k + 2) // 2
             entries.append((middle, middle, 1))
     full = HodgeTable(
-        k=k, family="Ai", weight=weight, entries=tuple(sorted(entries))
+        k=k, family="Ai", weight=weight, thirds=tuple(sorted(entries))
     )
     mid = HodgeTable(
-        k=k, family="Ai-mid", weight=weight, entries=tuple(sorted(mid_entries))
+        k=k, family="Ai-mid", weight=weight, thirds=tuple(sorted(mid_entries))
     )
     return full, mid
 
 
 @dataclass(frozen=True)
 class GLevelMultiset:
-    """Multiset of irregular filtration levels of a closed-form basis."""
+    """Multiset of irregular filtration levels of a closed-form basis,
+    stored as ``thirds``, the pairs (3 * level, multiplicity); ``levels``
+    is the Fraction view of them."""
 
     k: int
     which: str
-    levels: tuple[tuple[Fraction, int], ...]
+    thirds: tuple[tuple[int, int], ...]
+
+    @property
+    def levels(self) -> tuple[tuple[Fraction, int], ...]:
+        return tuple((Fraction(t, 3), mult) for t, mult in self.thirds)
+
+    def thirds_counter(self) -> Counter:
+        return Counter(dict(self.thirds))
 
     def counter(self) -> Counter:
-        return Counter(dict(self.levels))
+        return _thirds_view(self.thirds_counter())
 
     def total(self) -> int:
-        return sum(mult for _, mult in self.levels)
+        return sum(mult for _, mult in self.thirds)
+
+
+def _twist_thirds(k: int, i: int) -> int:
+    """Three times the level of the twisted mate of the i-th class,
+    3(k+1) - (k+2i+1)."""
+    return omega_thirds(k, i) - 1
+
+
+def _residue_thirds(k: int, j: int) -> int:
+    """Three times the level of the residue class u_j, 3(k+1) - (k+j+1)."""
+    return 2 * k + 2 - j
 
 
 def g_levels(k: int, which: str) -> GLevelMultiset:
@@ -120,14 +161,14 @@ def g_levels(k: int, which: str) -> GLevelMultiset:
     counter: Counter = Counter()
     if which in ("Ai", "tilde"):
         for i in range(1, top + 1):
-            counter[Fraction(k + 1) - Fraction(k + 2 * i, 3)] += 1
+            counter[omega_thirds(k, i)] += 1
     if which in ("L-twist", "tilde"):
         for i in range(1, top + 1):
-            counter[Fraction(k + 1) - Fraction(k + 2 * i + 1, 3)] += 1
+            counter[_twist_thirds(k, i)] += 1
         for j in range(k + 1):
-            counter[Fraction(k + 1) - Fraction(k + j + 1, 3)] += 1
+            counter[_residue_thirds(k, j)] += 1
     return GLevelMultiset(
-        k=k, which=which, levels=tuple(sorted(counter.items()))
+        k=k, which=which, thirds=tuple(sorted(counter.items()))
     )
 
 
@@ -151,7 +192,10 @@ def tilde_mid_hodge(k: int) -> HodgeTable:
         )
     entries = []
     for epsilon in range(3):
-        for p in range(0, k + 3):
+        # The fiber over p-1 is empty unless 3p-2 <= 2k+eps and
+        # 3p-1 >= k+eps; for k >= 4 that window holds k/2 and k/2+1.
+        lowest, highest = (k + epsilon + 3) // 3, (2 * k + epsilon + 2) // 3
+        for p in range(lowest, highest + 1):
             if epsilon == 0 and p in (k // 2, k // 2 + 1):
                 h = 1
             elif epsilon and p == k // 2 + 1:
@@ -159,13 +203,13 @@ def tilde_mid_hodge(k: int) -> HodgeTable:
             else:
                 h = rho_preimage(k, epsilon, p - 1)
             if h:
-                level = p - Fraction(epsilon, 3)
-                entries.append((level, Fraction(k + 1) - level, h))
+                level = 3 * p - epsilon
+                entries.append((level, 3 * (k + 1) - level, h))
     return HodgeTable(
         k=k,
         family="Ai-tilde-mid",
         weight=k + 1,
-        entries=tuple(sorted(entries)),
+        thirds=tuple(sorted(entries)),
     )
 
 
@@ -176,6 +220,19 @@ class PoleLevel(NamedTuple):
     m: Fraction
     admissible: bool
     f_level: Fraction
+
+
+def _pole_thirds(
+    k: int, r: int, nu: int, variant: str
+) -> tuple[int, bool, int]:
+    """(3m, admissible, 3(k+1-m)) for valid arguments of yu_pole_level."""
+    if variant == "plain":
+        m, admissible = k + 2 * r + nu, k >= 4 * r + 2 * nu
+    elif variant == "twisted":
+        m, admissible = k + 2 * r + nu + 1, k >= 4 * r + 2 * nu + 2
+    else:
+        m, admissible = k + 2 * r + nu, True
+    return m, admissible, 3 * (k + 1) - m
 
 
 def yu_pole_level(k: int, r: int, nu: int, variant: str) -> PoleLevel:
@@ -196,16 +253,10 @@ def yu_pole_level(k: int, r: int, nu: int, variant: str) -> PoleLevel:
     minimum_r = 0 if variant == "twisted" else 1
     if r < minimum_r:
         raise DomainError(f"r must be at least {minimum_r} for {variant}")
-    if variant == "plain":
-        m = Fraction(k + 2 * r + nu, 3)
-        admissible = k >= 4 * r + 2 * nu
-    elif variant == "twisted":
-        m = Fraction(k + 2 * r + nu + 1, 3)
-        admissible = k >= 4 * r + 2 * nu + 2
-    else:
-        m = Fraction(k + 2 * r + nu, 3)
-        admissible = True
-    return PoleLevel(m=m, admissible=admissible, f_level=Fraction(k + 1) - m)
+    m, admissible, f_level = _pole_thirds(k, r, nu, variant)
+    return PoleLevel(
+        m=Fraction(m, 3), admissible=admissible, f_level=Fraction(f_level, 3)
+    )
 
 
 @dataclass(frozen=True)
@@ -229,10 +280,13 @@ class VerifyReport:
         return [r for r in self.results if not r.passed]
 
 
-def _counter_str(counter: Counter) -> str:
+def _counter_str(thirds: Counter) -> str:
+    """A multiset of levels, given by their thirds, as "{level: mult}"."""
     return (
         "{"
-        + ", ".join(f"{key}: {counter[key]}" for key in sorted(counter))
+        + ", ".join(
+            f"{format_thirds(t)}: {thirds[t]}" for t in sorted(thirds)
+        )
         + "}"
     )
 
@@ -264,9 +318,10 @@ def _verify_one(k: int) -> list[CheckResult]:
         )
     )
 
+    # Levels below are thirds: 3p for the level p.
     if k % 2:
-        expected = g_levels(k, "Ai").counter()
-        got = full.p_multiset()
+        expected = g_levels(k, "Ai").thirds_counter()
+        got = full.p_thirds()
         results.append(
             CheckResult(
                 k=k,
@@ -277,39 +332,37 @@ def _verify_one(k: int) -> list[CheckResult]:
             )
         )
     else:
-        bound = Fraction(k, 2) + 1
+        bound = 3 * (k // 2 + 1)
         if k >= 4:
-            tilde_counter = tilde_mid_hodge(k).p_multiset()
-            reference = g_levels(k, "tilde").counter()
-            lhs = {
-                level: mult
-                for level, mult in tilde_counter.items()
-                if level > bound
-            }
-            rhs = {
-                level: mult
-                for level, mult in reference.items()
-                if level > bound
-            }
+            tilde_counter = tilde_mid_hodge(k).p_thirds()
+            reference = g_levels(k, "tilde").thirds_counter()
+            lhs = Counter(
+                {t: mult for t, mult in tilde_counter.items() if t > bound}
+            )
+            rhs = Counter(
+                {t: mult for t, mult in reference.items() if t > bound}
+            )
             results.append(
                 CheckResult(
                     k=k,
                     check="high-level-match",
                     passed=lhs == rhs,
-                    expected=_counter_str(Counter(rhs)),
-                    got=_counter_str(Counter(lhs)),
+                    expected=_counter_str(rhs),
+                    got=_counter_str(lhs),
                 )
             )
 
-        mid_counter = mid.p_multiset()
+        mid_counter = mid.p_thirds()
         reflected = Counter(
-            {Fraction(k + 1) - p: mult for p, mult in mid_counter.items()}
+            {3 * (k + 1) - t: mult for t, mult in mid_counter.items()}
         )
         high = Counter(
-            {p: mult for p, mult in mid_counter.items() if p > bound}
+            {t: mult for t, mult in mid_counter.items() if t > bound}
         )
         quarter = (k + 2) // 4 - 1
-        expected_high = Counter(omega_level(k, i) for i in range(1, quarter + 1))
+        expected_high = Counter(
+            omega_thirds(k, i) for i in range(1, quarter + 1)
+        )
         structure_ok = mid_counter == reflected and high == expected_high
         results.append(
             CheckResult(
@@ -324,45 +377,29 @@ def _verify_one(k: int) -> list[CheckResult]:
             )
         )
 
-    yu_ok = True
-    detail = "all admissible with matching levels"
+    kp = (k - 1) // 2
     if k % 2:
-        kp = (k - 1) // 2
-        for i in range(1, kp + 2):
-            result = yu_pole_level(k, i, 0, "odd-simple")
-            if not result.admissible or result.f_level != omega_level(k, i):
-                yu_ok = False
-                detail = f"odd-simple i={i}: {result}"
-                break
+        families = [
+            ("odd-simple", i, 0, omega_thirds(k, i)) for i in range(1, kp + 2)
+        ]
     else:
-        kp = (k - 1) // 2
         families = (
-            [("plain", i, 0, omega_level(k, i)) for i in range(1, k // 4 + 1)]
+            [("plain", i, 0, omega_thirds(k, i)) for i in range(1, k // 4 + 1)]
             + [
-                (
-                    "twisted",
-                    i,
-                    0,
-                    Fraction(k + 1) - Fraction(k + 2 * i + 1, 3),
-                )
+                ("twisted", i, 0, _twist_thirds(k, i))
                 for i in range(1, kp // 2 + 1)
             ]
-            + [
-                (
-                    "twisted",
-                    0,
-                    j,
-                    Fraction(k + 1) - Fraction(k + j + 1, 3),
-                )
-                for j in range(0, kp + 1)
-            ]
+            + [("twisted", 0, j, _residue_thirds(k, j)) for j in range(kp + 1)]
         )
-        for variant, r, nu, level in families:
+    yu_ok = True
+    detail = "all admissible with matching levels"
+    for variant, r, nu, level in families:
+        _, admissible, f_level = _pole_thirds(k, r, nu, variant)
+        if not admissible or f_level != level:
+            yu_ok = False
             result = yu_pole_level(k, r, nu, variant)
-            if not result.admissible or result.f_level != level:
-                yu_ok = False
-                detail = f"{variant} r={r} nu={nu}: {result}"
-                break
+            detail = f"{variant} r={r} nu={nu}: {result}"
+            break
     results.append(
         CheckResult(
             k=k,

@@ -40,15 +40,21 @@ def cyclotomic(n: int) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
-def _power_residues(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Dense coefficient vectors of x^i mod the n-th cyclotomic, i < n."""
+def _power_residues(n: int) -> tuple[tuple[int, ...], ...]:
+    """Dense coefficient vectors of x^i mod the n-th cyclotomic, i < n.
+
+    The cyclotomic polynomial is monic in Z[x], so every residue has
+    integer coefficients."""
     phi = cyclotomic(n)
     width = phi.degree
     table = []
     for i in range(n):
-        remainder = Polynomial.monomial(i) % phi
-        dense = remainder.coefficients()
-        dense += [Fraction(0)] * (width - len(dense))
+        dense = (Polynomial.monomial(i) % phi).coefficients()
+        if any(c.denominator != 1 for c in dense):
+            raise InconsistencyError(
+                f"x^{i} mod the {n}-th cyclotomic is not integral"
+            )
+        dense = [int(c) for c in dense] + [0] * (width - len(dense))
         table.append(tuple(dense))
     return tuple(table)
 
@@ -64,33 +70,43 @@ def _check_cap(n: int, k: int) -> None:
         )
 
 
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, n))
+
+
+def _exponent_sums(n: int, k: int):
+    """Yield, for every composition a of k into n parts, the integer
+    coefficient vector of sum(a[i] * x**i) mod the n-th cyclotomic."""
+    residues = _power_residues(n)
+    width = len(residues[0])
+    rows = [[(pos, c) for pos, c in enumerate(row) if c] for row in residues]
+    for a in compositions(n, k):
+        acc = [0] * width
+        for weight, row in zip(a, rows):
+            if weight:
+                for pos, c in row:
+                    acc[pos] += weight * c
+        yield acc
+
+
 def s_nk(n: int, k: int) -> int:
     """Number of compositions a of k into n parts whose weighted power sum
     vanishes in the n-th cyclotomic field.
 
     The condition is sum(a[i] * x**i) == 0 mod the n-th cyclotomic
     polynomial; this counts the rank of the regular part at infinity of
-    the k-th symmetric power.
+    the k-th symmetric power.  For prime n the integer relations among
+    1, x, ..., x^(n-1) are the multiples of their sum, so the count is
+    1 when n divides k and 0 otherwise; other orders enumerate.
     """
     if n < 2:
         raise DomainError("need at least two parts")
     if k < 0:
         raise DomainError("total must be nonnegative")
     _check_cap(n, k)
-    residues = _power_residues(n)
-    width = len(residues[0])
-    count = 0
-    for a in compositions(n, k):
-        acc = [0] * width
-        for i, weight in enumerate(a):
-            if weight:
-                row = residues[i]
-                for pos in range(width):
-                    if row[pos]:
-                        acc[pos] += weight * row[pos]
-        if not any(acc):
-            count += 1
-    return count
+    if _is_prime(n):
+        return 1 if k % n == 0 else 0
+    return sum(1 for acc in _exponent_sums(n, k) if not any(acc))
 
 
 class H1Dims(NamedTuple):
@@ -113,12 +129,13 @@ def h1_dims(n: int, k: int) -> H1Dims:
     if k < 1:
         raise DomainError("symmetric power must be at least 1")
     s = s_nk(n, k)
-    total = Fraction(binomial(k + n - 1, k), n) - Fraction(n + 1, n) * s
-    if total.denominator != 1:
+    numerator = binomial(k + n - 1, k) - (n + 1) * s
+    dim_all, remainder = divmod(numerator, n)
+    if remainder:
         raise InconsistencyError(
-            f"dimension formula gave non-integer {total} for n={n}, k={k}"
+            f"dimension formula gave non-integer {Fraction(numerator, n)} "
+            f"for n={n}, k={k}"
         )
-    dim_all = int(total)
     period = n if n % 2 else 2 * n
     dim_mid = dim_all - (s if k % period == 0 else 0)
     if dim_mid < 0:
@@ -161,28 +178,26 @@ def formal_decomposition(n: int, k: int) -> ExponentMultiset:
     if k < 0:
         raise DomainError("symmetric power must be nonnegative")
     _check_cap(n, k)
-    residues = _power_residues(n)
-    width = len(residues[0])
-    scale = Fraction(-n, n + 1)
-    tally: dict[tuple[Fraction, ...], int] = {}
+    tally: dict[tuple[int, ...], int] = {}
     regular = 0
-    for a in compositions(n, k):
-        acc = [Fraction(0)] * width
-        for i, weight in enumerate(a):
-            if weight:
-                row = residues[i]
-                for pos in range(width):
-                    acc[pos] += weight * row[pos]
-        if not any(acc):
+    for acc in _exponent_sums(n, k):
+        if any(acc):
+            key = tuple(acc)
+            tally[key] = tally.get(key, 0) + 1
+        else:
             regular += 1
-            continue
-        key = tuple(scale * c for c in acc)
-        tally[key] = tally.get(key, 0) + 1
     if regular != s_nk(n, k):
         raise InconsistencyError(
             "regular rank disagrees with the direct lattice count"
         )
-    entries = tuple(sorted(tally.items()))
+    # The scale -n/(n+1) is negative: ordering the keys by their
+    # negation puts the scaled exponents in ascending order.
+    entries = tuple(
+        (tuple(Fraction(-n * c, n + 1) for c in key), mult)
+        for key, mult in sorted(
+            tally.items(), key=lambda item: [-c for c in item[0]]
+        )
+    )
     return ExponentMultiset(n=n, k=k, regular_rank=regular, entries=entries)
 
 

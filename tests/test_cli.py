@@ -351,6 +351,62 @@ def test_work_beyond_the_fixed_bounds_is_refused_fast(capsys, argv):
     assert "cap" in err
 
 
+TOP = str(cli.MAX_K)
+
+# Every per-k command at the largest accepted k, and the widest dims
+# range, with a budget in seconds for each: about five times the time
+# taken on a 2-vCPU VM, shown after each case.
+TOP_OF_BOUNDS_RETURNS = [
+    (("dims", "--k", TOP), 2),  # under 0.01 s
+    (("dims", "--k", f"2..{TOP}"), 2),  # 0.15 s
+    (("basis", "--k", TOP), 3),  # 0.2 s
+    (("basis", "--space", "mid", "--k", str(cli.MAX_MID_K)), 6),  # 0.9 s
+    (("gamma", "--k", TOP), 2),  # under 0.01 s
+    (("hodge", "--k", TOP), 2),  # 0.03 s
+    (("tilde", "--k", TOP), 2),  # 0.08 s
+    (("decomp", "--k", TOP), 3),  # 0.25 s
+    (("verify", "--k", TOP), 2),  # 0.1 s
+]
+
+# ... and the ones that refuse there: each within 1 s, with "cap".
+TOP_OF_BOUNDS_REFUSALS = [
+    ("basis", "--space", "gm", "--k", TOP),
+    ("basis", "--space", "gm", "--rho", "1/2", "--k", TOP),
+    ("basis", "--space", "gm", "--k", "680"),
+    ("basis", "--space", "mid", "--k", TOP),
+    ("basis", "--space", "mid", "--k", "8400"),
+    ("basis", "--space", "mid", "--k", str(cli.MAX_MID_K + 1)),
+    ("basis", "--space", "mid", "--k", f"2..{TOP}"),
+    ("decomp", "--n", "3", "--k", TOP),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, budget",
+    TOP_OF_BOUNDS_RETURNS,
+    ids=[" ".join(argv) for argv, _ in TOP_OF_BOUNDS_RETURNS],
+)
+def test_top_of_bounds_returns_within_budget(capsys, argv, budget):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < budget
+    assert code == 0, err
+    assert out
+
+
+@pytest.mark.parametrize(
+    "argv", TOP_OF_BOUNDS_REFUSALS, ids=" ".join
+)
+def test_top_of_bounds_refuses_fast(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert "cap" in err
+    assert "Traceback" not in err
+
+
 # --enumeration-cap and --truncation-ceiling stay in SAMPLE though no
 # command takes them: the bounds are fixed, so every command refuses them.
 TAKES = {

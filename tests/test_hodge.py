@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import cProfile
+import pstats
 from collections import Counter
 from fractions import Fraction
 
@@ -234,3 +236,23 @@ def test_verify_validation():
         verify([])
     with pytest.raises(DomainError):
         verify([1, 3])
+
+
+def test_tables_and_verify_build_no_fraction():
+    # Levels are carried as integer thirds; only the public Fraction
+    # views (entries, levels, p_multiset, counter) build one.
+    profiler = cProfile.Profile()
+    profiler.runcall(
+        lambda: (
+            verify(range(2, 41)),
+            [hodge_numbers(k) for k in range(2, 41)],
+            [g_levels(k, "tilde") for k in range(2, 41)],
+            [tilde_mid_hodge(k) for k in range(4, 41, 2)],
+        )
+    )
+    built = [
+        (path, name)
+        for path, _, name in pstats.Stats(profiler).stats
+        if path.endswith("fractions.py") and name == "__new__"
+    ]
+    assert built == []

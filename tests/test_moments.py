@@ -18,6 +18,27 @@ from airymoments.moments import (
     rho_preimage,
     s_nk,
 )
+from moments_reference import formal_decomposition_entries
+from moments_reference import s_nk as s_nk_reference
+
+PRIME_ORDERS = (2, 3, 5, 7, 11, 13)
+COMPOSITE_ORDERS = (4, 6, 8, 9, 10)
+#: Most compositions one example asks of the Fraction reference, about
+#: 0.1 s; every such k lies far inside moments.ENUMERATION_CAP.
+REFERENCE_BUDGET = 4000
+
+
+def _largest_k(n: int, budget: int = REFERENCE_BUDGET) -> int:
+    k = 0
+    while comb(n + k, k + 1) <= budget:
+        k += 1
+    return k
+
+
+def _orders_and_k(orders):
+    return st.sampled_from(orders).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, _largest_k(n)))
+    )
 
 
 def test_cyclotomic_small_indices():
@@ -41,6 +62,33 @@ def test_s_nk_frozen_values():
 @given(st.integers(0, 40))
 def test_s_2k_alternates(k):
     assert s_nk(2, k) == (1 if k % 2 == 0 else 0)
+
+
+@given(_orders_and_k(PRIME_ORDERS))
+@settings(max_examples=50, deadline=None)
+def test_s_nk_closed_form_matches_enumeration_at_prime_order(case):
+    n, k = case
+    assert s_nk(n, k) == s_nk_reference(n, k)
+
+
+@pytest.mark.parametrize("n, k", [(3, 9), (5, 5), (5, 10), (7, 7)])
+def test_s_nk_closed_form_counts_the_constant_relation(n, k):
+    assert s_nk(n, k) == s_nk_reference(n, k) == 1
+
+
+@given(_orders_and_k(COMPOSITE_ORDERS))
+@settings(max_examples=50, deadline=None)
+def test_s_nk_integer_count_matches_enumeration_at_composite_order(case):
+    n, k = case
+    assert s_nk(n, k) == s_nk_reference(n, k)
+
+
+def test_prime_order_still_enforces_the_cap():
+    # n = 3 has 4,504,501 compositions at k = 3000, inside the cap, and
+    # 12,507,501 at k = 5000, above it: the closed form keeps the cap.
+    assert s_nk(3, 3000) == 1
+    with pytest.raises(SizeLimitError, match="cap"):
+        s_nk(3, 5000)
 
 
 def test_s_nk_cap_enforced():
@@ -109,6 +157,19 @@ def test_formal_decomposition_total_mass(n, k):
     d = formal_decomposition(n, k)
     assert d.regular_rank + d.irregular_count == comb(n - 1 + k, k)
     assert d.regular_rank == s_nk(n, k)
+
+
+@given(
+    st.integers(2, 8).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, _largest_k(n, 1500)))
+    )
+)
+@settings(max_examples=50, deadline=None)
+def test_formal_decomposition_matches_reference_in_order(case):
+    n, k = case
+    assert formal_decomposition(n, k).entries == formal_decomposition_entries(
+        n, k
+    )
 
 
 @given(st.integers(1, 40))
