@@ -41,6 +41,10 @@ MAX_K = 10_000
 #: about 0.7 s at k = 4000 and 7 s at 8000 (2-vCPU VM), and from about
 #: k = 8200 on a coefficient has more digits than Python prints.
 MAX_MID_K = 4_000
+#: Largest accepted k for ``basis --space gm``: its brute-force
+#: certificate takes about 1 s at k = 80, 2 s at 100 and 28 s at 160
+#: (2-vCPU VM), so the time grows like k^5 or faster.
+MAX_GM_K = 80
 #: Longest accepted k literal, checked before ``int()``, which refuses
 #: literals from 4300 digits on.
 MAX_K_DIGITS = 100
@@ -290,9 +294,11 @@ def _verify(config: RunConfig):
             for r in failures
         ],
     }
+    by_k = {k: [] for k in sorted(set(config.k_values))}
+    for r in report.results:
+        by_k[r.k].append(r)
     lines = []
-    for k in sorted(set(config.k_values)):
-        k_results = [r for r in report.results if r.k == k]
+    for k, k_results in by_k.items():
         bad = [r for r in k_results if not r.passed]
         if bad:
             for r in bad:
@@ -453,14 +459,11 @@ def run(config: RunConfig) -> tuple[int, str]:
         raise SizeLimitError(
             f"{config.series_terms} series terms exceed the cap {MAX_SERIES_TERMS}"
         )
-    if (
-        config.command == "basis"
-        and config.space == "mid"
-        and max(config.k_values) > MAX_MID_K
-    ):
+    basis_cap = {"gm": MAX_GM_K, "mid": MAX_MID_K}.get(config.space, MAX_K)
+    if config.command == "basis" and max(config.k_values) > basis_cap:
         raise SizeLimitError(
-            f"k = {max(config.k_values)} is above the cap {MAX_MID_K} "
-            "for the middle basis"
+            f"k = {max(config.k_values)} is above the cap {basis_cap} "
+            f"for the {config.space} basis"
         )
     cache_path = _cache_path(config)
     if cache_path and os.path.exists(cache_path):

@@ -49,7 +49,8 @@ class ConnectionModule:
 
     ``partial`` describes d/dz on generators, untwisted: column j
     lists pairs (i, p) meaning that d/dz of generator j contains p(z)
-    times generator i.  The twist enters only through ``theta``.
+    times generator i.  The twist enters only through the brute-force
+    rows over the punctured line, which apply z d/dz + twist.
     """
 
     n: int
@@ -61,43 +62,6 @@ class ConnectionModule:
     @property
     def rank(self) -> int:
         return len(self.labels)
-
-    @property
-    def theta(self) -> tuple[Column, ...]:
-        """z d/dz + twist in the layout of ``partial``: each column
-        shifted up one degree, plus the twist on the diagonal."""
-        columns = []
-        for j, column in enumerate(self.partial):
-            terms = {i: p.shift(1) for i, p in column}
-            if self.twist:
-                terms[j] = terms.get(j, Polynomial()) + Polynomial.constant(
-                    self.twist
-                )
-            columns.append(tuple(sorted(terms.items())))
-        return tuple(columns)
-
-
-def build_airy(n: int) -> ConnectionModule:
-    """The order-n Airy-type connection: companion module of the
-    operator (d/dz)^n - z on generators v0..v(n-1), with
-    d/dz v_i = v_(i+1) and d/dz v_(n-1) = z v_0."""
-    if n < 2:
-        raise DomainError("connection order must be at least 2")
-    labels = tuple(f"v{i}" for i in range(n))
-    partial = []
-    for j in range(n):
-        if j < n - 1:
-            column = ((j + 1, Polynomial.constant(1)),)
-        else:
-            column = ((0, Polynomial.monomial(1)),)
-        partial.append(column)
-    return ConnectionModule(
-        n=n,
-        k=1,
-        twist=Fraction(0),
-        labels=labels,
-        partial=tuple(partial),
-    )
 
 
 def _symk_labels(n: int, exponents: tuple[tuple[int, ...], ...]) -> tuple[str, ...]:
@@ -114,6 +78,10 @@ def build_symk(n: int, k: int, twist: Fraction | int = 0) -> ConnectionModule:
     n = 2 the generator with exponent (k-j, j) is labelled u{j}.  The
     optional twist (only 0 or 1/2, and only for n = 2) shifts the Euler
     derivation, which is how the square-root line bundle twist acts.
+
+    k = 1 is the connection itself, the companion module of
+    (d/dz)^n - z: d/dz sends each generator to the next and the last
+    one to z times the first.
     """
     if n < 2:
         raise DomainError("connection order must be at least 2")
@@ -182,9 +150,6 @@ class ModuleElement:
     def is_zero(self) -> bool:
         return not self.coordinates
 
-    def max_degree(self) -> int:
-        return max((p.degree for _, p in self.coordinates), default=-1)
-
     def __add__(self, other: ModuleElement) -> ModuleElement:
         return ModuleElement(self.coordinates + other.coordinates)
 
@@ -246,17 +211,6 @@ class CohomologyBasis:
 
     def __len__(self) -> int:
         return len(self.classes)
-
-
-def residue(element: ModuleElement) -> dict[str, Fraction]:
-    """Residue at the origin of element * dz/z: the constant-term vector
-    in the fiber spanned by the generators."""
-    out = {}
-    for label, poly in element.coordinates:
-        c = poly.coefficient(0)
-        if c:
-            out[label] = c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -387,46 +341,55 @@ _STABLE_CACHE: dict[tuple, _StableImage] = {}
 
 def _derivation_terms(
     module: ConnectionModule, where: str
-) -> tuple[int, list[list[tuple[int, int, int]]]]:
-    """Static part of the derivation as (degree shift, target, coeff)
-    per generator, every coefficient multiplied by ``scale``, the lcm
-    of their denominators (2 under the half twist, else 1), so rows are
-    built in integers; the degree-dependent diagonal term is added by
-    the row builder.  Returns (scale, terms).
+) -> tuple[int, int, list[list[tuple[int, int, int]]]]:
+    """The ``partial`` columns as (degree shift, target, coeff) per
+    generator, every coefficient multiplied by ``scale``, the lcm of
+    their denominators and of the twist's (2 under the half twist, else
+    1), so rows are built in integers.  Over the punctured line every
+    term moves one degree up, since there the derivation is z d/dz.
+    Returns (scale, twist * scale, terms); the twist counts only over
+    the punctured line, and the row builder adds the diagonal.
 
     Scaling a row by a positive integer leaves the echelon unchanged,
     because insertion divides out the content of every row."""
-    columns = module.partial if where == "a1" else module.theta
+    twist = module.twist if where == "gm" else Fraction(0)
+    up = 1 if where == "gm" else 0
     scale = math.lcm(
-        *(c.denominator for column in columns
-          for _, poly in column for _, c in poly.terms)
+        twist.denominator,
+        *(c.denominator for column in module.partial
+          for _, poly in column for _, c in poly.terms),
     )
     out = [
         [
-            (m, i, c.numerator * (scale // c.denominator))
+            (m + up, i, c.numerator * (scale // c.denominator))
             for i, poly in column
             for m, c in poly.terms
         ]
-        for column in columns
+        for column in module.partial
     ]
-    return scale, out
+    return scale, twist.numerator * (scale // twist.denominator), out
 
 
 def _image_row(
     where: str,
     terms: list[tuple[int, int, int]],
     scale: int,
+    twist: int,
     d: int,
     j: int,
     gens: int,
     anchor: int,
 ) -> dict[int, int]:
     """Integer coordinate row of ``scale`` times the derivation applied
-    to z^d * g_j."""
+    to z^d * g_j: d/dz over the affine line, z d/dz + twist over the
+    punctured line, where ``twist`` is already times ``scale``."""
     row: dict[int, int] = {}
-    if d:
-        lowered = d - 1 if where == "a1" else d
-        row[(anchor - lowered) * gens + j] = d * scale
+    if where == "a1":
+        lowered, diagonal = d - 1, d * scale
+    else:
+        lowered, diagonal = d, d * scale + twist
+    if diagonal:
+        row[(anchor - lowered) * gens + j] = diagonal
     for m, i, c in terms:
         pos = (anchor - (d + m)) * gens + i
         row[pos] = row.get(pos, 0) + c
@@ -460,7 +423,7 @@ def _stable_image(module: ConnectionModule, where: str) -> _StableImage:
         return cached
     gens = module.rank
     anchor = TRUNCATION_CEILING + 2
-    scale, terms = _derivation_terms(module, where)
+    scale, twist, terms = _derivation_terms(module, where)
     echelon = _Echelon()
     processed = -1
     previous = None
@@ -472,7 +435,9 @@ def _stable_image(module: ConnectionModule, where: str) -> _StableImage:
             )
         for d in range(processed + 1, degree + 1):
             for j in range(gens):
-                row = _image_row(where, terms[j], scale, d, j, gens, anchor)
+                row = _image_row(
+                    where, terms[j], scale, twist, d, j, gens, anchor
+                )
                 if not echelon.insert(row):
                     raise InconsistencyError(
                         "derivation row reduced to zero: the derivation "

@@ -25,22 +25,11 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal ("5", "-7/3"); always in lowest terms."""
-    try:
-        value = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"not a rational literal: {text!r}") from exc
-    return value
-
-
 def _coerce(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
     raise DomainError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -89,12 +78,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, degree: int) -> Fraction:
-        for d, c in self.terms:
-            if d == degree:
-                return c
-        return Fraction(0)
-
     def leading_coefficient(self) -> Fraction:
         return self.terms[-1][1] if self.terms else Fraction(0)
 
@@ -137,19 +120,8 @@ class Polynomial:
     def __rmul__(self, other) -> Polynomial:
         return self.__mul__(other)
 
-    def shift(self, amount: int) -> Polynomial:
-        """Multiply by ``z**amount``."""
-        return Polynomial(tuple((d + amount, c) for d, c in self.terms))
-
     def derivative(self) -> Polynomial:
         return Polynomial(tuple((d - 1, c * d) for d, c in self.terms if d))
-
-    def __call__(self, point) -> Fraction:
-        x = _coerce(point)
-        total = Fraction(0)
-        for d, c in self.terms:
-            total += c * x**d
-        return total
 
     def __divmod__(self, other: Polynomial) -> tuple[Polynomial, Polynomial]:
         if not isinstance(other, Polynomial) or other.is_zero():
@@ -163,9 +135,6 @@ class Polynomial:
             quotient = quotient + step
             remainder = remainder - step * other
         return quotient, remainder
-
-    def __floordiv__(self, other: Polynomial) -> Polynomial:
-        return divmod(self, other)[0]
 
     def __mod__(self, other: Polynomial) -> Polynomial:
         return divmod(self, other)[1]

@@ -111,16 +111,12 @@ def hodge_numbers(k: int) -> tuple[HodgeTable, HodgeTable]:
 @dataclass(frozen=True)
 class GLevelMultiset:
     """Multiset of irregular filtration levels of a closed-form basis,
-    stored as ``thirds``, the pairs (3 * level, multiplicity); ``levels``
-    is the Fraction view of them."""
+    stored as ``thirds``, the pairs (3 * level, multiplicity);
+    ``counter`` is the Fraction view of them."""
 
     k: int
     which: str
     thirds: tuple[tuple[int, int], ...]
-
-    @property
-    def levels(self) -> tuple[tuple[Fraction, int], ...]:
-        return tuple((Fraction(t, 3), mult) for t, mult in self.thirds)
 
     def thirds_counter(self) -> Counter:
         return Counter(dict(self.thirds))

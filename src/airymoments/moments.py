@@ -160,10 +160,6 @@ class ExponentMultiset:
     regular_rank: int
     entries: tuple[tuple[tuple[Fraction, ...], int], ...]
 
-    @property
-    def irregular_count(self) -> int:
-        return sum(mult for _, mult in self.entries)
-
 
 def formal_decomposition(n: int, k: int) -> ExponentMultiset:
     """Multiset of formal exponents at infinity for the k-th symmetric

@@ -361,6 +361,7 @@ TOP_OF_BOUNDS_RETURNS = [
     (("dims", "--k", f"2..{TOP}"), 2),  # 0.15 s
     (("basis", "--k", TOP), 3),  # 0.2 s
     (("basis", "--space", "mid", "--k", str(cli.MAX_MID_K)), 6),  # 0.9 s
+    (("basis", "--space", "gm", "--k", str(cli.MAX_GM_K)), 6),  # 1.0 s
     (("gamma", "--k", TOP), 2),  # under 0.01 s
     (("hodge", "--k", TOP), 2),  # 0.03 s
     (("tilde", "--k", TOP), 2),  # 0.08 s
@@ -373,6 +374,8 @@ TOP_OF_BOUNDS_REFUSALS = [
     ("basis", "--space", "gm", "--k", TOP),
     ("basis", "--space", "gm", "--rho", "1/2", "--k", TOP),
     ("basis", "--space", "gm", "--k", "680"),
+    ("basis", "--space", "gm", "--k", str(cli.MAX_GM_K + 1)),
+    ("basis", "--space", "gm", "--rho", "1/2", "--k", str(cli.MAX_GM_K + 1)),
     ("basis", "--space", "mid", "--k", TOP),
     ("basis", "--space", "mid", "--k", "8400"),
     ("basis", "--space", "mid", "--k", str(cli.MAX_MID_K + 1)),

@@ -21,8 +21,9 @@ from airymoments.connection import (
     CohomologyBasis,
     ConnectionModule,
     ModuleElement,
+    _derivation_terms,
+    _image_row,
     _stable_image,
-    build_airy,
     build_symk,
     gm_cokernel_basis,
     h1_a1_basis,
@@ -31,7 +32,6 @@ from airymoments.connection import (
     omega_class,
     omega_level,
     reduce_to_basis,
-    residue,
 )
 
 HALF = Fraction(1, 2)
@@ -44,26 +44,25 @@ def _entry(columns, i: int, j: int) -> Polynomial:
 
 
 def test_airy_order_two_derivation():
-    m = build_airy(2)
-    assert m.labels == ("v0", "v1")
+    # Sym^1 is the connection itself: d/dz u0 = u1, d/dz u1 = z u0
+    m = build_symk(2, 1)
+    assert m.labels == ("u0", "u1")
     assert _entry(m.partial, 0, 0).is_zero()
     assert _entry(m.partial, 0, 1) == Z
     assert _entry(m.partial, 1, 0) == ONE
     assert _entry(m.partial, 1, 1).is_zero()
-    # z d/dz: every column shifted up one degree
-    assert _entry(m.theta, 1, 0) == Z
-    assert _entry(m.theta, 0, 1) == Z * Z
 
 
 def test_airy_general_order_wraps_with_z():
-    m = build_airy(4)
+    m = build_symk(4, 1)
+    assert m.labels == ("v(1,0,0,0)", "v(0,1,0,0)", "v(0,0,1,0)", "v(0,0,0,1)")
     assert _entry(m.partial, 1, 0) == ONE
     assert _entry(m.partial, 2, 1) == ONE
     assert _entry(m.partial, 3, 2) == ONE
     assert _entry(m.partial, 0, 3) == Z
     assert all(len(column) == 1 for column in m.partial)
     with pytest.raises(DomainError):
-        build_airy(1)
+        build_symk(1, 1)
 
 
 def test_symmetric_square_derivation():
@@ -75,16 +74,23 @@ def test_symmetric_square_derivation():
     assert _entry(m.partial, 0, 1) == Z
     assert _entry(m.partial, 1, 2) == 2 * Z
     assert _entry(m.partial, 0, 0).is_zero()
-    assert _entry(m.theta, 1, 2) == 2 * Z * Z
 
 
 def test_symmetric_power_half_twist_shifts_diagonal():
     m = build_symk(2, 2, HALF)
     assert m.partial == build_symk(2, 2).partial
-    for j, column in enumerate(m.theta):
-        assert dict(column)[j] == Polynomial.constant(HALF)
-    assert _entry(m.theta, 0, 0) == Polynomial.constant(HALF)
-    assert _entry(m.theta, 1, 0) == 2 * Z
+    # Over G_m the row of z^d g_j is 2 (z d/dz + 1/2) z^d g_j, so its
+    # diagonal is 2d + 1, and d/dz u0 = 2 u1 becomes 4 z^(d+1) u1.
+    scale, twist, terms = _derivation_terms(m, "gm")
+    assert (scale, twist) == (2, 1)
+    anchor, gens = 10, m.rank
+    for d in range(3):
+        for j in range(gens):
+            row = _image_row("gm", terms[j], scale, twist, d, j, gens, anchor)
+            assert row[(anchor - d) * gens + j] == 2 * d + 1
+        row = _image_row("gm", terms[0], scale, twist, d, 0, gens, anchor)
+        assert row[(anchor - d - 1) * gens + 1] == 4
+    assert _derivation_terms(m, "a1")[:2] == (1, 0)
 
 
 def test_build_symk_validation():
@@ -112,7 +118,8 @@ def test_bruteforce_dimensions_order_two():
     assert h1_dim_bruteforce(build_symk(2, 2), "a1")[0] == 0
     assert h1_dim_bruteforce(build_symk(2, 2), "gm")[0] == 3
     assert h1_dim_bruteforce(build_symk(2, 1), "gm")[0] == 3
-    assert h1_dim_bruteforce(build_airy(2), "a1")[0] == 1
+    # the Airy connection itself has H^1 of dimension 1
+    assert h1_dim_bruteforce(build_symk(2, 1), "a1")[0] == 1
 
 
 def test_bruteforce_reports_truncation_degree():
@@ -270,17 +277,6 @@ def test_gm_basis_shapes():
     assert len(twisted) == len(b4)
 
 
-def test_residues_of_gm_basis_span_the_fiber():
-    basis = gm_cokernel_basis(3)
-    by_label = []
-    for element in basis.classes:
-        res = residue(element)
-        if res:
-            by_label.append(res)
-    assert by_label == [{f"u{j}": Fraction(1)} for j in range(4)]
-    assert residue(monomial_element("u0", 2)) == {}
-
-
 def test_a1_basis_levels():
     basis = h1_a1_basis(3)
     assert [str(c) for c in basis.classes] == ["u0", "z*u0"]
@@ -332,16 +328,15 @@ def test_reduce_is_linear(a, b):
 
 
 def _exact_form(module, where, j, poly):
-    """The derivation applied to poly * g_j, read off the module's
+    """The derivation applied to poly * g_j, read off the ``partial``
     columns: d/dz on the affine line, z d/dz + twist on the punctured
-    line (the twist sits in the theta columns)."""
-    if where == "a1":
-        columns, own = module.partial, poly.derivative()
-    else:
-        columns, own = module.theta, poly.derivative().shift(1)
-    parts = [(module.labels[j], own)]
-    parts += [(module.labels[i], poly * p) for i, p in columns[j]]
-    return ModuleElement(tuple(parts))
+    line."""
+    own = poly.derivative()
+    parts = [(module.labels[i], poly * p) for i, p in module.partial[j]]
+    if where == "gm":
+        own = Z * own + module.twist * poly
+        parts = [(label, Z * p) for label, p in parts]
+    return ModuleElement(((module.labels[j], own), *parts))
 
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -422,4 +417,4 @@ def test_module_element_algebra():
     b = monomial_element("u0", 1)
     assert (a - 2 * b).is_zero()
     assert str(monomial_element("u1") + monomial_element("u0")) == "u0 + u1"
-    assert (Z * monomial_element("u0")).max_degree() == 1
+    assert str(Z * monomial_element("u0")) == "z*u0"

@@ -15,7 +15,6 @@ from airymoments.exact import (
     Z,
     compositions,
     format_rational,
-    parse_rational,
     polynomial_gcd,
 )
 
@@ -37,21 +36,15 @@ def test_format_rational_fraction():
     assert format_rational(Fraction(-7, 2)) == "-7/2"
 
 
-def test_parse_rational_rejects_garbage():
-    with pytest.raises(DomainError):
-        parse_rational("five")
-
-
 @given(rationals)
 def test_rational_round_trip(q):
-    assert parse_rational(format_rational(q)) == q
+    assert Fraction(format_rational(q)) == q
 
 
 def test_polynomial_basics():
     p = Polynomial.from_coefficients([1, 2, 1])
     assert p.degree == 2
-    assert p.coefficient(1) == 2
-    assert p(Fraction(1, 2)) == Fraction(9, 4)
+    assert p.coefficients() == [1, 2, 1]
     assert str(p) == "z^2 + 2*z + 1"
     q = Polynomial.from_coefficients([Fraction(-5, 6), -1, 0, Fraction(5, 6)])
     assert q.format("x") == "5/6*x^3 - x - 5/6"

@@ -89,16 +89,10 @@ def test_tables_satisfy_the_structural_rules(k):
 
 def test_g_level_multisets():
     plain5 = g_levels(5, "Ai")
-    assert plain5.levels == ((F(7, 3), 1), (F(3), 1), (F(11, 3), 1))
+    assert plain5.thirds == ((7, 1), (9, 1), (11, 1))
     twisted6 = g_levels(6, "L-twist")
-    assert twisted6.levels == (
-        (F(8, 3), 1),
-        (F(3), 1),
-        (F(10, 3), 2),
-        (F(11, 3), 1),
-        (F(4), 2),
-        (F(13, 3), 1),
-        (F(14, 3), 1),
+    assert twisted6.thirds == (
+        (8, 1), (9, 1), (10, 2), (11, 1), (12, 2), (13, 1), (14, 1),
     )
     union6 = g_levels(6, "tilde")
     assert union6.counter() == plain_plus_twist(6)

@@ -1,8 +1,12 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+public function and class of the package is reached.
 
-No linter runs on this package, so this scan with the standard
-library's ``ast`` is the check: an imported name that no expression
-reads and ``__all__`` does not export is reported with its line.
+No linter runs on this package, so these scans with the standard
+library's ``ast`` are the check: an imported name that no expression
+reads and ``__all__`` does not export is reported with its line, and
+so is a public module-level function or class that nothing names
+outside its own definition, in the package, the benchmark or the
+acceptance tests.
 """
 
 from __future__ import annotations
@@ -12,7 +16,14 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "airymoments"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "airymoments"
+#: Where a public name must be reached from.
+CALLERS = (
+    sorted(PACKAGE.glob("*.py"))
+    + sorted((ROOT / "bench").glob("*.py"))
+    + [ROOT / "tests" / "test_acceptance.py"]
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -52,3 +63,59 @@ def test_scan_reports_unused_names():
 )
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _names(node) -> set[str]:
+    """Every name read, attribute taken or imported under ``node``."""
+    out = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            out.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            out.add(child.attr)
+        elif isinstance(child, ast.alias):
+            out.add(child.name.rpartition(".")[2])
+    return out
+
+
+def unreached_names(defining: str, callers: dict[str, str]) -> list[str]:
+    """Public module-level functions and classes of ``defining`` (the
+    name of one of ``callers``, which maps a name to its source) that
+    no caller names outside their own definition."""
+    reached = set()
+    for name, source in callers.items():
+        for node in ast.parse(source).body:
+            found = _names(node)
+            if name == defining and isinstance(
+                node, (ast.FunctionDef, ast.ClassDef)
+            ):
+                found.discard(node.name)
+            reached |= found
+    return sorted(
+        node.name
+        for node in ast.parse(callers[defining]).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in reached
+    )
+
+
+def test_scan_reports_unreached_names():
+    callers = {
+        "lib": "def used():\n    pass\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n\n"
+        "class Orphan:\n    pass\n\n"
+        "def _private():\n    pass\n",
+        "app": "from lib import used\nused()\n",
+    }
+    assert unreached_names("lib", callers) == ["Orphan", "recursive"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name
+)
+def test_every_public_name_is_reached(path):
+    callers = {
+        str(caller): caller.read_text(encoding="utf-8") for caller in CALLERS
+    }
+    assert unreached_names(str(path), callers) == []

@@ -155,7 +155,8 @@ def test_formal_decomposition_order_two_square():
 @settings(deadline=None)
 def test_formal_decomposition_total_mass(n, k):
     d = formal_decomposition(n, k)
-    assert d.regular_rank + d.irregular_count == comb(n - 1 + k, k)
+    irregular = sum(mult for _, mult in d.entries)
+    assert d.regular_rank + irregular == comb(n - 1 + k, k)
     assert d.regular_rank == s_nk(n, k)
 
 
