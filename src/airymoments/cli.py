@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -105,7 +106,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parse tree, built on the first call and then reused by every
+    ``main`` call in the process.  Every option is suppressed when not
+    given, so a parse leaves nothing behind for the next one."""
     parser = _Parser(
         prog="airymoments",
         description=(
@@ -139,9 +144,10 @@ def config_from_args(args) -> RunConfig:
 
 class Command(NamedTuple):
     """One entry of ``COMMANDS``.  The handler maps a RunConfig to
-    (rows, JSON object, exit code, custom text or None); it looks
-    library functions up in this module when called, so tests can
-    replace them."""
+    (exit code, payload), and builds only the payload its format
+    prints: the JSON object for ``json``, otherwise the table rows, or
+    for ``text`` a finished report of its own.  It looks library
+    functions up in this module when called, so tests can replace them."""
 
     help: str
     options: tuple[str, ...]
@@ -150,27 +156,28 @@ class Command(NamedTuple):
 
 
 def _each_k(one_k):
-    """Handler from a per-k one, which maps (config, k) to (JSON object,
-    rows): the rows concatenate, and the JSON objects form a list, or
-    stay a bare object for one k."""
+    """Handler from a per-k one, which maps (config, k) to the JSON
+    object when the format is ``json`` and to rows otherwise: the rows
+    concatenate, and the JSON objects form a list, or stay a bare
+    object for one k."""
 
     def compute(config: RunConfig):
-        objs, rows = [], []
-        for k in config.k_values:
-            obj, k_rows = one_k(config, k)
-            objs.append(obj)
-            rows.extend(k_rows)
-        return rows, objs[0] if len(objs) == 1 else objs, 0, None
+        if config.format != "json":
+            return 0, [row for k in config.k_values for row in one_k(config, k)]
+        objs = [one_k(config, k) for k in config.k_values]
+        return 0, objs[0] if len(objs) == 1 else objs
 
     return compute
 
 
 def _dims(config: RunConfig, k: int):
     dims = h1_dims(config.n, k)
+    if config.format != "json":
+        return [[str(k), str(dims.all), str(dims.mid)]]
     obj = {"all": dims.all, "mid": dims.mid}
     if len(config.k_values) > 1:
         obj = {"k": k, **obj}
-    return obj, [[str(k), str(dims.all), str(dims.mid)]]
+    return obj
 
 
 def _element_json(element) -> dict:
@@ -196,40 +203,41 @@ def _basis(config: RunConfig, k: int):
         if basis.g_levels is None
         else [format_rational(level) for level in basis.g_levels]
     )
-    rows = [
-        [str(k), str(pos + 1), str(element), levels[pos] if levels else ""]
-        for pos, element in enumerate(basis.classes)
-    ]
     if config.format != "json":
-        # Dense coefficient lists of every class are costly at large k
-        # and only JSON prints them.
-        return None, rows
-    obj = {
+        return [
+            [str(k), str(pos + 1), str(element), levels[pos] if levels else ""]
+            for pos, element in enumerate(basis.classes)
+        ]
+    return {
         "k": k,
         "space": basis.space,
         "twist": format_rational(basis.twist),
         "classes": [_element_json(c) for c in basis.classes],
         "g_levels": levels,
     }
-    return obj, rows
 
 
 def _gamma(config: RunConfig, k: int):
     table = gamma(k, config.series_terms)
-    obj = {
+    if config.format != "json":
+        return [
+            [str(k), format_rational(table.offset + 3 * j), format_rational(value)]
+            for j, value in enumerate(table.values)
+        ]
+    return {
         "k": k,
         "offset": format_rational(table.offset),
         "values": [format_rational(v) for v in table.values],
     }
-    rows = [
-        [str(k), format_rational(table.offset + 3 * j), format_rational(value)]
-        for j, value in enumerate(table.values)
-    ]
-    return obj, rows
 
 
-def _table_payload(table, k: int):
-    obj = {
+def _table_payload(config: RunConfig, table, k: int):
+    if config.format != "json":
+        return [
+            [str(k), format_thirds(p), format_thirds(q), str(h)]
+            for p, q, h in table.thirds
+        ]
+    return {
         "k": k,
         "family": table.family,
         "weight": table.weight,
@@ -238,27 +246,23 @@ def _table_payload(table, k: int):
             for p, q, h in table.thirds
         ],
     }
-    rows = [
-        [str(k), format_thirds(p), format_thirds(q), str(h)]
-        for p, q, h in table.thirds
-    ]
-    return obj, rows
 
 
 def _decomp(config: RunConfig, k: int):
     decomposition = formal_decomposition(config.n, k)
-    obj = {
-        "n": config.n,
-        "k": k,
-        "regular_rank": decomposition.regular_rank,
-        "exponents": [
-            {
-                "coefficients": [format_rational(c) for c in coeffs],
-                "multiplicity": mult,
-            }
-            for coeffs, mult in decomposition.entries
-        ],
-    }
+    if config.format == "json":
+        return {
+            "n": config.n,
+            "k": k,
+            "regular_rank": decomposition.regular_rank,
+            "exponents": [
+                {
+                    "coefficients": [format_rational(c) for c in coeffs],
+                    "multiplicity": mult,
+                }
+                for coeffs, mult in decomposition.entries
+            ],
+        }
     rows = []
     if decomposition.regular_rank:
         rows.append(
@@ -273,27 +277,11 @@ def _decomp(config: RunConfig, k: int):
                 str(mult),
             ]
         )
-    return obj, rows
+    return rows
 
 
-def _verify(config: RunConfig):
-    """The verifier over the whole range, with its own text report and
-    exit code 2 when a check fails."""
-    report = verify(config.k_values)
-    rows = [
-        [str(r.k), r.check, "yes" if r.passed else "NO", r.expected, r.got]
-        for r in report.results
-    ]
-    failures = report.failures()
-    obj = {
-        "k": list(config.k_values),
-        "passed": report.passed,
-        "checks": len(report.results),
-        "failures": [
-            {"k": r.k, "check": r.check, "expected": r.expected, "got": r.got}
-            for r in failures
-        ],
-    }
+def _verify_text(config: RunConfig, report) -> str:
+    """One line per k, or per failed check of a k, then a summary."""
     by_k = {k: [] for k in sorted(set(config.k_values))}
     for r in report.results:
         by_k[r.k].append(r)
@@ -311,9 +299,32 @@ def _verify(config: RunConfig):
     lines.append(
         "all passed"
         if report.passed
-        else f"{len(failures)} of {len(report.results)} checks failed"
+        else f"{len(report.failures())} of {len(report.results)} checks failed"
     )
-    return rows, obj, 0 if report.passed else 2, "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def _verify(config: RunConfig):
+    """The verifier over the whole range, with its own text report and
+    exit code 2 when a check fails."""
+    report = verify(config.k_values)
+    exit_code = 0 if report.passed else 2
+    if config.format == "json":
+        return exit_code, {
+            "k": list(config.k_values),
+            "passed": report.passed,
+            "checks": len(report.results),
+            "failures": [
+                {"k": r.k, "check": r.check, "expected": r.expected, "got": r.got}
+                for r in report.failures()
+            ],
+        }
+    if config.format == "text":
+        return exit_code, _verify_text(config, report)
+    return exit_code, [
+        [str(r.k), r.check, "yes" if r.passed else "NO", r.expected, r.got]
+        for r in report.results
+    ]
 
 
 #: ``add_argument`` keywords of every option beyond the shared ones.
@@ -348,13 +359,17 @@ COMMANDS = {
         "Hodge-number table",
         (),
         ("k", "p", "q", "h"),
-        _each_k(lambda config, k: _table_payload(hodge_numbers(k)[0], k)),
+        _each_k(
+            lambda config, k: _table_payload(config, hodge_numbers(k)[0], k)
+        ),
     ),
     "tilde": Command(
         "graded table of the extended family (even k >= 4)",
         (),
         ("k", "p", "q", "h"),
-        _each_k(lambda config, k: _table_payload(tilde_mid_hodge(k), k)),
+        _each_k(
+            lambda config, k: _table_payload(config, tilde_mid_hodge(k), k)
+        ),
     ),
     "decomp": Command(
         "formal exponents at infinity",
@@ -372,20 +387,11 @@ COMMANDS = {
 
 
 def _format_text(headers, rows) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()
-    ]
-    for row in rows:
-        lines.append(
-            "  ".join(
-                cell.ljust(widths[i]) for i, cell in enumerate(row)
-            ).rstrip()
-        )
-    return "\n".join(lines) + "\n"
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    return "".join(
+        "  ".join(map(str.ljust, row, widths)).rstrip() + "\n"
+        for row in (headers, *rows)
+    )
 
 
 def _format_csv(headers, rows) -> str:
@@ -406,6 +412,13 @@ def _format_latex(headers, rows) -> str:
         lines.append(" & ".join(row) + " \\\\")
     lines.append("\\end{tabular}")
     return "\n".join(lines) + "\n"
+
+
+_TABLE_FORMATS = {
+    "text": _format_text,
+    "csv": _format_csv,
+    "latex": _format_latex,
+}
 
 
 def cache_key(config: RunConfig) -> str:
@@ -469,24 +482,21 @@ def run(config: RunConfig) -> tuple[int, str]:
     if cache_path and os.path.exists(cache_path):
         with open(cache_path, "r", encoding="utf-8") as handle:
             return 0, handle.read()
-    rows, obj, exit_code, custom_text = command.handler(config)
+    exit_code, payload = command.handler(config)
     if config.format == "json":
-        document = json.dumps(obj, separators=(",", ":")) + "\n"
-    elif config.format == "csv":
-        document = _format_csv(command.headers, rows)
-    elif config.format == "latex":
-        document = _format_latex(command.headers, rows)
+        document = json.dumps(payload, separators=(",", ":")) + "\n"
+    elif isinstance(payload, str):  # the command's own text report
+        document = payload
     else:
-        document = custom_text or _format_text(command.headers, rows)
+        document = _TABLE_FORMATS[config.format](command.headers, payload)
     if cache_path and exit_code == 0:
         _write_atomically(cache_path, document)
     return exit_code, document
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:

@@ -10,6 +10,7 @@ order and on the number of compositions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -74,19 +75,32 @@ def _is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, n))
 
 
-def _exponent_sums(n: int, k: int):
-    """Yield, for every composition a of k into n parts, the integer
-    coefficient vector of sum(a[i] * x**i) mod the n-th cyclotomic."""
-    residues = _power_residues(n)
-    width = len(residues[0])
-    rows = [[(pos, c) for pos, c in enumerate(row) if c] for row in residues]
-    for a in compositions(n, k):
+def _weighted_sums(rows, width: int, total: int):
+    """Yield, for every composition a of ``total`` into len(rows) parts,
+    the integer vector sum(a[i] * rows[i]), each row given sparsely as
+    (position, coefficient) pairs."""
+    for a in compositions(len(rows), total):
         acc = [0] * width
         for weight, row in zip(a, rows):
             if weight:
                 for pos, c in row:
                     acc[pos] += weight * c
         yield acc
+
+
+def _sparse_residues(n: int):
+    """The residues of x^i mod the n-th cyclotomic, i < n, as sparse
+    rows, with their dense width."""
+    residues = _power_residues(n)
+    rows = [[(pos, c) for pos, c in enumerate(row) if c] for row in residues]
+    return rows, len(residues[0])
+
+
+def _exponent_sums(n: int, k: int):
+    """Yield, for every composition a of k into n parts, the integer
+    coefficient vector of sum(a[i] * x**i) mod the n-th cyclotomic."""
+    rows, width = _sparse_residues(n)
+    return _weighted_sums(rows, width, k)
 
 
 def s_nk(n: int, k: int) -> int:
@@ -97,7 +111,11 @@ def s_nk(n: int, k: int) -> int:
     polynomial; this counts the rank of the regular part at infinity of
     the k-th symmetric power.  For prime n the integer relations among
     1, x, ..., x^(n-1) are the multiples of their sum, so the count is
-    1 when n divides k and 0 otherwise; other orders enumerate.
+    1 when n divides k and 0 otherwise.  Other orders count by meet in
+    the middle (Horowitz and Sahni 1974): the n parts split into two
+    halves, and for each share t of k taken by the first half, the sums
+    of the first half are tallied and looked up, negated, from the sums
+    of the second half, which takes k - t.
     """
     if n < 2:
         raise DomainError("need at least two parts")
@@ -106,7 +124,14 @@ def s_nk(n: int, k: int) -> int:
     _check_cap(n, k)
     if _is_prime(n):
         return 1 if k % n == 0 else 0
-    return sum(1 for acc in _exponent_sums(n, k) if not any(acc))
+    rows, width = _sparse_residues(n)
+    low, high = rows[: n // 2], rows[n // 2 :]
+    count = 0
+    for t in range(k + 1):
+        left = Counter(tuple(acc) for acc in _weighted_sums(low, width, t))
+        for acc in _weighted_sums(high, width, k - t):
+            count += left.get(tuple(-c for c in acc), 0)
+    return count
 
 
 class H1Dims(NamedTuple):
@@ -167,7 +192,7 @@ def formal_decomposition(n: int, k: int) -> ExponentMultiset:
 
     Composition a contributes the exponent -n/(n+1) * sum(a[i] * x**i)
     reduced mod the n-th cyclotomic polynomial; the zero exponents are
-    the regular part, of rank s_nk.
+    the regular part, of rank s_nk, which is counted a second way.
     """
     if n < 2:
         raise DomainError("connection order must be at least 2")

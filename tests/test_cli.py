@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import contextlib
+import csv
+import io
 import json
 import os
 import re
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airymoments.errors import InconsistencyError, SizeLimitError
 from airymoments.cli import main, parse_k_range
+from airymoments.hodge import hodge_numbers, tilde_mid_hodge
 from airymoments import cli, moments
 
 
@@ -456,3 +463,168 @@ def test_help_lists_every_command(capsys):
     assert code == 0
     listed = re.search(r"\{([a-z,]+)\}", out).group(1)
     assert listed.split(",") == list(TAKES)
+
+
+#: Each call that gives an option is followed by one that does not; a
+#: usage error (hodge takes no --n) and --help are followed by plain
+#: calls too.
+SEQUENCE = (
+    ("basis", "--k", "4", "--space", "gm", "--rho", "1/2"),
+    ("basis", "--k", "4"),
+    ("dims", "--k", "6", "--n", "3"),
+    ("dims", "--k", "6"),
+    ("hodge", "--k", "5", "--format", "json"),
+    ("hodge", "--k", "5"),
+    ("hodge", "--k", "5", "--n", "3"),
+    ("hodge", "--k", "5"),
+    ("--help",),
+    ("dims", "--k", "6"),
+)
+
+
+def test_one_parse_tree_serves_every_call(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    for argv in SEQUENCE:
+        run_cli(capsys, *argv)
+    # One tree is the root parser and one subparser per command.
+    assert len(built) <= 1 + len(cli.COMMANDS)
+    assert cli.build_parser() is cli.build_parser()
+
+
+def _calls(capsys):
+    """(RunConfig or exit code of the parse, main's result) per call of
+    SEQUENCE, in order, in this process."""
+    results = []
+    for argv in SEQUENCE:
+        try:
+            parsed = cli.config_from_args(
+                cli.build_parser().parse_args(list(argv))
+            )
+        except SystemExit as exc:
+            parsed = exc.code
+        capsys.readouterr()
+        results.append((parsed, run_cli(capsys, *argv)))
+    return results
+
+
+def test_calls_leave_nothing_behind(capsys, monkeypatch):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    shared = _calls(capsys)
+    # The same calls, each with a parse tree of its own.
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    alone = _calls(capsys)
+    assert shared == alone
+    assert [parsed for parsed, _ in shared[:2]] == [
+        cli.RunConfig("basis", (4,), space="gm", twist="1/2"),
+        cli.RunConfig("basis", (4,)),
+    ]
+    assert shared[3][0] == cli.RunConfig("dims", (6,))
+    assert shared[5][0] == cli.RunConfig("hodge", (5,))
+    assert [code for _, (code, _, _) in shared[6:9]] == [64, 0, 0]
+    assert shared[8][0] == 0
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(cli, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize(
+    "argv, table",
+    [
+        (("hodge", "--k", "2..60"), lambda k: hodge_numbers(k)[0]),
+        (("tilde", "--k", "4..60", "--parity", "even"), tilde_mid_hodge),
+    ],
+)
+def test_tables_format_each_level_once(capsys, monkeypatch, argv, table, fmt):
+    calls = _counting(monkeypatch, "format_thirds")
+    code, _, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    config = cli.config_from_args(cli.build_parser().parse_args(list(argv)))
+    entries = sum(len(table(k).thirds) for k in config.k_values)
+    assert len(calls) == 2 * entries
+
+
+@pytest.mark.parametrize("fmt, per_value, once", [
+    ("text", 2, 0), ("csv", 2, 0), ("json", 1, 1),
+])
+def test_gamma_formats_each_value_once(capsys, monkeypatch, fmt, per_value, once):
+    calls = _counting(monkeypatch, "format_rational")
+    argv = ("gamma", "--k", "8", "--series-terms", "20", "--format", fmt)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert len(calls) == 20 * per_value + once
+
+
+def _output(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    assert code == 0
+    return out.getvalue()
+
+
+def _three_views(*argv):
+    """Rows of the text, CSV and JSON outputs of one command, headers
+    dropped."""
+    text = [line.split() for line in _output(*argv).splitlines()[1:]]
+    rows = list(csv.reader(io.StringIO(_output(*argv, "--format", "csv"))))
+    return text, rows[1:], json.loads(_output(*argv, "--format", "json"))
+
+
+@given(st.sampled_from(["hodge", "tilde"]), st.integers(2, 40))
+@settings(max_examples=20, deadline=None)
+def test_table_formats_hold_the_same_entries(command, half_k):
+    k = 2 * half_k if command == "tilde" else half_k + 1
+    text, rows, obj = _three_views(command, "--k", str(k))
+    assert obj["k"] == k
+    entries = [
+        [str(k), entry["p"], entry["q"], str(entry["h"])]
+        for entry in obj["entries"]
+    ]
+    assert entries and text == rows == entries
+
+
+@given(st.integers(1, 100))
+@settings(max_examples=10, deadline=None)
+def test_gamma_formats_hold_the_same_values(half_k):
+    k = 2 * half_k
+    text, rows, obj = _three_views(
+        "gamma", "--k", str(k), "--series-terms", "6"
+    )
+    offset = Fraction(obj["offset"])
+    values = [
+        [str(k), Fraction(offset + 3 * j), Fraction(value)]
+        for j, value in enumerate(obj["values"])
+    ]
+    assert len(values) == 6
+    for view in (text, rows):
+        assert [[kk, Fraction(e), Fraction(v)] for kk, e, v in view] == values
+
+
+@given(st.integers(2, 200))
+@settings(max_examples=10, deadline=None)
+def test_verify_formats_hold_the_same_checks(k):
+    argv = ("verify", "--k", str(k))
+    report = _output(*argv)
+    rows = list(csv.reader(io.StringIO(_output(*argv, "--format", "csv"))))
+    obj = json.loads(_output(*argv, "--format", "json"))
+    assert obj == {"k": [k], "passed": True, "checks": obj["checks"],
+                   "failures": []}
+    assert rows[1:] and all(row[:1] == [str(k)] for row in rows[1:])
+    assert [row[2] for row in rows[1:]] == ["yes"] * obj["checks"]
+    assert report == f"k={k}: {obj['checks']} checks passed\nall passed\n"

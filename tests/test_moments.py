@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airymoments.errors import DomainError, SizeLimitError
+from airymoments import moments
+from airymoments.errors import DomainError, InconsistencyError, SizeLimitError
 from airymoments.exact import Polynomial
 from airymoments.moments import (
     MAX_ORDER,
@@ -35,9 +36,9 @@ def _largest_k(n: int, budget: int = REFERENCE_BUDGET) -> int:
     return k
 
 
-def _orders_and_k(orders):
+def _orders_and_k(orders, budget: int = REFERENCE_BUDGET):
     return st.sampled_from(orders).flatmap(
-        lambda n: st.tuples(st.just(n), st.integers(0, _largest_k(n)))
+        lambda n: st.tuples(st.just(n), st.integers(0, _largest_k(n, budget)))
     )
 
 
@@ -81,6 +82,21 @@ def test_s_nk_closed_form_counts_the_constant_relation(n, k):
 def test_s_nk_integer_count_matches_enumeration_at_composite_order(case):
     n, k = case
     assert s_nk(n, k) == s_nk_reference(n, k)
+
+
+@given(_orders_and_k(COMPOSITE_ORDERS + (12, 14, 15, 16), budget=20000))
+@settings(max_examples=50, deadline=None)
+def test_meet_in_the_middle_matches_a_direct_zero_count(case):
+    n, k = case
+    direct = sum(1 for acc in moments._exponent_sums(n, k) if not any(acc))
+    assert s_nk(n, k) == direct
+
+
+def test_regular_rank_check_sees_a_wrong_count(monkeypatch):
+    count = s_nk(6, 20)
+    monkeypatch.setattr(moments, "s_nk", lambda n, k: count + 1)
+    with pytest.raises(InconsistencyError, match="regular rank"):
+        formal_decomposition(6, 20)
 
 
 def test_prime_order_still_enforces_the_cap():
