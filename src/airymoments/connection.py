@@ -29,7 +29,7 @@ from .errors import (
     SizeLimitError,
     StabilityError,
 )
-from .exact import Polynomial, binomial, compositions
+from .exact import Polynomial, compositions
 
 HALF = Fraction(1, 2)
 
@@ -92,7 +92,7 @@ def build_symk(n: int, k: int, twist: Fraction | int = 0) -> ConnectionModule:
         raise DomainError("twist must be 0 or 1/2")
     if twist and n != 2:
         raise DomainError("the half twist is only defined for order 2")
-    rank = binomial(n - 1 + k, k)
+    rank = math.comb(n - 1 + k, k)
     if rank > SIZE_CAP:
         raise SizeLimitError(
             f"symmetric power has {rank} generators, above the cap {SIZE_CAP}"
@@ -236,37 +236,40 @@ class _Echelon:
     makes it unique.  Its content is divided out once, when it is
     stored: an elimination step only scales the working row by a
     positive rational, so skipping the division in between meets the
-    same pivots and stores the same rows.  ``normal_form`` is
-    fraction-free as well: it carries an integer vector and one positive
-    common denominator, and makes a ``Fraction`` only for the entries it
-    returns.
+    same pivots and stores the same rows.  Vectors are carried as
+    (scale, integer vector), standing for the integer vector divided by
+    the positive integer scale.
     """
 
     def __init__(self):
         self.rows: dict[int, dict[int, int]] = {}
 
-    def insert(self, row: dict[int, int]) -> bool:
-        """Reduce ``row`` against the current rows and store what is
-        left; returns False when the row reduced to zero."""
+    def _reduce(
+        self, row: dict[int, int], done: dict[int, int]
+    ) -> tuple[int | None, int]:
+        """Eliminate the leads of ``row`` that have a pivot, in place.
+
+        An elimination step at a pivot with leading entry a multiplies
+        ``row`` and ``done`` by a/g.  Returns the first lead with no
+        pivot, or None when ``row`` reduced to zero, and the product of
+        these factors."""
         rows = self.rows
+        scale = 1
         while row:
             lead = min(row)
             pivot = rows.get(lead)
             if pivot is None:
-                g = math.gcd(*row.values())
-                if row[lead] < 0:
-                    g = -g
-                if g != 1:
-                    row = {pos: value // g for pos, value in row.items()}
-                rows[lead] = row
-                return True
+                return lead, scale
             a = pivot[lead]
             b = row.pop(lead)
             g = math.gcd(a, b)
             ma, mb = a // g, b // g
             if ma != 1:
+                scale *= ma
                 for pos in row:
                     row[pos] *= ma
+                for pos in done:
+                    done[pos] *= ma
             for pos, value in pivot.items():
                 if pos == lead:
                     continue
@@ -275,53 +278,39 @@ class _Echelon:
                     row[pos] = updated
                 else:
                     row.pop(pos, None)
-        return False
+        return None, scale
 
-    def normal_form(self, vector: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Fully reduce a rational vector against the stored rows; the
-        result is zero exactly when the vector lies in the row space.
+    def insert(self, row: dict[int, int]) -> bool:
+        """Reduce ``row`` against the current rows and store what is
+        left; returns False when the row reduced to zero."""
+        lead, _ = self._reduce(row, {})
+        if lead is None:
+            return False
+        g = math.gcd(*row.values())
+        if row[lead] < 0:
+            g = -g
+        if g != 1:
+            row = {pos: value // g for pos, value in row.items()}
+        self.rows[lead] = row
+        return True
 
-        The work is the vector times ``scale``, a positive integer that
-        grows by a/g at a pivot with leading entry a."""
-        rows = self.rows
-        scale, work = _cleared(vector)
-        out: dict[int, Fraction] = {}
-        while work:
-            pos = min(work)
-            value = work.pop(pos)
-            pivot = rows.get(pos)
-            if pivot is None:
-                out[pos] = Fraction(value, scale)
-                continue
-            a = pivot[pos]
-            g = math.gcd(a, value)
-            ma, mb = a // g, value // g
-            if ma != 1:
-                scale *= ma
-                for q in work:
-                    work[q] *= ma
-            for q, v in pivot.items():
-                if q == pos:
-                    continue
-                updated = work.get(q, 0) - mb * v
-                if updated:
-                    work[q] = updated
-                else:
-                    work.pop(q, None)
-        return out
+    def normal_form(
+        self, vector: tuple[int, dict[int, int]]
+    ) -> tuple[int, dict[int, int]]:
+        """Fully reduce a (scale, integer vector) against the stored
+        rows; the result is zero exactly when the vector lies in the
+        row space."""
+        scale, work = vector[0], dict(vector[1])
+        out: dict[int, int] = {}
+        while True:
+            lead, factor = self._reduce(work, out)
+            scale *= factor
+            if lead is None:
+                return scale, out
+            out[lead] = work.pop(lead)
 
     def pivots_at_or_above(self, threshold: int) -> int:
         return sum(1 for lead in self.rows if lead >= threshold)
-
-
-def _cleared(vector: dict[int, Fraction]) -> tuple[int, dict[int, int]]:
-    """(scale, the rational vector times scale), where scale is the lcm
-    of its denominators."""
-    scale = math.lcm(*(v.denominator for v in vector.values()))
-    return scale, {
-        pos: v.numerator * (scale // v.denominator)
-        for pos, v in vector.items()
-    }
 
 
 @dataclass
@@ -410,14 +399,11 @@ def _first_truncation(k: int) -> int:
 
 
 def _stable_image(module: ConnectionModule, where: str) -> _StableImage:
-    import hashlib  # imported here: only brute-force runs pay for it
-
     degree = _first_truncation(module.k)
     # Keyed on the derivation itself, plus k for the first truncation:
     # two modules with equal (n, k) but different columns must not
     # share an echelon.
-    digest = hashlib.sha256(repr(module.partial).encode("utf-8")).hexdigest()
-    key = (digest, module.k, module.twist, where)
+    key = (module.partial, module.k, module.twist, where)
     cached = _STABLE_CACHE.get(key)
     if cached is not None:
         return cached
@@ -483,7 +469,9 @@ def _element_ids(
     element: ModuleElement,
     module: ConnectionModule,
     state: _StableImage,
-) -> dict[int, Fraction]:
+) -> tuple[int, dict[int, int]]:
+    """(scale, ids): the element's coordinates times ``scale``, the lcm
+    of their denominators."""
     index = {label: i for i, label in enumerate(module.labels)}
     out: dict[int, Fraction] = {}
     for label, poly in element.coordinates:
@@ -497,12 +485,15 @@ def _element_ids(
                     f"{state.window}"
                 )
             out[(state.anchor - d) * state.gens + i] = c
-    return out
+    scale = math.lcm(*(c.denominator for c in out.values()))
+    return scale, {
+        pos: c.numerator * (scale // c.denominator) for pos, c in out.items()
+    }
 
 
 def _normal_forms(
     classes, module: ConnectionModule, where: str
-) -> tuple[_StableImage, list[dict[int, Fraction]]]:
+) -> tuple[_StableImage, list[tuple[int, dict[int, int]]]]:
     state = _stable_image(module, where)
     return state, [
         state.echelon.normal_form(_element_ids(c, module, state))
@@ -535,7 +526,7 @@ def gm_cokernel_basis(k: int, twist: Fraction | int = 0) -> CohomologyBasis:
         )
     _, forms = _normal_forms(classes, module, "gm")
     independent = _Echelon()
-    if not all(independent.insert(_cleared(form)[1]) for form in forms):
+    if not all(independent.insert(form) for _, form in forms):
         raise InconsistencyError(
             f"closed-form classes are dependent in cohomology (k={k}, "
             f"twist={module.twist})"
@@ -596,9 +587,10 @@ def reduce_to_basis(
 
     Works inside the stabilised brute-force quotient: the element and
     the basis classes are reduced to normal form against the image of
-    the derivation.  Each class form i is then inserted into a fresh
-    echelon together with a tag coordinate, an id past every monomial,
-    so the target reduces to minus its coordinates on the tags.
+    the derivation.  Each class form i, the integer vector ints_i over
+    its scale s_i, is then inserted into a fresh echelon as ints_i plus
+    s_i on a tag coordinate, an id past every monomial, so the target
+    reduces to minus its coordinates on the tags.
     Raises InconsistencyError when the element lies outside the span of
     the basis classes or the classes are dependent.
     """
@@ -609,21 +601,17 @@ def reduce_to_basis(
         list(basis.classes) + [element], module, where
     )
     target = forms.pop()
-    if not forms:
-        if target:
-            raise InconsistencyError(
-                "element is nonzero in cohomology but the basis is empty"
-            )
-        return ()
     tag = (state.anchor + 1) * state.gens
     solver = _Echelon()
-    for i, form in enumerate(forms):
-        solver.insert(_cleared({**form, tag + i: Fraction(1)})[1])
-    residual = solver.normal_form(target)
+    for i, (form_scale, form) in enumerate(forms):
+        solver.insert({**form, tag + i: form_scale})
+    scale, residual = solver.normal_form(target)
     if any(pos < tag for pos in residual):
         raise InconsistencyError(
             "element does not lie in the span of the basis classes"
         )
     if any(lead >= tag for lead in solver.rows):
         raise InconsistencyError("basis classes are dependent in cohomology")
-    return tuple(-residual.get(tag + i, Fraction(0)) for i in range(len(forms)))
+    return tuple(
+        Fraction(-residual.get(tag + i, 0), scale) for i in range(len(forms))
+    )

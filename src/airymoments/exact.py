@@ -11,7 +11,6 @@ in one place, the integer echelon of :mod:`airymoments.connection`.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -207,12 +206,6 @@ class OffsetSeries:
 
     def __len__(self) -> int:
         return len(self.coefficients)
-
-
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def compositions(parts: int, total: int):

@@ -10,6 +10,7 @@ order and on the number of compositions.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +18,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DomainError, InconsistencyError, SizeLimitError
-from .exact import Polynomial, binomial, compositions
+from .exact import Polynomial, compositions
 
 #: Most compositions an enumeration may visit.
 ENUMERATION_CAP = 10**7
@@ -41,29 +42,30 @@ def cyclotomic(n: int) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
-def _power_residues(n: int) -> tuple[tuple[int, ...], ...]:
-    """Dense coefficient vectors of x^i mod the n-th cyclotomic, i < n.
+def _power_residues(n: int):
+    """The residues of x^i mod the n-th cyclotomic, i < n, as sparse
+    rows of (position, coefficient) pairs, with their dense width.
 
     The cyclotomic polynomial is monic in Z[x], so every residue has
     integer coefficients."""
     phi = cyclotomic(n)
-    width = phi.degree
-    table = []
+    rows = []
     for i in range(n):
-        dense = (Polynomial.monomial(i) % phi).coefficients()
-        if any(c.denominator != 1 for c in dense):
+        terms = (Polynomial.monomial(i) % phi).terms
+        if any(c.denominator != 1 for _, c in terms):
             raise InconsistencyError(
                 f"x^{i} mod the {n}-th cyclotomic is not integral"
             )
-        dense = [int(c) for c in dense] + [0] * (width - len(dense))
-        table.append(tuple(dense))
-    return tuple(table)
+        rows.append(tuple((pos, int(c)) for pos, c in terms))
+    return tuple(rows), phi.degree
 
 
-def _check_cap(n: int, k: int) -> None:
+def _check_order(n: int) -> None:
     if n > MAX_ORDER:
         raise SizeLimitError(f"order {n} is above the cap {MAX_ORDER}")
-    count = binomial(n - 1 + k, k)
+
+
+def _check_visits(count: int) -> None:
     if count > ENUMERATION_CAP:
         raise SizeLimitError(
             f"enumerating {count} compositions exceeds the cap "
@@ -88,21 +90,6 @@ def _weighted_sums(rows, width: int, total: int):
         yield acc
 
 
-def _sparse_residues(n: int):
-    """The residues of x^i mod the n-th cyclotomic, i < n, as sparse
-    rows, with their dense width."""
-    residues = _power_residues(n)
-    rows = [[(pos, c) for pos, c in enumerate(row) if c] for row in residues]
-    return rows, len(residues[0])
-
-
-def _exponent_sums(n: int, k: int):
-    """Yield, for every composition a of k into n parts, the integer
-    coefficient vector of sum(a[i] * x**i) mod the n-th cyclotomic."""
-    rows, width = _sparse_residues(n)
-    return _weighted_sums(rows, width, k)
-
-
 def s_nk(n: int, k: int) -> int:
     """Number of compositions a of k into n parts whose weighted power sum
     vanishes in the n-th cyclotomic field.
@@ -115,17 +102,21 @@ def s_nk(n: int, k: int) -> int:
     the middle (Horowitz and Sahni 1974): the n parts split into two
     halves, and for each share t of k taken by the first half, the sums
     of the first half are tallied and looked up, negated, from the sums
-    of the second half, which takes k - t.
+    of the second half, which takes k - t.  Over all t the halves visit
+    binom(n//2 + k, k) + binom(n - n//2 + k, k) sums, and that is what
+    the enumeration cap bounds.
     """
     if n < 2:
         raise DomainError("need at least two parts")
     if k < 0:
         raise DomainError("total must be nonnegative")
-    _check_cap(n, k)
+    _check_order(n)
     if _is_prime(n):
         return 1 if k % n == 0 else 0
-    rows, width = _sparse_residues(n)
-    low, high = rows[: n // 2], rows[n // 2 :]
+    half = n // 2
+    _check_visits(math.comb(half + k, k) + math.comb(n - half + k, k))
+    rows, width = _power_residues(n)
+    low, high = rows[:half], rows[half:]
     count = 0
     for t in range(k + 1):
         left = Counter(tuple(acc) for acc in _weighted_sums(low, width, t))
@@ -154,7 +145,7 @@ def h1_dims(n: int, k: int) -> H1Dims:
     if k < 1:
         raise DomainError("symmetric power must be at least 1")
     s = s_nk(n, k)
-    numerator = binomial(k + n - 1, k) - (n + 1) * s
+    numerator = math.comb(k + n - 1, k) - (n + 1) * s
     dim_all, remainder = divmod(numerator, n)
     if remainder:
         raise InconsistencyError(
@@ -198,10 +189,11 @@ def formal_decomposition(n: int, k: int) -> ExponentMultiset:
         raise DomainError("connection order must be at least 2")
     if k < 0:
         raise DomainError("symmetric power must be nonnegative")
-    _check_cap(n, k)
+    _check_order(n)
+    _check_visits(math.comb(n - 1 + k, k))
     tally: dict[tuple[int, ...], int] = {}
     regular = 0
-    for acc in _exponent_sums(n, k):
+    for acc in _weighted_sums(*_power_residues(n), k):
         if any(acc):
             key = tuple(acc)
             tally[key] = tally.get(key, 0) + 1

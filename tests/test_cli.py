@@ -366,6 +366,8 @@ TOP = str(cli.MAX_K)
 TOP_OF_BOUNDS_RETURNS = [
     (("dims", "--k", TOP), 2),  # under 0.01 s
     (("dims", "--k", f"2..{TOP}"), 2),  # 0.15 s
+    (("dims", "--n", "97", "--k", TOP), 2),  # under 0.01 s: prime order
+    (("dims", "--n", "8", "--k", "40"), 4),  # 0.8 s: 271,502 visits
     (("basis", "--k", TOP), 3),  # 0.2 s
     (("basis", "--space", "mid", "--k", str(cli.MAX_MID_K)), 6),  # 0.9 s
     (("basis", "--space", "gm", "--k", str(cli.MAX_GM_K)), 6),  # 1.0 s
@@ -388,6 +390,7 @@ TOP_OF_BOUNDS_REFUSALS = [
     ("basis", "--space", "mid", "--k", str(cli.MAX_MID_K + 1)),
     ("basis", "--space", "mid", "--k", f"2..{TOP}"),
     ("decomp", "--n", "3", "--k", TOP),
+    ("dims", "--n", "8", "--k", "400"),
 ]
 
 

@@ -88,7 +88,8 @@ def test_s_nk_integer_count_matches_enumeration_at_composite_order(case):
 @settings(max_examples=50, deadline=None)
 def test_meet_in_the_middle_matches_a_direct_zero_count(case):
     n, k = case
-    direct = sum(1 for acc in moments._exponent_sums(n, k) if not any(acc))
+    sums = moments._weighted_sums(*moments._power_residues(n), k)
+    direct = sum(1 for acc in sums if not any(acc))
     assert s_nk(n, k) == direct
 
 
@@ -100,17 +101,25 @@ def test_regular_rank_check_sees_a_wrong_count(monkeypatch):
 
 
 def test_prime_order_still_enforces_the_cap():
-    # n = 3 has 4,504,501 compositions at k = 3000, inside the cap, and
-    # 12,507,501 at k = 5000, above it: the closed form keeps the cap.
-    assert s_nk(3, 3000) == 1
-    with pytest.raises(SizeLimitError, match="cap"):
-        s_nk(3, 5000)
+    # The closed form enumerates nothing, so only the order is capped:
+    # n = 3 has 50,015,001 compositions of k = 10,000, far above the
+    # enumeration cap, and MAX_ORDER + 1 = 101 is prime.
+    assert s_nk(3, 10_000) == 0
+    assert s_nk(97, 9999) == 0 and s_nk(97, 9700) == 1
+    with pytest.raises(SizeLimitError, match="order"):
+        s_nk(MAX_ORDER + 1, 10_000)
 
 
 def test_s_nk_cap_enforced():
-    # 62,891,499 compositions, above the fixed cap of 10**7
+    # Meet in the middle at n = 8 visits 2 * binom(4 + k, k) sums:
+    # 271,502 at k = 40, inside the cap of 10**7 though the full
+    # enumeration has 62,891,499; 2,187,135,002 at k = 400, above it.
+    assert s_nk(8, 40) == 1771
     with pytest.raises(SizeLimitError, match="cap"):
-        s_nk(8, 40)
+        s_nk(8, 400)
+    # formal_decomposition still enumerates every composition.
+    with pytest.raises(SizeLimitError, match="62891499 compositions"):
+        formal_decomposition(8, 40)
 
 
 @pytest.mark.parametrize("fn", [s_nk, h1_dims, formal_decomposition])
