@@ -19,14 +19,16 @@ from fractions import Fraction
 
 from .connection import (
     CohomologyBasis,
+    ModuleElement,
     build_symk,
     h1_a1_basis,
-    omega_class,
+    omega_level,
 )
 from .errors import DomainError, InconsistencyError
 from .exact import OffsetSeries, Polynomial, polynomial_gcd
 
 HALF = Fraction(1, 2)
+ZERO = Fraction(0)
 
 
 def _aibi_numerators(terms: int) -> list[int]:
@@ -41,6 +43,18 @@ def _aibi_numerators(terms: int) -> list[int]:
     return numerators
 
 
+def _over_96n_factorial(numerators: list[int]) -> tuple[Fraction, ...]:
+    """Value n is ``numerators[n]`` / (96^n n!); the denominator takes
+    one multiplication per value."""
+    values = []
+    denominator = 1
+    for n, a in enumerate(numerators):
+        if n:
+            denominator *= 96 * n
+        values.append(Fraction(a, denominator))
+    return tuple(values)
+
+
 def aibi_series(terms: int) -> OffsetSeries:
     """Expansion of the normalised solution product in w = 1/z: the
     series w^(1/2) * (1 + ...) on the lattice 1/2 + 3j, with ``terms``
@@ -51,11 +65,9 @@ def aibi_series(terms: int) -> OffsetSeries:
     """
     if terms < 1:
         raise DomainError("need at least one term")
-    coefficients = tuple(
-        Fraction(a, 96**j * math.factorial(j))
-        for j, a in enumerate(_aibi_numerators(terms))
+    return OffsetSeries(
+        HALF, Fraction(3), _over_96n_factorial(_aibi_numerators(terms))
     )
-    return OffsetSeries(HALF, Fraction(3), coefficients)
 
 
 def _det3(m: list[list[Polynomial]]) -> Polynomial:
@@ -114,13 +126,6 @@ def symmetric_square_operator() -> tuple[Polynomial, ...]:
     return tuple(p * scale for p in minors)
 
 
-def _rising(alpha: Fraction, r: int) -> Fraction:
-    value = Fraction(1)
-    for t in range(r):
-        value *= alpha + t
-    return value
-
-
 def aibi_series_ode_oracle(terms: int) -> OffsetSeries:
     """Independent route to :func:`aibi_series`: solve the symmetric
     square equation by a formal series in w = 1/z with leading exponent
@@ -143,9 +148,14 @@ def aibi_series_ode_oracle(terms: int) -> OffsetSeries:
         groups.setdefault(r - m - shift_base, []).append((r, c))
 
     def pivot_value(sigma: int, tau: int) -> Fraction:
+        # The rising factorial (1/2 + x)_r is the product of the odd
+        # numbers 2x+1, 2x+3, .., 2x+2r-1 over 2^r.
         total = Fraction(0)
         for r, c in groups.get(sigma, ()):
-            total += c * (-1) ** r * _rising(HALF + tau - sigma, r)
+            odd = 1
+            for t in range(r):
+                odd *= 2 * (tau - sigma + t) + 1
+            total += c * Fraction((-1) ** r * odd, 2**r)
         return total
 
     if pivot_value(0, 0) != 0:
@@ -162,7 +172,7 @@ def aibi_series_ode_oracle(terms: int) -> OffsetSeries:
             )
         rhs = Fraction(0)
         for sigma in groups:
-            if 0 < sigma <= tau:
+            if 0 < sigma <= tau and coefficients[tau - sigma]:
                 rhs -= pivot_value(sigma, tau) * coefficients[tau - sigma]
         value = rhs / pivot
         if tau % 3 and value:
@@ -192,13 +202,20 @@ class GammaTable:
         if any(value <= 0 for value in self.values):
             raise InconsistencyError("coefficients must stay positive")
 
-    def value_at(self, index) -> Fraction:
+    def value_at(self, index: int | Fraction) -> Fraction:
         """Coefficient at exponent ``index``; zero off the lattice
-        k/4 + 3j, error past the tabulated range."""
-        position = (Fraction(index) - self.offset) / 3
-        if position < 0 or position.denominator != 1:
-            return Fraction(0)
-        j = int(position)
+        k/4 + 3j, error past the tabulated range.  The position
+        (index - offset) / 3 is found in integers."""
+        if not isinstance(index, (int, Fraction)):
+            raise DomainError(f"exponent {index!r} is not exact")
+        offset = self.offset
+        j, off_lattice = divmod(
+            index.numerator * offset.denominator
+            - offset.numerator * index.denominator,
+            3 * index.denominator * offset.denominator,
+        )
+        if j < 0 or off_lattice:
+            return ZERO
         if j >= len(self.values):
             raise DomainError(
                 f"exponent {index} is beyond the tabulated range"
@@ -237,10 +254,9 @@ def gamma(k: int, terms: int) -> GammaTable:
                 f"power recurrence left a fraction at step {m}"
             )
         powered.append(value)
-    values = tuple(
-        Fraction(b, 96**n * math.factorial(n)) for n, b in enumerate(powered)
+    return GammaTable(
+        k=k, offset=Fraction(k, 4), values=_over_96n_factorial(powered)
     )
-    return GammaTable(k=k, offset=Fraction(k, 4), values=values)
 
 
 def mid_basis(k: int) -> CohomologyBasis:
@@ -251,10 +267,11 @@ def mid_basis(k: int) -> CohomologyBasis:
     divisible by 4 one class is lost: the remaining classes are
     z^(i-1) u0 corrected by the asymptotic coefficient at exponent i
     times the class at exponent k/4, which kills the boundary
-    obstruction.
+    obstruction.  Each is built directly as one element over the
+    polynomial z^(i-1) - gamma_i z^(k/4-1).
     """
-    full = h1_a1_basis(k)
     if k % 4:
+        full = h1_a1_basis(k)
         return CohomologyBasis(
             space="mid",
             k=k,
@@ -262,24 +279,25 @@ def mid_basis(k: int) -> CohomologyBasis:
             classes=full.classes,
             g_levels=full.g_levels,
         )
+    if k < 4:
+        raise DomainError("need a symmetric power of at least 2")
     kp = (k - 1) // 2
     pivot_index = k // 4
     highest = max(kp, pivot_index + 3)
     table = gamma(k, (highest - pivot_index) // 3 + 1)
-    pivot_class = omega_class(pivot_index)
     classes = []
     levels = []
     for i in range(1, kp + 1):
         if i == pivot_index:
             continue
         correction = table.value_at(i)
-        element = omega_class(i) - correction * pivot_class
-        classes.append(element)
-        levels.append(full.g_levels[i - 1])
+        poly = Polynomial(((i - 1, 1), (pivot_index - 1, -correction)))
+        classes.append(ModuleElement((("u0", poly),)))
+        levels.append(omega_level(k, i))
     return CohomologyBasis(
         space="mid",
         k=k,
-        twist=full.twist,
+        twist=ZERO,
         classes=tuple(classes),
         g_levels=tuple(levels),
     )

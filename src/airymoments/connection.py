@@ -29,7 +29,7 @@ from .errors import (
     SizeLimitError,
     StabilityError,
 )
-from .exact import Polynomial, compositions
+from .exact import Polynomial, _coerce, compositions
 
 HALF = Fraction(1, 2)
 
@@ -135,11 +135,14 @@ class ModuleElement:
     coordinates: tuple[tuple[str, Polynomial], ...] = ()
 
     def __post_init__(self):
+        # Add only at a repeated label, so coordinates already in
+        # normal form build no new polynomial.
         merged: dict[str, Polynomial] = {}
         for label, poly in self.coordinates:
             if not isinstance(poly, Polynomial):
                 poly = Polynomial.constant(poly)
-            merged[label] = merged.get(label, Polynomial()) + poly
+            previous = merged.get(label)
+            merged[label] = poly if previous is None else previous + poly
         cleaned = tuple(
             (label, merged[label])
             for label in sorted(merged)
@@ -161,7 +164,7 @@ class ModuleElement:
             return ModuleElement(
                 tuple((lab, p * scalar) for lab, p in self.coordinates)
             )
-        factor = Fraction(scalar)
+        factor = _coerce(scalar)
         return ModuleElement(
             tuple((lab, p * factor) for lab, p in self.coordinates)
         )
@@ -173,7 +176,7 @@ class ModuleElement:
             return "0"
         parts = []
         for label, poly in self.coordinates:
-            if poly == Polynomial.constant(1):
+            if poly.terms == ((0, 1),):
                 parts.append(label)
             elif len(poly.terms) == 1:
                 parts.append(f"{poly}*{label}")

@@ -44,13 +44,17 @@ class Polynomial:
     terms: tuple[tuple[int, Fraction], ...] = ()
 
     def __post_init__(self):
+        # Add only at a repeated degree, so terms already in normal
+        # form build no new coefficient.
         cleaned: dict[int, Fraction] = {}
         for degree, coeff in self.terms:
             if degree < 0:
                 raise DomainError("polynomial degrees must be nonnegative")
             c = _coerce(coeff)
-            if c:
-                cleaned[degree] = cleaned.get(degree, Fraction(0)) + c
+            if not c:
+                continue
+            previous = cleaned.get(degree)
+            cleaned[degree] = c if previous is None else previous + c
         normalised = tuple(
             (d, cleaned[d]) for d in sorted(cleaned) if cleaned[d]
         )

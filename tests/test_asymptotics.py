@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import cProfile
 import hashlib
 import math
+import pstats
 import time
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from airymoments import asymptotics
 from airymoments.errors import DomainError, InconsistencyError
 from airymoments.exact import OffsetSeries, Polynomial, Z
+from airymoments.connection import h1_a1_basis, omega_class
 from airymoments.moments import h1_dims
 from airymoments.asymptotics import (
     GammaTable,
@@ -191,6 +194,9 @@ def test_gamma_lattice():
     assert table.value_at(1) == 0
     with pytest.raises(DomainError):
         table.value_at(2 + 3 * 6)
+    assert table.value_at(Fraction(-1)) == 0
+    with pytest.raises(DomainError):
+        table.value_at(2.0)
 
 
 def test_gamma_validation():
@@ -245,3 +251,45 @@ def test_mid_basis_at_sixteen_carries_one_correction():
     assert rendered[5] == "(z^6 - 5/4*z^3)*u0"
     assert len(basis) == 6
     assert basis.g_levels[5] == Fraction(7)
+
+
+def test_mid_basis_matches_corrected_omega_classes():
+    # the route mid_basis took before building each class directly:
+    # omega_class(i) minus its gamma coefficient times the pivot class
+    for k in range(4, 161, 4):
+        kp, pivot = (k - 1) // 2, k // 4
+        table = gamma(k, kp // 3 + 1)
+        indices = [i for i in range(1, kp + 1) if i != pivot]
+        basis = mid_basis(k)
+        assert basis.classes == tuple(
+            omega_class(i) - table.value_at(i) * omega_class(pivot)
+            for i in indices
+        )
+        levels = h1_a1_basis(k).g_levels
+        assert basis.g_levels == tuple(levels[i - 1] for i in indices)
+
+
+def _calls(stats: pstats.Stats, path_end: str, name: str) -> int:
+    return sum(
+        value[1]
+        for (path, _, function), value in stats.stats.items()
+        if path.endswith(path_end) and function == name
+    )
+
+
+def test_mid_basis_builds_one_polynomial_per_class():
+    profiler = cProfile.Profile()
+    basis = profiler.runcall(mid_basis, 160)
+    stats = pstats.Stats(profiler)
+    # Polynomial and OffsetSeries are the classes of exact.py with a
+    # __post_init__, and mid_basis builds no series
+    built = _calls(stats, "exact.py", "__post_init__")
+    assert built <= len(basis) + 2
+
+
+def test_gamma_never_calls_factorial():
+    profiler = cProfile.Profile()
+    profiler.runcall(lambda: [gamma(k, 40) for k in (2, 40, 160)])
+    stats = pstats.Stats(profiler)
+    assert _calls(stats, "~", "<built-in method math.factorial>") == 0
+    assert _calls(stats, "asymptotics.py", "gamma") == 3

@@ -418,3 +418,15 @@ def test_module_element_algebra():
     assert (a - 2 * b).is_zero()
     assert str(monomial_element("u1") + monomial_element("u0")) == "u0 + u1"
     assert str(Z * monomial_element("u0")) == "z*u0"
+
+
+def test_module_element_refuses_inexact_scalars():
+    element = monomial_element("u0", 1)
+    third = Fraction(1, 3)
+    assert element * third == monomial_element("u0", 1, third)
+    with pytest.raises(DomainError):
+        element * 0.1
+    with pytest.raises(DomainError):
+        element * "1/3"
+    with pytest.raises(DomainError):
+        0.1 * element

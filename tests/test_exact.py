@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airymoments.connection import _Echelon
+from airymoments.connection import ModuleElement, _Echelon
 from airymoments.errors import DomainError
 from airymoments.exact import (
     OffsetSeries,
@@ -96,6 +96,64 @@ def test_polynomial_product_degree(a, b):
             product.leading_coefficient()
             == pa.leading_coefficient() * pb.leading_coefficient()
         )
+
+
+# Constructor normal forms, against a reference normaliser: sum per key,
+# drop zeros, sort.  Small key ranges and coefficients that include
+# opposite pairs draw repeated keys and sums that cancel to zero.
+
+
+def _reference_normal_form(pairs) -> tuple:
+    sums: dict = {}
+    for key, value in pairs:
+        sums[key] = sums.get(key, 0) + value
+    return tuple((key, sums[key]) for key in sorted(sums) if sums[key])
+
+
+small_coefficients = st.sampled_from(
+    [0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)]
+)
+raw_terms = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=3), small_coefficients),
+    max_size=8,
+)
+
+
+@given(raw_terms)
+def test_polynomial_constructor_matches_reference_normaliser(terms):
+    poly = Polynomial(tuple(terms))
+    assert poly.terms == _reference_normal_form(terms)
+    assert all(type(c) is Fraction for _, c in poly.terms)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["u0", "u1", "u2"]),
+            raw_terms | small_coefficients,
+        ),
+        max_size=6,
+    )
+)
+def test_module_element_constructor_matches_reference_normaliser(coordinates):
+    # a bare coefficient stands for a constant polynomial
+    element = ModuleElement(
+        tuple(
+            (label, Polynomial(tuple(v)) if isinstance(v, list) else v)
+            for label, v in coordinates
+        )
+    )
+    flat = [
+        ((label, degree), c)
+        for label, poly in element.coordinates
+        for degree, c in poly.terms
+    ]
+    assert tuple(flat) == _reference_normal_form(
+        ((label, degree), c)
+        for label, value in coordinates
+        for degree, c in (value if isinstance(value, list) else [(0, value)])
+    )
+    assert all(not poly.is_zero() for _, poly in element.coordinates)
 
 
 # The exact elimination kernel: a matrix is a list of integer rows, and

@@ -4,9 +4,9 @@ public function and class of the package is reached.
 No linter runs on this package, so these scans with the standard
 library's ``ast`` are the check: an imported name that no expression
 reads and ``__all__`` does not export is reported with its line, and
-so is a public module-level function or class that nothing names
-outside its own definition, in the package, the benchmark or the
-acceptance tests.
+so is a public module-level function or class, or a non-dunder method
+of a public class, that nothing names outside its own definition, in
+the package, the benchmark or the acceptance tests.
 """
 
 from __future__ import annotations
@@ -119,3 +119,54 @@ def test_every_public_name_is_reached(path):
         str(caller): caller.read_text(encoding="utf-8") for caller in CALLERS
     }
     assert unreached_names(str(path), callers) == []
+
+
+def unreached_methods(defining: str, callers: dict[str, str]) -> list[str]:
+    """Non-dunder methods of the public classes of ``defining``, as
+    ``Class.method``, that no caller names outside the method's own
+    definition.  Coarse: any attribute or name spelt like the method
+    reaches it."""
+    tree = ast.parse(callers[defining])
+    reached = set()
+    for name, source in callers.items():
+        if name != defining:
+            reached |= _names(ast.parse(source))
+    for node in tree.body:
+        for member in node.body if isinstance(node, ast.ClassDef) else [node]:
+            found = _names(member)
+            if isinstance(member, ast.FunctionDef):
+                found.discard(member.name)
+            reached |= found
+    return sorted(
+        f"{node.name}.{member.name}"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        for member in node.body
+        if isinstance(member, ast.FunctionDef)
+        and not (member.name.startswith("__") and member.name.endswith("__"))
+        and member.name not in reached
+    )
+
+
+def test_scan_reports_unreached_methods():
+    callers = {
+        "lib": "class Shape:\n"
+        "    def area(self):\n        return self.side()\n\n"
+        "    def side(self):\n        return 1\n\n"
+        "    def spin(self):\n        return self.spin()\n\n"
+        "    def _hidden(self):\n        pass\n\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "class _Private:\n    def lost(self):\n        pass\n",
+        "app": "from lib import Shape\nShape().area()\n",
+    }
+    assert unreached_methods("lib", callers) == ["Shape._hidden", "Shape.spin"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name
+)
+def test_every_public_method_is_reached(path):
+    callers = {
+        str(caller): caller.read_text(encoding="utf-8") for caller in CALLERS
+    }
+    assert unreached_methods(str(path), callers) == []
