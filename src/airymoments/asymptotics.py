@@ -13,6 +13,7 @@ basis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,11 +79,13 @@ def _det3(m: list[list[Polynomial]]) -> Polynomial:
     )
 
 
+@functools.cache
 def symmetric_square_operator() -> tuple[Polynomial, ...]:
     """Coefficients (p_0..p_3) of the third-order operator annihilating
     the top generator of the symmetric square of the order-2 connection,
     derived by cyclic-vector elimination and normalised to be primitive
-    with positive leading coefficient."""
+    with positive leading coefficient.  Built once: the result is a
+    constant tuple of immutable polynomials."""
     module = build_symk(2, 2)
     index = {label: i for i, label in enumerate(module.labels)}
     vectors = [{"u0": Polynomial.constant(1)}]
@@ -93,9 +96,11 @@ def symmetric_square_operator() -> tuple[Polynomial, ...]:
             dp = poly.derivative()
             if not dp.is_zero():
                 image[label] = image.get(label, Polynomial()) + dp
-            for i, coeff in module.partial[index[label]]:
+            for m, i, c in module.partial[index[label]]:
                 target = module.labels[i]
-                image[target] = image.get(target, Polynomial()) + poly * coeff
+                image[target] = image.get(target, Polynomial()) + (
+                    poly * Polynomial.monomial(m, c)
+                )
         vectors.append({lab: p for lab, p in image.items() if not p.is_zero()})
     matrix = [
         [vec.get(label, Polynomial()) for vec in vectors]

@@ -20,7 +20,7 @@ once the dimension stabilises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -39,8 +39,9 @@ SIZE_CAP = 100_000
 #: Largest truncation degree the brute-force engine will try.
 TRUNCATION_CEILING = 4096
 
-#: Sparse column of a derivation: (target index, polynomial coefficient).
-Column = tuple[tuple[int, Polynomial], ...]
+#: Sparse column of a derivation: (degree, target index, integer coeff)
+#: triples, no two with the same (degree, target) and none with coeff 0.
+Column = tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -48,9 +49,9 @@ class ConnectionModule:
     """Free module over the polynomial ring carrying a derivation.
 
     ``partial`` describes d/dz on generators, untwisted: column j
-    lists pairs (i, p) meaning that d/dz of generator j contains p(z)
-    times generator i.  The twist enters only through the brute-force
-    rows over the punctured line, which apply z d/dz + twist.
+    lists triples (m, i, c) meaning that d/dz of generator j contains
+    c z^m times generator i.  The twist enters only through the
+    brute-force rows over the punctured line, which apply z d/dz + twist.
     """
 
     n: int
@@ -99,25 +100,18 @@ def build_symk(n: int, k: int, twist: Fraction | int = 0) -> ConnectionModule:
         )
     exponents = tuple(sorted(compositions(n, k), reverse=True))
     index = {a: pos for pos, a in enumerate(exponents)}
+    # Exponent i moves to i + 1, and the last wraps to the first with a
+    # factor z; distinct i give distinct targets, so no term repeats.
     partial: list[Column] = []
     for a in exponents:
-        terms: dict[int, Polynomial] = {}
-        for i in range(n - 1):
+        terms = []
+        for i in range(n):
             if a[i]:
                 target = list(a)
                 target[i] -= 1
-                target[i + 1] += 1
-                pos = index[tuple(target)]
-                terms[pos] = terms.get(pos, Polynomial()) + Polynomial.constant(a[i])
-        if a[n - 1]:
-            target = list(a)
-            target[n - 1] -= 1
-            target[0] += 1
-            pos = index[tuple(target)]
-            terms[pos] = terms.get(pos, Polynomial()) + Polynomial.monomial(
-                1, a[n - 1]
-            )
-        partial.append(tuple(sorted(terms.items())))
+                target[(i + 1) % n] += 1
+                terms.append((int(i == n - 1), index[tuple(target)], a[i]))
+        partial.append(tuple(terms))
     return ConnectionModule(
         n=n,
         k=k,
@@ -318,7 +312,8 @@ class _Echelon:
 
 @dataclass
 class _StableImage:
-    """Certificate-bearing echelon of the derivation's image."""
+    """Certificate-bearing echelon of the derivation's image, with the
+    class solvers built against it, keyed by their class tuple."""
 
     gens: int
     anchor: int
@@ -326,66 +321,39 @@ class _StableImage:
     degree: int
     dim: int
     echelon: _Echelon
+    solvers: dict[tuple[ModuleElement, ...], _Echelon] = field(
+        default_factory=dict
+    )
+
+    @property
+    def tag(self) -> int:
+        """First id past every monomial id, where class tags start."""
+        return (self.anchor + 1) * self.gens
 
 
 _STABLE_CACHE: dict[tuple, _StableImage] = {}
 
 
-def _derivation_terms(
-    module: ConnectionModule, where: str
-) -> tuple[int, int, list[list[tuple[int, int, int]]]]:
-    """The ``partial`` columns as (degree shift, target, coeff) per
-    generator, every coefficient multiplied by ``scale``, the lcm of
-    their denominators and of the twist's (2 under the half twist, else
-    1), so rows are built in integers.  Over the punctured line every
-    term moves one degree up, since there the derivation is z d/dz.
-    Returns (scale, twist * scale, terms); the twist counts only over
-    the punctured line, and the row builder adds the diagonal.
-
-    Scaling a row by a positive integer leaves the echelon unchanged,
-    because insertion divides out the content of every row."""
-    twist = module.twist if where == "gm" else Fraction(0)
-    up = 1 if where == "gm" else 0
-    scale = math.lcm(
-        twist.denominator,
-        *(c.denominator for column in module.partial
-          for _, poly in column for _, c in poly.terms),
-    )
-    out = [
-        [
-            (m + up, i, c.numerator * (scale // c.denominator))
-            for i, poly in column
-            for m, c in poly.terms
-        ]
-        for column in module.partial
-    ]
-    return scale, twist.numerator * (scale // twist.denominator), out
-
-
 def _image_row(
-    where: str,
     terms: list[tuple[int, int, int]],
     scale: int,
     twist: int,
+    up: int,
     d: int,
     j: int,
     gens: int,
     anchor: int,
 ) -> dict[int, int]:
-    """Integer coordinate row of ``scale`` times the derivation applied
-    to z^d * g_j: d/dz over the affine line, z d/dz + twist over the
-    punctured line, where ``twist`` is already times ``scale``."""
-    row: dict[int, int] = {}
-    if where == "a1":
-        lowered, diagonal = d - 1, d * scale
-    else:
-        lowered, diagonal = d, d * scale + twist
+    """Integer coordinate row of ``scale`` times z^up d/dz + twist
+    applied to z^d * g_j: ``twist`` is already times ``scale``, and
+    ``terms`` are the columns of g_j with each degree moved up by
+    ``up`` and each coeff times ``scale``.  No term lands on the
+    diagonal, which sits one degree below z^(d+up)."""
+    row = {(anchor - d - m) * gens + i: c for m, i, c in terms}
+    diagonal = d * scale + twist
     if diagonal:
-        row[(anchor - lowered) * gens + j] = diagonal
-    for m, i, c in terms:
-        pos = (anchor - (d + m)) * gens + i
-        row[pos] = row.get(pos, 0) + c
-    return {pos: v for pos, v in row.items() if v}
+        row[(anchor + 1 - up - d) * gens + j] = diagonal
+    return row
 
 
 def _first_truncation(k: int) -> int:
@@ -402,17 +370,30 @@ def _first_truncation(k: int) -> int:
 
 
 def _stable_image(module: ConnectionModule, where: str) -> _StableImage:
+    """The stabilised image of d/dz over the affine line ("a1"), or of
+    z d/dz + twist over the punctured line ("gm").  Its rows are built
+    in integers: ``scale``, the twist's denominator, clears the half
+    twist, and scaling a row by a positive integer leaves the echelon
+    unchanged, because insertion divides out the content of every row.
+    """
+    if where == "a1" and module.twist:
+        raise DomainError("affine-line cohomology requires an untwisted module")
     degree = _first_truncation(module.k)
-    # Keyed on the derivation itself, plus k for the first truncation:
-    # two modules with equal (n, k) but different columns must not
-    # share an echelon.
-    key = (module.partial, module.k, module.twist, where)
+    # Keyed on the whole module: two modules with equal (n, k) but
+    # different columns must not share an echelon, nor two with
+    # different labels a class solver.
+    key = (module, where)
     cached = _STABLE_CACHE.get(key)
     if cached is not None:
         return cached
     gens = module.rank
     anchor = TRUNCATION_CEILING + 2
-    scale, twist, terms = _derivation_terms(module, where)
+    up = int(where == "gm")
+    scale, twist = module.twist.denominator, module.twist.numerator
+    terms = [
+        [(m + up, i, c * scale) for m, i, c in column]
+        for column in module.partial
+    ]
     echelon = _Echelon()
     processed = -1
     previous = None
@@ -425,7 +406,7 @@ def _stable_image(module: ConnectionModule, where: str) -> _StableImage:
         for d in range(processed + 1, degree + 1):
             for j in range(gens):
                 row = _image_row(
-                    where, terms[j], scale, twist, d, j, gens, anchor
+                    terms[j], scale, twist, up, d, j, gens, anchor
                 )
                 if not echelon.insert(row):
                     raise InconsistencyError(
@@ -462,8 +443,6 @@ def h1_dim_bruteforce(module: ConnectionModule, where: str) -> tuple[int, int]:
     """
     if where not in ("a1", "gm"):
         raise DomainError(f"unknown cohomology space {where!r}")
-    if where == "a1" and module.twist:
-        raise DomainError("affine-line cohomology requires an untwisted module")
     state = _stable_image(module, where)
     return state.dim, state.degree
 
@@ -494,14 +473,29 @@ def _element_ids(
     }
 
 
-def _normal_forms(
-    classes, module: ConnectionModule, where: str
-) -> tuple[_StableImage, list[tuple[int, dict[int, int]]]]:
+def _class_solver(
+    classes: tuple[ModuleElement, ...], module: ConnectionModule, where: str
+) -> tuple[_StableImage, _Echelon]:
+    """The stabilised image and a solver for ``classes`` in its
+    quotient, built once per image and class tuple.
+
+    Class i is reduced to normal form against the image, an integer
+    vector ints_i over its scale s_i, and inserted into the solver as
+    ints_i plus s_i on the tag coordinate tag + i.  A vector in the
+    span of the classes then reduces to minus its coordinates on the
+    tags, and a solver row whose lead lies on a tag marks a class that
+    depends on the ones before it."""
     state = _stable_image(module, where)
-    return state, [
-        state.echelon.normal_form(_element_ids(c, module, state))
-        for c in classes
-    ]
+    solver = state.solvers.get(classes)
+    if solver is None:
+        solver = _Echelon()
+        for i, element in enumerate(classes):
+            scale, form = state.echelon.normal_form(
+                _element_ids(element, module, state)
+            )
+            solver.insert({**form, state.tag + i: scale})
+        state.solvers[classes] = solver
+    return state, solver
 
 
 def gm_cokernel_basis(k: int, twist: Fraction | int = 0) -> CohomologyBasis:
@@ -527,9 +521,8 @@ def gm_cokernel_basis(k: int, twist: Fraction | int = 0) -> CohomologyBasis:
             f"closed-form basis has {len(classes)} classes but the "
             f"brute-force dimension is {dim} (k={k}, twist={module.twist})"
         )
-    _, forms = _normal_forms(classes, module, "gm")
-    independent = _Echelon()
-    if not all(independent.insert(form) for _, form in forms):
+    state, solver = _class_solver(tuple(classes), module, "gm")
+    if any(lead >= state.tag for lead in solver.rows):
         raise InconsistencyError(
             f"closed-form classes are dependent in cohomology (k={k}, "
             f"twist={module.twist})"
@@ -588,27 +581,21 @@ def reduce_to_basis(
 ) -> tuple[Fraction, ...]:
     """Coordinates of ``element``'s cohomology class in ``basis``.
 
-    Works inside the stabilised brute-force quotient: the element and
-    the basis classes are reduced to normal form against the image of
-    the derivation.  Each class form i, the integer vector ints_i over
-    its scale s_i, is then inserted into a fresh echelon as ints_i plus
-    s_i on a tag coordinate, an id past every monomial, so the target
-    reduces to minus its coordinates on the tags.
+    Works inside the stabilised brute-force quotient: the element is
+    reduced to normal form against the image of the derivation, then
+    against the basis's class solver (built once per basis, see
+    ``_class_solver``), which leaves minus its coordinates on the tags.
     Raises InconsistencyError when the element lies outside the span of
     the basis classes or the classes are dependent.
     """
     if module.twist != basis.twist:
         raise DomainError("element module and basis have different twists")
     where = "gm" if basis.space == "gm" else "a1"
-    state, forms = _normal_forms(
-        list(basis.classes) + [element], module, where
+    state, solver = _class_solver(basis.classes, module, where)
+    tag = state.tag
+    scale, residual = solver.normal_form(
+        state.echelon.normal_form(_element_ids(element, module, state))
     )
-    target = forms.pop()
-    tag = (state.anchor + 1) * state.gens
-    solver = _Echelon()
-    for i, (form_scale, form) in enumerate(forms):
-        solver.insert({**form, tag + i: form_scale})
-    scale, residual = solver.normal_form(target)
     if any(pos < tag for pos in residual):
         raise InconsistencyError(
             "element does not lie in the span of the basis classes"
@@ -616,5 +603,6 @@ def reduce_to_basis(
     if any(lead >= tag for lead in solver.rows):
         raise InconsistencyError("basis classes are dependent in cohomology")
     return tuple(
-        Fraction(-residual.get(tag + i, 0), scale) for i in range(len(forms))
+        Fraction(-residual.get(tag + i, 0), scale)
+        for i in range(len(basis))
     )

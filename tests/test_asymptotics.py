@@ -91,6 +91,24 @@ def test_symmetric_square_operator_coefficients():
     )
 
 
+def test_symmetric_square_operator_is_built_once():
+    assert symmetric_square_operator() is symmetric_square_operator()
+
+
+# SHA-256 of repr((offset, step, coefficients)) of the 40-term oracle
+# series, as computed before the operator was cached.
+ORACLE_40_DIGEST = (
+    "555f9470ab42484220035bd8cdee1b79178dd8663bc232c5422b8691ce0fbc13"
+)
+
+
+def test_ode_oracle_is_pinned():
+    for _ in range(2):
+        s = aibi_series_ode_oracle(40)
+        text = repr((s.offset, s.step, s.coefficients))
+        assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_40_DIGEST
+
+
 def test_ode_oracle_agrees_with_product_route():
     direct = aibi_series(40)
     oracle = aibi_series_ode_oracle(40)

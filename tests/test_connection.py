@@ -21,7 +21,7 @@ from airymoments.connection import (
     CohomologyBasis,
     ConnectionModule,
     ModuleElement,
-    _derivation_terms,
+    _Echelon,
     _image_row,
     _stable_image,
     build_symk,
@@ -39,8 +39,13 @@ ONE = Polynomial.constant(1)
 
 
 def _entry(columns, i: int, j: int) -> Polynomial:
-    """Generator-i coefficient of the image of generator j."""
-    return dict(columns[j]).get(i, Polynomial())
+    """Generator-i coefficient of the image of generator j, summed over
+    the (degree, target, coeff) triples of column j."""
+    out = Polynomial()
+    for m, target, c in columns[j]:
+        if target == i:
+            out = out + Polynomial.monomial(m, c)
+    return out
 
 
 def test_airy_order_two_derivation():
@@ -79,18 +84,30 @@ def test_symmetric_square_derivation():
 def test_symmetric_power_half_twist_shifts_diagonal():
     m = build_symk(2, 2, HALF)
     assert m.partial == build_symk(2, 2).partial
-    # Over G_m the row of z^d g_j is 2 (z d/dz + 1/2) z^d g_j, so its
-    # diagonal is 2d + 1, and d/dz u0 = 2 u1 becomes 4 z^(d+1) u1.
-    scale, twist, terms = _derivation_terms(m, "gm")
-    assert (scale, twist) == (2, 1)
+    # Over G_m the row of z^d g_j is 2 (z d/dz + 1/2) z^d g_j: the
+    # columns move one degree up and double, the diagonal is 2d + 1,
+    # and d/dz u0 = 2 u1 becomes 4 z^(d+1) u1.
+    terms = [[(deg + 1, i, 2 * c) for deg, i, c in col] for col in m.partial]
     anchor, gens = 10, m.rank
     for d in range(3):
         for j in range(gens):
-            row = _image_row("gm", terms[j], scale, twist, d, j, gens, anchor)
+            row = _image_row(terms[j], 2, 1, 1, d, j, gens, anchor)
             assert row[(anchor - d) * gens + j] == 2 * d + 1
-        row = _image_row("gm", terms[0], scale, twist, d, 0, gens, anchor)
-        assert row[(anchor - d - 1) * gens + 1] == 4
-    assert _derivation_terms(m, "a1")[:2] == (1, 0)
+        row = _image_row(terms[0], 2, 1, 1, d, 0, gens, anchor)
+        assert row == {
+            (anchor - d) * gens: 2 * d + 1,
+            (anchor - d - 1) * gens + 1: 4,
+        }
+    # Over A^1 the same formula with up = 0 and no twist is d/dz: the
+    # diagonal d sits one degree down, and vanishes at d = 0.
+    plain = build_symk(2, 2).partial
+    assert _image_row(plain[1], 1, 0, 0, 0, 1, gens, anchor) == {
+        anchor * gens + 2: 1,
+        (anchor - 1) * gens: 1,
+    }
+    assert _image_row(plain[1], 1, 0, 0, 3, 1, gens, anchor)[
+        (anchor - 2) * gens + 1
+    ] == 3
 
 
 def test_build_symk_validation():
@@ -154,9 +171,24 @@ def test_bruteforce_where_validation():
     m = build_symk(2, 2)
     with pytest.raises(DomainError):
         h1_dim_bruteforce(m, "p1")
-    twisted = build_symk(2, 2, HALF)
-    with pytest.raises(DomainError):
+
+
+def test_twisted_module_is_refused_over_the_affine_line():
+    # d/dz has no twist, so a twisted module over A^1 would silently be
+    # reduced as the untwisted one: every entry point refuses it.
+    twisted = build_symk(2, 3, HALF)
+    with pytest.raises(DomainError, match="untwisted"):
         h1_dim_bruteforce(twisted, "a1")
+    with pytest.raises(DomainError, match="untwisted"):
+        _stable_image(twisted, "a1")
+    basis = CohomologyBasis(
+        space="a1",
+        k=3,
+        twist=HALF,
+        classes=(omega_class(1), omega_class(2)),
+    )
+    with pytest.raises(DomainError, match="untwisted"):
+        reduce_to_basis(omega_class(1), basis, twisted)
 
 
 def test_bruteforce_ceiling_failure():
@@ -176,7 +208,7 @@ def test_bruteforce_unstable_dimension_raises():
         k=339,
         twist=Fraction(0),
         labels=("v",),
-        partial=(((0, Polynomial.monomial(1000)),),),
+        partial=(((1000, 0, 1),),),
     )
     with pytest.raises(StabilityError, match="did not stabilise"):
         h1_dim_bruteforce(module, "a1")
@@ -190,7 +222,7 @@ def test_echelon_cache_tells_derivations_apart():
         k=1,
         twist=Fraction(0),
         labels=("v0", "v1"),
-        partial=(((1, ONE),), ((0, Polynomial.monomial(2)),)),
+        partial=(((0, 1, 1),), ((2, 0, 1),)),
     )
     assert h1_dim_bruteforce(build_symk(2, 1), "a1")[0] == 1
     assert h1_dim_bruteforce(module, "a1")[0] == 2
@@ -329,10 +361,13 @@ def test_reduce_is_linear(a, b):
 
 def _exact_form(module, where, j, poly):
     """The derivation applied to poly * g_j, read off the ``partial``
-    columns: d/dz on the affine line, z d/dz + twist on the punctured
+    triples: d/dz on the affine line, z d/dz + twist on the punctured
     line."""
     own = poly.derivative()
-    parts = [(module.labels[i], poly * p) for i, p in module.partial[j]]
+    parts = [
+        (module.labels[i], poly * Polynomial.monomial(m, c))
+        for m, i, c in module.partial[j]
+    ]
     if where == "gm":
         own = Z * own + module.twist * poly
         parts = [(label, Z * p) for label, p in parts]
@@ -390,6 +425,30 @@ def test_reduce_rejects_dependent_basis():
         reduce_to_basis(omega_class(2), degenerate, m)
     with pytest.raises(InconsistencyError, match="dependent"):
         reduce_to_basis(omega_class(1), degenerate, m)
+
+
+def test_reduce_builds_each_class_form_once(monkeypatch):
+    # m class normal forms once per basis, then two per target (against
+    # the image, then against the class solver): 18 + 2 * 19 = 56 for
+    # the middle basis at k = 40, where re-reducing every class on
+    # every call made 380.
+    module = build_symk(2, 40)
+    basis = mid_basis(40)
+    _stable_image(module, "a1").solvers.clear()
+    calls = 0
+    normal_form = _Echelon.normal_form
+
+    def counted(self, vector):
+        nonlocal calls
+        calls += 1
+        return normal_form(self, vector)
+
+    monkeypatch.setattr(_Echelon, "normal_form", counted)
+    for element in basis.classes:
+        reduce_to_basis(element, basis, module)
+    with pytest.raises(InconsistencyError, match="span"):
+        reduce_to_basis(omega_class(10), basis, module)
+    assert calls <= len(basis) + 2 * (len(basis) + 1)
 
 
 def test_reduce_rejects_class_outside_span():

@@ -6,7 +6,9 @@ library's ``ast`` are the check: an imported name that no expression
 reads and ``__all__`` does not export is reported with its line, and
 so is a public module-level function or class, or a non-dunder method
 of a public class, that nothing names outside its own definition, in
-the package, the benchmark or the acceptance tests.
+the package, the benchmark or the acceptance tests.  A private
+module-level function or class must be named in the package or the
+benchmark: a helper that only a test still calls is dead code.
 """
 
 from __future__ import annotations
@@ -18,12 +20,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "airymoments"
+#: Where a private name must be reached from.
+LIBRARY = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 #: Where a public name must be reached from.
-CALLERS = (
-    sorted(PACKAGE.glob("*.py"))
-    + sorted((ROOT / "bench").glob("*.py"))
-    + [ROOT / "tests" / "test_acceptance.py"]
-)
+CALLERS = LIBRARY + [ROOT / "tests" / "test_acceptance.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -78,10 +78,13 @@ def _names(node) -> set[str]:
     return out
 
 
-def unreached_names(defining: str, callers: dict[str, str]) -> list[str]:
-    """Public module-level functions and classes of ``defining`` (the
-    name of one of ``callers``, which maps a name to its source) that
-    no caller names outside their own definition."""
+def unreached_names(
+    defining: str, callers: dict[str, str], private: bool = False
+) -> list[str]:
+    """Public (or, with ``private``, private) module-level functions and
+    classes of ``defining`` (the name of one of ``callers``, which maps
+    a name to its source) that no caller names outside their own
+    definition."""
     reached = set()
     for name, source in callers.items():
         for node in ast.parse(source).body:
@@ -95,7 +98,7 @@ def unreached_names(defining: str, callers: dict[str, str]) -> list[str]:
         node.name
         for node in ast.parse(callers[defining]).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
+        and node.name.startswith("_") == private
         and node.name not in reached
     )
 
@@ -111,6 +114,20 @@ def test_scan_reports_unreached_names():
     assert unreached_names("lib", callers) == ["Orphan", "recursive"]
 
 
+def test_scan_reports_unreached_private_names():
+    callers = {
+        "lib": "def _helper():\n    pass\n\n"
+        "def _tested():\n    pass\n\n"
+        "class _Kernel:\n    pass\n\n"
+        "def _loop(n):\n    return _loop(n - 1)\n\n"
+        "def public():\n    return _helper(), _Kernel()\n",
+        "app": "from lib import public\npublic()\n",
+    }
+    assert unreached_names("lib", callers, private=True) == ["_loop", "_tested"]
+    # The public scan leaves private names to this one.
+    assert unreached_names("lib", callers) == []
+
+
 @pytest.mark.parametrize(
     "path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name
 )
@@ -119,6 +136,16 @@ def test_every_public_name_is_reached(path):
         str(caller): caller.read_text(encoding="utf-8") for caller in CALLERS
     }
     assert unreached_names(str(path), callers) == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name
+)
+def test_every_private_name_is_reached(path):
+    callers = {
+        str(caller): caller.read_text(encoding="utf-8") for caller in LIBRARY
+    }
+    assert unreached_names(str(path), callers, private=True) == []
 
 
 def unreached_methods(defining: str, callers: dict[str, str]) -> list[str]:
