@@ -14,7 +14,9 @@ suffix of the coordinate order.  Row reduction therefore computes, in
 one pass, the dimension of the image intersected with every such window,
 and normal forms of low-degree vectors never leave the window.  That is
 what makes the truncated quotient an exact model of the true cokernel
-once the dimension stabilises.
+once the dimension stabilises.  It is also why the cached image may
+drop every row led outside the stabilised window: the normal form of
+a vector inside the window never meets one.
 """
 
 from __future__ import annotations
@@ -371,21 +373,44 @@ def _first_truncation(k: int) -> int:
 
 def _stable_image(module: ConnectionModule, where: str) -> _StableImage:
     """The stabilised image of d/dz over the affine line ("a1"), or of
-    z d/dz + twist over the punctured line ("gm").  Its rows are built
-    in integers: ``scale``, the twist's denominator, clears the half
-    twist, and scaling a row by a positive integer leaves the echelon
-    unchanged, because insertion divides out the content of every row.
+    z d/dz + twist over the punctured line ("gm"), built once per
+    module and space.
+
+    The cache keeps only the echelon rows led inside the window.  Every
+    query is of an element of degree at most ``window`` (``_element_ids``
+    refuses the rest), whose ids all lie at or above the threshold, and
+    a row led there has its whole support there too: its normal form
+    meets no other row, so the pruned echelon answers it exactly as the
+    full one does.  The rows are copied into a new dict, whose table is
+    sized for what is kept.
     """
-    if where == "a1" and module.twist:
-        raise DomainError("affine-line cohomology requires an untwisted module")
-    degree = _first_truncation(module.k)
     # Keyed on the whole module: two modules with equal (n, k) but
     # different columns must not share an echelon, nor two with
     # different labels a class solver.
     key = (module, where)
-    cached = _STABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    state = _STABLE_CACHE.get(key)
+    if state is None:
+        state = _build_stable_image(module, where)
+        threshold = (state.anchor - state.window) * state.gens
+        state.echelon.rows = {
+            lead: row
+            for lead, row in state.echelon.rows.items()
+            if lead >= threshold
+        }
+        _STABLE_CACHE[key] = state
+    return state
+
+
+def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
+    """The stabilised image with every row of the last truncation,
+    uncached.  Its rows are built in integers: ``scale``, the twist's
+    denominator, clears the half twist, and scaling a row by a positive
+    integer leaves the echelon unchanged, because insertion divides out
+    the content of every row.
+    """
+    if where == "a1" and module.twist:
+        raise DomainError("affine-line cohomology requires an untwisted module")
+    degree = _first_truncation(module.k)
     gens = module.rank
     anchor = TRUNCATION_CEILING + 2
     up = int(where == "gm")
@@ -419,7 +444,7 @@ def _stable_image(module: ConnectionModule, where: str) -> _StableImage:
         threshold = (anchor - window) * gens
         dim = gens * (window + 1) - echelon.pivots_at_or_above(threshold)
         if previous == dim:
-            state = _StableImage(
+            return _StableImage(
                 gens=gens,
                 anchor=anchor,
                 window=window,
@@ -427,8 +452,6 @@ def _stable_image(module: ConnectionModule, where: str) -> _StableImage:
                 dim=dim,
                 echelon=echelon,
             )
-            _STABLE_CACHE[key] = state
-            return state
         previous = dim
         degree *= 2
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
 from fractions import Fraction
@@ -17,11 +18,13 @@ from airymoments.errors import (
 from airymoments.asymptotics import mid_basis
 from airymoments.moments import h1_dims
 from airymoments.exact import Polynomial, Z
+from airymoments import connection
 from airymoments.connection import (
     CohomologyBasis,
     ConnectionModule,
     ModuleElement,
     _Echelon,
+    _build_stable_image,
     _image_row,
     _stable_image,
     build_symk,
@@ -229,10 +232,10 @@ def test_echelon_cache_tells_derivations_apart():
     assert h1_dim_bruteforce(build_symk(2, 1), "a1")[0] == 1
 
 
-# Every stored echelon row, with the anchor, window, degree and
-# dimension, of these modules, hashed when the kernel still divided out
-# the content after every elimination step.  A cheaper kernel must
-# store the same rows, so the digest must not move.
+# Every echelon row of the full build, with the anchor, window, degree
+# and dimension, of these modules, hashed when the kernel still divided
+# out the content after every elimination step.  A cheaper kernel must
+# build the same rows, so the digest must not move.
 PINNED_MODULES = (
     [(2, k, twist, where) for k in (1, 2, 3, 5, 8, 11)
      for twist, where in ((0, "a1"), (0, "gm"), (HALF, "gm"))]
@@ -246,7 +249,7 @@ def test_stored_echelon_rows_are_pinned():
     start = time.perf_counter()
     digest = hashlib.sha256()
     for n, k, twist, where in PINNED_MODULES:
-        state = _stable_image(build_symk(n, k, twist), where)
+        state = _build_stable_image(build_symk(n, k, twist), where)
         digest.update(repr((
             n, k, str(twist), where,
             state.anchor, state.window, state.degree, state.dim,
@@ -257,6 +260,103 @@ def test_stored_echelon_rows_are_pinned():
         )).encode())
     assert digest.hexdigest() == PINNED_DIGEST
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "n, k, twist, where", PINNED_MODULES, ids=lambda v: str(v)
+)
+def test_cached_image_keeps_the_window_rows_of_the_full_build(
+    n, k, twist, where
+):
+    module = build_symk(n, k, twist)
+    cached = _stable_image(module, where)
+    full = _build_stable_image(module, where)
+    assert (cached.anchor, cached.window, cached.degree, cached.dim) == (
+        full.anchor, full.window, full.degree, full.dim
+    )
+    # Monomials of degree at most ``window`` have ids from here up.
+    threshold = (full.anchor - full.window) * full.gens
+    assert cached.echelon.rows == {
+        lead: row for lead, row in full.echelon.rows.items()
+        if lead >= threshold
+    }
+
+
+def test_cached_image_holds_only_its_window(monkeypatch):
+    # Sym^40 a1 builds 10,619 rows; 5,311 of them are led inside the
+    # window, at most one per id there.  The middle-basis reductions
+    # that follow must read the same cached image, not build another.
+    module = build_symk(2, 40)
+    key = (module, "a1")
+    monkeypatch.delitem(connection._STABLE_CACHE, key, raising=False)
+    builds = []
+    build = connection._build_stable_image
+
+    def counted(module, where):
+        builds.append((module, where))
+        return build(module, where)
+
+    monkeypatch.setattr(connection, "_build_stable_image", counted)
+    h1_dim_bruteforce(module, "a1")
+    state = connection._STABLE_CACHE[key]
+    assert builds.count(key) == 1
+    assert len(state.echelon.rows) <= state.gens * (state.window + 1)
+    h1_dim_bruteforce(module, "a1")
+    basis = mid_basis(40)
+    for element in basis.classes:
+        reduce_to_basis(element, basis, module)
+    assert builds.count(key) == 1
+    assert connection._STABLE_CACHE[key] is state
+
+
+@pytest.mark.parametrize(
+    "where, twist",
+    [("a1", 0), ("gm", 0), ("gm", HALF)],
+    ids=["a1", "gm-rho0", "gm-rho1/2"],
+)
+def test_reduce_refuses_elements_above_the_window(where, twist):
+    # The cached image has no row led above the window, so an element
+    # there would get a wrong normal form; it must be refused instead.
+    module = build_symk(2, 5, twist)
+    basis = h1_a1_basis(5) if where == "a1" else gm_cokernel_basis(5, twist)
+    window = _stable_image(module, where).window
+    reduce_to_basis(monomial_element("u0", window), basis, module)
+    with pytest.raises(StabilityError, match="exceeds the stabilised window"):
+        reduce_to_basis(monomial_element("u0", window + 1), basis, module)
+
+
+WINDOW_MODULES = (
+    [(2, k, twist, where) for k in range(1, 13)
+     for twist, where in ((0, "a1"), (0, "gm"), (HALF, "gm"))]
+    + [(3, k, 0, where) for k in range(1, 5) for where in ("a1", "gm")]
+)
+
+
+@functools.cache
+def _full_image(n, k, twist, where):
+    return _build_stable_image(build_symk(n, k, twist), where)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_window_normal_forms_match_the_full_build(data):
+    n, k, twist, where = data.draw(st.sampled_from(WINDOW_MODULES))
+    cached = _stable_image(build_symk(n, k, twist), where)
+    full = _full_image(n, k, twist, where)
+    monomials = st.tuples(
+        st.integers(0, cached.window), st.integers(0, cached.gens - 1)
+    )
+    entries = data.draw(st.dictionaries(
+        monomials, st.integers(-9, 9).filter(bool), max_size=8
+    ))
+    vector = (
+        data.draw(st.integers(1, 6)),
+        {(cached.anchor - d) * cached.gens + i: c
+         for (d, i), c in entries.items()},
+    )
+    assert cached.echelon.normal_form(vector) == full.echelon.normal_form(
+        vector
+    )
 
 
 # Closed forms against the brute force over random (n, k).  Budget: an
