@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .asymptotics import gamma, mid_basis
-from .connection import gm_cokernel_basis, h1_a1_basis
+from .connection import SPACES, gm_cokernel_basis, h1_a1_basis
 from .errors import (
     DomainError,
     InconsistencyError,
@@ -49,6 +49,8 @@ MAX_GM_K = 80
 #: Longest accepted k literal, checked before ``int()``, which refuses
 #: literals from 4300 digits on.
 MAX_K_DIGITS = 100
+#: The output formats, in the order ``--format`` lists them.
+FORMATS = ("text", "json", "csv", "latex")
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
             name, help=command.help, argument_default=argparse.SUPPRESS
         )
         cmd.add_argument("--k", required=True, help="value K or range A..B")
-        cmd.add_argument("--format", choices=("text", "json", "csv", "latex"))
+        cmd.add_argument("--format", choices=FORMATS)
         cmd.add_argument("--parity", choices=("odd", "even"))
         cmd.add_argument("--cache-dir")
         for flag in command.options:
@@ -331,7 +333,7 @@ def _verify(config: RunConfig):
 #: None has a parser default (see RunConfig).
 OPTIONS = {
     "--n": {"type": int},
-    "--space": {"choices": ("a1", "gm", "mid")},
+    "--space": {"choices": SPACES},
     "--rho": {"dest": "twist", "choices": ("0", "1/2")},
     "--series-terms": {"type": int},
 }
@@ -466,6 +468,13 @@ def run(config: RunConfig) -> tuple[int, str]:
         raise DomainError(f"unknown command {config.command!r}")
     if not config.k_values:
         raise DomainError("empty k range")
+    if config.format not in FORMATS:
+        raise DomainError(f"unknown format {config.format!r}")
+    if config.space not in SPACES:
+        raise DomainError(f"unknown cohomology space {config.space!r}")
+    top = max(config.k_values)
+    if top > MAX_K:
+        raise SizeLimitError(f"k = {top} is above the cap {MAX_K}")
     if config.series_terms < 1:
         raise DomainError("series terms must be positive")
     if config.series_terms > MAX_SERIES_TERMS:
@@ -473,9 +482,9 @@ def run(config: RunConfig) -> tuple[int, str]:
             f"{config.series_terms} series terms exceed the cap {MAX_SERIES_TERMS}"
         )
     basis_cap = {"gm": MAX_GM_K, "mid": MAX_MID_K}.get(config.space, MAX_K)
-    if config.command == "basis" and max(config.k_values) > basis_cap:
+    if config.command == "basis" and top > basis_cap:
         raise SizeLimitError(
-            f"k = {max(config.k_values)} is above the cap {basis_cap} "
+            f"k = {top} is above the cap {basis_cap} "
             f"for the {config.space} basis"
         )
     cache_path = _cache_path(config)

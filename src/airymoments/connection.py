@@ -31,7 +31,7 @@ from .errors import (
     SizeLimitError,
     StabilityError,
 )
-from .exact import Polynomial, _coerce, compositions
+from .exact import Polynomial, compositions
 
 HALF = Fraction(1, 2)
 
@@ -40,6 +40,9 @@ SIZE_CAP = 100_000
 
 #: Largest truncation degree the brute-force engine will try.
 TRUNCATION_CEILING = 4096
+
+#: The cohomology spaces a basis can live in; see ``CohomologyBasis``.
+SPACES = ("a1", "gm", "mid")
 
 #: Sparse column of a derivation: (degree, target index, integer coeff)
 #: triples, no two with the same (degree, target) and none with coeff 0.
@@ -146,27 +149,6 @@ class ModuleElement:
         )
         object.__setattr__(self, "coordinates", cleaned)
 
-    def is_zero(self) -> bool:
-        return not self.coordinates
-
-    def __add__(self, other: ModuleElement) -> ModuleElement:
-        return ModuleElement(self.coordinates + other.coordinates)
-
-    def __sub__(self, other: ModuleElement) -> ModuleElement:
-        return self + (-1) * other
-
-    def __mul__(self, scalar) -> ModuleElement:
-        if isinstance(scalar, Polynomial):
-            return ModuleElement(
-                tuple((lab, p * scalar) for lab, p in self.coordinates)
-            )
-        factor = _coerce(scalar)
-        return ModuleElement(
-            tuple((lab, p * factor) for lab, p in self.coordinates)
-        )
-
-    __rmul__ = __mul__
-
     def __str__(self) -> str:
         if not self.coordinates:
             return "0"
@@ -181,9 +163,9 @@ class ModuleElement:
         return " + ".join(parts)
 
 
-def monomial_element(label: str, degree: int = 0, coeff=1) -> ModuleElement:
-    """The element coeff * z**degree * generator."""
-    return ModuleElement(((label, Polynomial.monomial(degree, coeff)),))
+def monomial_element(label: str, degree: int = 0) -> ModuleElement:
+    """The element z**degree * generator."""
+    return ModuleElement(((label, Polynomial.monomial(degree)),))
 
 
 @dataclass(frozen=True)
@@ -203,7 +185,7 @@ class CohomologyBasis:
     g_levels: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
-        if self.space not in ("a1", "gm", "mid"):
+        if self.space not in SPACES:
             raise DomainError(f"unknown cohomology space {self.space!r}")
         if self.g_levels is not None and len(self.g_levels) != len(self.classes):
             raise DomainError("one level per class required")
@@ -525,17 +507,15 @@ def gm_cokernel_basis(k: int, twist: Fraction | int = 0) -> CohomologyBasis:
     """Basis of H^1 over the punctured line for the k-th symmetric power
     of the order-2 connection, twist 0 or 1/2.
 
-    The classes are z^p * u0 for p from floor((k-1)/2)+1 (k odd) or
-    floor((k-1)/2) (k even) down to 1, followed by u0..uk.  Their count
-    and linear independence are verified against the brute-force
-    cohomology before returning.
+    The classes are z^p * u0 for p from ``omega_count(k)`` down to 1,
+    followed by u0..uk.  Their count and linear independence are
+    verified against the brute-force cohomology before returning.
     """
     if k < 1:
         raise DomainError("symmetric power must be at least 1")
     _first_truncation(k)  # refuse before building the module
     module = build_symk(2, k, twist)
-    kp = (k - 1) // 2
-    top = kp + 1 if k % 2 else kp
+    top = omega_count(k)
     classes = [monomial_element("u0", p) for p in range(top, 0, -1)]
     classes += [monomial_element(f"u{j}") for j in range(k + 1)]
     dim, _ = h1_dim_bruteforce(module, "gm")
@@ -559,6 +539,12 @@ def gm_cokernel_basis(k: int, twist: Fraction | int = 0) -> CohomologyBasis:
     )
 
 
+def omega_count(k: int) -> int:
+    """How many classes z^(i-1) * u0 the affine-line basis of the k-th
+    symmetric power has: floor((k-1)/2), plus one when k is odd."""
+    return (k - 1) // 2 + k % 2
+
+
 def omega_class(i: int) -> ModuleElement:
     """The class z^(i-1) * u0 (a differential form after multiplying by
     dz), the i-th member of the affine-line cohomology basis."""
@@ -580,12 +566,11 @@ def omega_level(k: int, i: int) -> Fraction:
 
 def h1_a1_basis(k: int) -> CohomologyBasis:
     """Basis of H^1 over the affine line for the k-th symmetric power of
-    the order-2 connection: classes z^(i-1) u0 for i = 1..floor((k-1)/2)
-    plus one more when k is odd, each with its filtration level."""
+    the order-2 connection: classes z^(i-1) u0 for i = 1..omega_count(k),
+    each with its filtration level."""
     if k < 2:
         raise DomainError("need a symmetric power of at least 2")
-    kp = (k - 1) // 2
-    top = kp + 1 if k % 2 else kp
+    top = omega_count(k)
     classes = tuple(omega_class(i) for i in range(1, top + 1))
     levels = tuple(omega_level(k, i) for i in range(1, top + 1))
     return CohomologyBasis(
@@ -608,9 +593,15 @@ def reduce_to_basis(
     reduced to normal form against the image of the derivation, then
     against the basis's class solver (built once per basis, see
     ``_class_solver``), which leaves minus its coordinates on the tags.
-    Raises InconsistencyError when the element lies outside the span of
-    the basis classes or the classes are dependent.
+    Raises DomainError when ``module`` is not the one the basis lives
+    in (another symmetric power or twist), and InconsistencyError when
+    the element lies outside the span of the basis classes or the
+    classes are dependent.
     """
+    if module.k != basis.k:
+        raise DomainError(
+            "element module and basis have different symmetric powers"
+        )
     if module.twist != basis.twist:
         raise DomainError("element module and basis have different twists")
     where = "gm" if basis.space == "gm" else "a1"

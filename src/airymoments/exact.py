@@ -91,9 +91,6 @@ class Polynomial:
             out[d] = c
         return out
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __add__(self, other) -> Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(other)
@@ -207,9 +204,6 @@ class OffsetSeries:
         object.__setattr__(
             self, "coefficients", tuple(_coerce(c) for c in self.coefficients)
         )
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
 
 
 def compositions(parts: int, total: int):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .connection import omega_thirds
+from .connection import omega_count, omega_thirds
 from .errors import DomainError
 from .moments import h1_dims, rho_preimage
 
@@ -124,9 +124,6 @@ class GLevelMultiset:
     def counter(self) -> Counter:
         return _thirds_view(self.thirds_counter())
 
-    def total(self) -> int:
-        return sum(mult for _, mult in self.thirds)
-
 
 def _twist_thirds(k: int, i: int) -> int:
     """Three times the level of the twisted mate of the i-th class,
@@ -152,8 +149,7 @@ def g_levels(k: int, which: str) -> GLevelMultiset:
         raise DomainError("need a symmetric power of at least 2")
     if which not in ("Ai", "L-twist", "tilde"):
         raise DomainError(f"unknown family {which!r}")
-    kp = (k - 1) // 2
-    top = kp + 1 if k % 2 else kp
+    top = omega_count(k)
     counter: Counter = Counter()
     if which in ("Ai", "tilde"):
         for i in range(1, top + 1):

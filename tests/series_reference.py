@@ -17,7 +17,7 @@ def series_mul(a: OffsetSeries, b: OffsetSeries) -> OffsetSeries:
     """
     if a.step != b.step:
         raise DomainError(f"incompatible series steps {a.step} and {b.step}")
-    length = min(len(a), len(b))
+    length = min(len(a.coefficients), len(b.coefficients))
     coeffs = [Fraction(0)] * length
     for i, ca in enumerate(a.coefficients[:length]):
         if not ca:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from airymoments import asymptotics
 from airymoments.errors import DomainError, InconsistencyError
 from airymoments.exact import OffsetSeries, Polynomial, Z
-from airymoments.connection import h1_a1_basis, omega_class
+from airymoments.connection import ModuleElement, h1_a1_basis, omega_class
 from airymoments.moments import h1_dims
 from airymoments.asymptotics import (
     GammaTable,
@@ -273,14 +273,21 @@ def test_mid_basis_at_sixteen_carries_one_correction():
 
 def test_mid_basis_matches_corrected_omega_classes():
     # the route mid_basis took before building each class directly:
-    # omega_class(i) minus its gamma coefficient times the pivot class
+    # omega_class(i) minus its gamma coefficient times the pivot class,
+    # as one element over both classes' coordinates
     for k in range(4, 161, 4):
         kp, pivot = (k - 1) // 2, k // 4
         table = gamma(k, kp // 3 + 1)
         indices = [i for i in range(1, kp + 1) if i != pivot]
         basis = mid_basis(k)
         assert basis.classes == tuple(
-            omega_class(i) - table.value_at(i) * omega_class(pivot)
+            ModuleElement(
+                omega_class(i).coordinates
+                + tuple(
+                    (label, poly * -table.value_at(i))
+                    for label, poly in omega_class(pivot).coordinates
+                )
+            )
             for i in indices
         )
         levels = h1_a1_basis(k).g_levels

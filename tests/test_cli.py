@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airymoments.errors import InconsistencyError, SizeLimitError
+from airymoments.errors import DomainError, InconsistencyError, SizeLimitError
 from airymoments.cli import main, parse_k_range
 from airymoments.hodge import hodge_numbers, tilde_mid_hodge
 from airymoments import cli, moments
@@ -338,6 +338,23 @@ def test_huge_k_is_rejected(capsys, argv):
     assert code == 1
     assert out == ""
     assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "config, error, match",
+    [
+        (cli.RunConfig("basis", (8,), space="gm2"), DomainError, "space"),
+        (cli.RunConfig("hodge", (5,), format="xml"), DomainError, "format"),
+        (cli.RunConfig("hodge", (10**6,)), SizeLimitError, "cap"),
+    ],
+    ids=["space", "format", "k"],
+)
+def test_run_refuses_configs_the_parser_never_builds(config, error, match):
+    # A library caller can hand ``run`` any RunConfig: it gets the
+    # parser's refusals, not another space's table, a KeyError or an
+    # unbounded k.
+    with pytest.raises(error, match=match):
+        cli.run(config)
 
 
 @pytest.mark.parametrize(

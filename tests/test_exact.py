@@ -457,7 +457,7 @@ def test_series_pow_leading_and_all_zero(coeffs, exponent):
     s = OffsetSeries(Fraction(1, 2), 3, coeffs)
     powered = series_pow(s, exponent)
     assert powered == _iterated_power(s, exponent)
-    assert len(powered) == len(s)
+    assert len(powered.coefficients) == len(s.coefficients)
     assert powered.offset == exponent * s.offset
 
 

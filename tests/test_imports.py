@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every
-public function and class of the package is reached.
+"""Every module of the package uses each name it imports, every public
+function and class of the package is reached, and every function of
+the package runs.
 
 No linter runs on this package, so these scans with the standard
 library's ``ast`` are the check: an imported name that no expression
@@ -9,12 +10,33 @@ of a public class, that nothing names outside its own definition, in
 the package, the benchmark or the acceptance tests.  A private
 module-level function or class must be named in the package or the
 benchmark: a helper that only a test still calls is dead code.
+
+A name scan cannot see a dunder method, nor a method whose name some
+other class also uses, so the last guard runs the traffic the package
+serves and lists each function or method, dunders and properties
+included, that it never enters.  The traffic is every case of the
+golden CLI corpus, one cached JSON call run twice (a miss, then a
+hit), one usage error and the acceptance gate.  It runs in a fresh
+interpreter, running this file as a script, because caches filled
+earlier in a test session would hide entries.  A global trace function
+records call events only: it returns None, so no line is traced.
+Lambdas and comprehensions are left out, and so are aliases such as
+``__radd__ = __add__``, which define no code of their own.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from inspect import CO_NEWLOCALS
 from pathlib import Path
+from types import CodeType
 
 import pytest
 
@@ -197,3 +219,102 @@ def test_every_public_method_is_reached(path):
         str(caller): caller.read_text(encoding="utf-8") for caller in CALLERS
     }
     assert unreached_methods(str(path), callers) == []
+
+
+def functions(source: str, filename: str) -> dict[int, str]:
+    """Every function and method that ``source`` defines, keyed by the
+    first line of its code object (a decorated function's first
+    decorator), with its qualified name.  Lambdas, comprehensions and
+    class bodies are left out, and aliases define no code object."""
+    out = {}
+    stack = [compile(source, filename, "exec")]
+    while stack:
+        for code in stack.pop().co_consts:
+            if not isinstance(code, CodeType):
+                continue
+            stack.append(code)
+            if code.co_flags & CO_NEWLOCALS and code.co_name[0] != "<":
+                out[code.co_firstlineno] = code.co_qualname
+    return out
+
+
+def test_functions_lists_what_a_trace_can_enter():
+    source = (
+        "class Shape:\n"
+        "    @property\n"
+        "    def side(self):\n        return 1\n\n"
+        "    def __len__(self):\n        return [n for n in ()]\n\n"
+        "    size = __len__\n\n"
+        "def outer():\n"
+        "    key = lambda n: n\n"
+        "    def inner():\n        pass\n"
+        "    return inner\n"
+    )
+    assert functions(source, "lib.py") == {
+        2: "Shape.side",
+        6: "Shape.__len__",
+        11: "outer",
+        13: "outer.<locals>.inner",
+    }
+
+
+def entered_by_the_traffic() -> set[tuple[str, int]]:
+    """(file, first line) of every code object the traffic enters.
+    Traced from before the package is imported, so calls made while
+    it loads count too; exits if the acceptance gate fails."""
+    entered = set()
+    package = str(PACKAGE)
+
+    def trace(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename.startswith(package):
+            entered.add((code.co_filename, code.co_firstlineno))
+
+    sys.settrace(trace)
+    try:
+        from test_golden_cli import CASES, run_case
+
+        from airymoments import cli
+
+        os.environ.pop(cli.CACHE_ENV, None)
+        for case in CASES:
+            run_case(case)
+        cached = ["hodge", "--k", "2..5", "--format", "json", "--cache-dir"]
+        with tempfile.TemporaryDirectory() as cache:
+            with contextlib.redirect_stdout(io.StringIO()):
+                for _ in range(2):  # a miss, then a hit
+                    cli.main(cached + [cache])
+        run_case("dims")  # a usage error: no --k
+        acceptance = ROOT / "tests" / "test_acceptance.py"
+        gate = pytest.main(["-q", "-p", "no:cacheprovider", str(acceptance)])
+    finally:
+        sys.settrace(None)
+    if gate != 0:
+        sys.exit(f"the acceptance gate failed under the trace: exit {gate}")
+    return entered
+
+
+def test_every_function_is_entered_by_the_traffic():
+    run = subprocess.run(
+        [sys.executable, __file__],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
+    never = json.loads(run.stdout.splitlines()[-1])
+    assert never == [], "never entered by the traffic:\n" + "\n".join(never)
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
+    entered = entered_by_the_traffic()
+    never = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in sorted(
+            functions(path.read_text(encoding="utf-8"), str(path)).items()
+        )
+        if (str(path), line) not in entered
+    ]
+    print(json.dumps(never))
