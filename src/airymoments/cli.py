@@ -43,9 +43,9 @@ MAX_K = 10_000
 #: k = 8200 on a coefficient has more digits than Python prints.
 MAX_MID_K = 4_000
 #: Largest accepted k for ``basis --space gm``: its brute-force
-#: certificate takes about 1 s at k = 80, 2 s at 100 and 28 s at 160
-#: (2-vCPU VM), so the time grows like k^5 or faster.
-MAX_GM_K = 80
+#: certificate takes 0.5 to 1.0 s per twist at k = 120 and 0.9 to 1.3 s
+#: at 140 (2-vCPU VM), and grows steeply from there.
+MAX_GM_K = 120
 #: Longest accepted k literal, checked before ``int()``, which refuses
 #: literals from 4300 digits on.
 MAX_K_DIGITS = 100

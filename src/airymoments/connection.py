@@ -9,14 +9,17 @@ independent ways:
 * closed form: explicit cohomology bases whose size and independence are
   checked against the brute-force answer.
 
-Degrees are indexed so that the monomials of degree at most E form a
-suffix of the coordinate order.  Row reduction therefore computes, in
-one pass, the dimension of the image intersected with every such window,
-and normal forms of low-degree vectors never leave the window.  That is
-what makes the truncated quotient an exact model of the true cokernel
-once the dimension stabilises.  It is also why the cached image may
-drop every row led outside the stabilised window: the normal form of
-a vector inside the window never meets one.
+Monomials are ordered by weighted degree, in which z has weight 1 and a
+generator of the order-n module has weight w/n for its integer weight
+w (see ``ConnectionModule``); this is the grading of Yu's filtration by
+weighted pole order.  Ids are indexed so that the monomials of weighted
+degree at most E form a suffix of the coordinate order.  Row reduction
+therefore computes, in one pass, the dimension of the image intersected
+with every such window, and normal forms of low-weight vectors never
+leave the window.  That is what makes the truncated quotient an exact
+model of the true cokernel once the dimension stabilises.  It is also
+why the cached image may drop every row led outside the stabilised
+window: the normal form of a vector inside the window never meets one.
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ SPACES = ("a1", "gm", "mid")
 #: triples, no two with the same (degree, target) and none with coeff 0.
 Column = tuple[tuple[int, int, int], ...]
 
+#: A column as echelon coordinates: the (id, coeff) terms of the image
+#: row of the generator itself, and the id its diagonal takes there.
+IdColumn = tuple[list[tuple[int, int]], int]
+
 
 @dataclass(frozen=True)
 class ConnectionModule:
@@ -57,6 +64,11 @@ class ConnectionModule:
     lists triples (m, i, c) meaning that d/dz of generator j contains
     c z^m times generator i.  The twist enters only through the
     brute-force rows over the punctured line, which apply z d/dz + twist.
+
+    ``weights`` grades the monomials: z^d times generator i has weight
+    n * d + weights[i].  For a symmetric power, every term of column j
+    has weight weights[j] + 1, so the top-weight part of a derivation
+    row is the column itself.
     """
 
     n: int
@@ -64,6 +76,7 @@ class ConnectionModule:
     twist: Fraction
     labels: tuple[str, ...]
     partial: tuple[Column, ...]
+    weights: tuple[int, ...]
 
     @property
     def rank(self) -> int:
@@ -82,6 +95,7 @@ def build_symk(n: int, k: int, twist: Fraction | int = 0) -> ConnectionModule:
     Generators are monomials of total degree k in the solutions basis,
     indexed by exponent tuples in descending lexicographic order; for
     n = 2 the generator with exponent (k-j, j) is labelled u{j}.  The
+    generator with exponent tuple a has weight sum(i * a[i]).  The
     optional twist (only 0 or 1/2, and only for n = 2) shifts the Euler
     derivation, which is how the square-root line bundle twist acts.
 
@@ -123,6 +137,7 @@ def build_symk(n: int, k: int, twist: Fraction | int = 0) -> ConnectionModule:
         twist=twist,
         labels=_symk_labels(n, exponents),
         partial=tuple(partial),
+        weights=tuple(sum(i * e for i, e in enumerate(a)) for a in exponents),
     )
 
 
@@ -197,11 +212,13 @@ class CohomologyBasis:
 # ---------------------------------------------------------------------------
 # Brute-force cohomology via stabilised truncations.
 #
-# Monomial z^d * g_i gets the integer id (anchor - d) * gens + i, so ids
-# decrease as the degree grows and the window of degrees <= E is exactly
-# the suffix of ids >= (anchor - E) * gens.  Echelon rows whose leading
-# id lies in that suffix have their entire support in it, which keeps
-# window computations exact.
+# Monomial z^d * g_i of weight W = n * d + w_i gets the integer id
+# (anchor - W) * gens + (gens - 1 - i), so ids decrease as the weight
+# grows and the window of weighted degree <= E (weight <= n * E) is
+# exactly the suffix of ids >= (anchor - n * E) * gens.  A row's lead,
+# its least id, is its top-weight part and, within a weight, the highest
+# generator index.  Echelon rows whose leading id lies in the suffix
+# have their entire support in it, which keeps window computations exact.
 # ---------------------------------------------------------------------------
 
 
@@ -302,6 +319,9 @@ class _StableImage:
     gens: int
     anchor: int
     window: int
+    #: First id of the window: the monomials of weighted degree at most
+    #: ``window`` have ids from here up.
+    threshold: int
     degree: int
     dim: int
     echelon: _Echelon
@@ -318,25 +338,44 @@ class _StableImage:
 _STABLE_CACHE: dict[tuple, _StableImage] = {}
 
 
+def _monomial_id(weight: int, i: int, anchor: int, gens: int) -> int:
+    """Id of the monomial of this weight on generator i."""
+    return (anchor - weight) * gens + gens - 1 - i
+
+
+def _image_columns(
+    module: ConnectionModule, where: str, anchor: int
+) -> list[IdColumn]:
+    """The columns of z^up d/dz + twist, up = 1 over the punctured line
+    ("gm") and 0 over the affine line, as ids: each coeff is times the
+    twist's denominator, which clears the half twist."""
+    up = int(where == "gm")
+    scale = module.twist.denominator
+
+    def at(degree: int, i: int) -> int:
+        weight = module.n * degree + module.weights[i]
+        return _monomial_id(weight, i, anchor, module.rank)
+
+    return [
+        ([(at(m + up, i), c * scale) for m, i, c in column], at(up - 1, j))
+        for j, column in enumerate(module.partial)
+    ]
+
+
 def _image_row(
-    terms: list[tuple[int, int, int]],
-    scale: int,
-    twist: int,
-    up: int,
-    d: int,
-    j: int,
-    gens: int,
-    anchor: int,
+    column: IdColumn, scale: int, twist: int, d: int, stride: int
 ) -> dict[int, int]:
     """Integer coordinate row of ``scale`` times z^up d/dz + twist
-    applied to z^d * g_j: ``twist`` is already times ``scale``, and
-    ``terms`` are the columns of g_j with each degree moved up by
-    ``up`` and each coeff times ``scale``.  No term lands on the
-    diagonal, which sits one degree below z^(d+up)."""
-    row = {(anchor - d - m) * gens + i: c for m, i, c in terms}
+    applied to z^d * g_j, for ``column`` the id column of g_j: ``twist``
+    is already times ``scale``, and a factor z^d lowers every id by
+    d * ``stride``.  No term lands on the diagonal, which sits one
+    degree below z^(d+up)."""
+    terms, diagonal_at = column
+    shift = d * stride
+    row = {pos - shift: c for pos, c in terms}
     diagonal = d * scale + twist
     if diagonal:
-        row[(anchor + 1 - up - d) * gens + j] = diagonal
+        row[diagonal_at - shift] = diagonal
     return row
 
 
@@ -359,12 +398,12 @@ def _stable_image(module: ConnectionModule, where: str) -> _StableImage:
     module and space.
 
     The cache keeps only the echelon rows led inside the window.  Every
-    query is of an element of degree at most ``window`` (``_element_ids``
-    refuses the rest), whose ids all lie at or above the threshold, and
-    a row led there has its whole support there too: its normal form
-    meets no other row, so the pruned echelon answers it exactly as the
-    full one does.  The rows are copied into a new dict, whose table is
-    sized for what is kept.
+    query is of an element of weighted degree at most ``window``
+    (``_element_ids`` refuses the rest), whose ids all lie at or above
+    the threshold, and a row led there has its whole support there too:
+    its normal form meets no other row, so the pruned echelon answers
+    it exactly as the full one does.  The rows are copied into a new
+    dict, whose table is sized for what is kept.
     """
     # Keyed on the whole module: two modules with equal (n, k) but
     # different columns must not share an echelon, nor two with
@@ -373,7 +412,7 @@ def _stable_image(module: ConnectionModule, where: str) -> _StableImage:
     state = _STABLE_CACHE.get(key)
     if state is None:
         state = _build_stable_image(module, where)
-        threshold = (state.anchor - state.window) * state.gens
+        threshold = state.threshold
         state.echelon.rows = {
             lead: row
             for lead, row in state.echelon.rows.items()
@@ -385,21 +424,29 @@ def _stable_image(module: ConnectionModule, where: str) -> _StableImage:
 
 def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
     """The stabilised image with every row of the last truncation,
-    uncached.  Its rows are built in integers: ``scale``, the twist's
-    denominator, clears the half twist, and scaling a row by a positive
-    integer leaves the echelon unchanged, because insertion divides out
-    the content of every row.
+    uncached.
+
+    Truncation degree D takes the sources z^d * g_j of weight at most
+    n * D, inserted in increasing weight, and the window is the weighted
+    degree D // 2.  Rows are built in integers: scaling a row by a
+    positive integer leaves the echelon unchanged, because insertion
+    divides out the content of every row.
     """
     if where == "a1" and module.twist:
         raise DomainError("affine-line cohomology requires an untwisted module")
     degree = _first_truncation(module.k)
-    gens = module.rank
-    anchor = TRUNCATION_CEILING + 2
-    up = int(where == "gm")
+    n, gens, weights = module.n, module.rank, module.weights
+    # Ids stay non-negative up to the anchor's weight, above the
+    # n * D + n + 1 that the rows of a symmetric power reach.
+    anchor = n * (TRUNCATION_CEILING + 2)
+    columns = _image_columns(module, where, anchor)
     scale, twist = module.twist.denominator, module.twist.numerator
-    terms = [
-        [(m + up, i, c * scale) for m, i, c in column]
-        for column in module.partial
+    stride = n * gens
+    # The sources of weight W are the z^d * g_j with w_j = W - n * d,
+    # w_j in W's residue class mod n, listed by increasing w_j.
+    layers = [
+        sorted((w, j) for j, w in enumerate(weights) if w % n == r)
+        for r in range(n)
     ]
     echelon = _Echelon()
     processed = -1
@@ -410,10 +457,12 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
                 "dimension did not stabilise below truncation degree "
                 f"{TRUNCATION_CEILING}"
             )
-        for d in range(processed + 1, degree + 1):
-            for j in range(gens):
+        for weight in range(processed + 1, n * degree + 1):
+            for w, j in layers[weight % n]:
+                if w > weight:
+                    break
                 row = _image_row(
-                    terms[j], scale, twist, up, d, j, gens, anchor
+                    columns[j], scale, twist, (weight - w) // n, stride
                 )
                 if not echelon.insert(row):
                     raise InconsistencyError(
@@ -421,15 +470,19 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
                         "has a kernel at truncation degree "
                         f"{degree}, which contradicts irregularity"
                     )
-        processed = degree
+        processed = n * degree
         window = degree // 2
-        threshold = (anchor - window) * gens
-        dim = gens * (window + 1) - echelon.pivots_at_or_above(threshold)
+        bound = n * window
+        # Generator j has the monomials z^d * g_j, d <= (bound - w_j) / n.
+        monomials = sum((bound - w) // n + 1 for w in weights if w <= bound)
+        threshold = _monomial_id(bound, gens - 1, anchor, gens)
+        dim = monomials - echelon.pivots_at_or_above(threshold)
         if previous == dim:
             return _StableImage(
                 gens=gens,
                 anchor=anchor,
                 window=window,
+                threshold=threshold,
                 degree=degree,
                 dim=dim,
                 echelon=echelon,
@@ -443,8 +496,12 @@ def h1_dim_bruteforce(module: ConnectionModule, where: str) -> tuple[int, int]:
     the punctured line ("gm"), by exact elimination on truncations.
 
     Returns (dimension, truncation degree at which it stabilised).  The
-    affine-line case is the cokernel of d/dz and requires an untwisted
-    module; the punctured-line case is the cokernel of z d/dz + twist.
+    degree D is a weighted degree, with z of weight 1 and generator i
+    of weight w_i / n: truncation D keeps the sources z^d * g_i with
+    d + w_i / n <= D, and the dimension is read off the window of
+    weighted degree D // 2.  The affine-line case is the cokernel of
+    d/dz and requires an untwisted module; the punctured-line case is
+    the cokernel of z d/dz + twist.
     """
     if where not in ("a1", "gm"):
         raise DomainError(f"unknown cohomology space {where!r}")
@@ -460,18 +517,20 @@ def _element_ids(
     """(scale, ids): the element's coordinates times ``scale``, the lcm
     of their denominators."""
     index = {label: i for i, label in enumerate(module.labels)}
+    n, bound = module.n, module.n * state.window
     out: dict[int, Fraction] = {}
     for label, poly in element.coordinates:
         i = index.get(label)
         if i is None:
             raise DomainError(f"element uses unknown generator {label!r}")
         for d, c in poly.terms:
-            if d > state.window:
+            weight = n * d + module.weights[i]
+            if weight > bound:
                 raise StabilityError(
-                    f"element degree {d} exceeds the stabilised window "
-                    f"{state.window}"
+                    f"element weighted degree {Fraction(weight, n)} exceeds "
+                    f"the stabilised window {state.window}"
                 )
-            out[(state.anchor - d) * state.gens + i] = c
+            out[_monomial_id(weight, i, state.anchor, state.gens)] = c
     scale = math.lcm(*(c.denominator for c in out.values()))
     return scale, {
         pos: c.numerator * (scale // c.denominator) for pos, c in out.items()
@@ -594,10 +653,12 @@ def reduce_to_basis(
     against the basis's class solver (built once per basis, see
     ``_class_solver``), which leaves minus its coordinates on the tags.
     Raises DomainError when ``module`` is not the one the basis lives
-    in (another symmetric power or twist), and InconsistencyError when
-    the element lies outside the span of the basis classes or the
+    in (another order, symmetric power or twist), and InconsistencyError
+    when the element lies outside the span of the basis classes or the
     classes are dependent.
     """
+    if module.n != 2:
+        raise DomainError("cohomology bases live in order-2 modules")
     if module.k != basis.k:
         raise DomainError(
             "element module and basis have different symmetric powers"

@@ -387,7 +387,7 @@ TOP_OF_BOUNDS_RETURNS = [
     (("dims", "--n", "8", "--k", "40"), 4),  # 0.8 s: 271,502 visits
     (("basis", "--k", TOP), 3),  # 0.2 s
     (("basis", "--space", "mid", "--k", str(cli.MAX_MID_K)), 6),  # 0.9 s
-    (("basis", "--space", "gm", "--k", str(cli.MAX_GM_K)), 6),  # 1.0 s
+    (("basis", "--space", "gm", "--k", str(cli.MAX_GM_K)), 6),  # 0.8-1.1 s
     (("gamma", "--k", TOP), 2),  # under 0.01 s
     (("hodge", "--k", TOP), 2),  # 0.03 s
     (("tilde", "--k", TOP), 2),  # 0.08 s

@@ -25,7 +25,10 @@ from airymoments.connection import (
     ModuleElement,
     _Echelon,
     _build_stable_image,
+    _element_ids,
+    _image_columns,
     _image_row,
+    _monomial_id,
     _stable_image,
     build_symk,
     gm_cokernel_basis,
@@ -33,9 +36,11 @@ from airymoments.connection import (
     h1_dim_bruteforce,
     monomial_element,
     omega_class,
+    omega_count,
     omega_level,
     reduce_to_basis,
 )
+import echelon_reference as reference
 
 HALF = Fraction(1, 2)
 ONE = Polynomial.constant(1)
@@ -87,30 +92,32 @@ def test_symmetric_square_derivation():
 def test_symmetric_power_half_twist_shifts_diagonal():
     m = build_symk(2, 2, HALF)
     assert m.partial == build_symk(2, 2).partial
+    assert m.weights == (0, 1, 2)
+    anchor, gens = 20, m.rank
+    stride = 2 * gens  # z^d has weight 2d
+
+    def at(d, i):
+        """Id of z^d * u_i, of weight 2d + i."""
+        return _monomial_id(2 * d + i, i, anchor, gens)
+
     # Over G_m the row of z^d g_j is 2 (z d/dz + 1/2) z^d g_j: the
     # columns move one degree up and double, the diagonal is 2d + 1,
     # and d/dz u0 = 2 u1 becomes 4 z^(d+1) u1.
-    terms = [[(deg + 1, i, 2 * c) for deg, i, c in col] for col in m.partial]
-    anchor, gens = 10, m.rank
+    columns = _image_columns(m, "gm", anchor)
     for d in range(3):
         for j in range(gens):
-            row = _image_row(terms[j], 2, 1, 1, d, j, gens, anchor)
-            assert row[(anchor - d) * gens + j] == 2 * d + 1
-        row = _image_row(terms[0], 2, 1, 1, d, 0, gens, anchor)
-        assert row == {
-            (anchor - d) * gens: 2 * d + 1,
-            (anchor - d - 1) * gens + 1: 4,
-        }
+            row = _image_row(columns[j], 2, 1, d, stride)
+            assert row[at(d, j)] == 2 * d + 1
+        row = _image_row(columns[0], 2, 1, d, stride)
+        assert row == {at(d, 0): 2 * d + 1, at(d + 1, 1): 4}
     # Over A^1 the same formula with up = 0 and no twist is d/dz: the
     # diagonal d sits one degree down, and vanishes at d = 0.
-    plain = build_symk(2, 2).partial
-    assert _image_row(plain[1], 1, 0, 0, 0, 1, gens, anchor) == {
-        anchor * gens + 2: 1,
-        (anchor - 1) * gens: 1,
-    }
-    assert _image_row(plain[1], 1, 0, 0, 3, 1, gens, anchor)[
-        (anchor - 2) * gens + 1
-    ] == 3
+    plain = _image_columns(build_symk(2, 2), "a1", anchor)
+    row = _image_row(plain[1], 1, 0, 0, stride)
+    assert row == {at(0, 2): 1, at(1, 0): 1}
+    # u2 and z u0 both have weight 2: the highest generator leads.
+    assert min(row) == at(0, 2)
+    assert _image_row(plain[1], 1, 0, 3, stride)[at(2, 1)] == 3
 
 
 def test_build_symk_validation():
@@ -212,6 +219,7 @@ def test_bruteforce_unstable_dimension_raises():
         twist=Fraction(0),
         labels=("v",),
         partial=(((1000, 0, 1),),),
+        weights=(0,),
     )
     with pytest.raises(StabilityError, match="did not stabilise"):
         h1_dim_bruteforce(module, "a1")
@@ -226,6 +234,7 @@ def test_echelon_cache_tells_derivations_apart():
         twist=Fraction(0),
         labels=("v0", "v1"),
         partial=(((0, 1, 1),), ((2, 0, 1),)),
+        weights=(0, 0),
     )
     assert h1_dim_bruteforce(build_symk(2, 1), "a1")[0] == 1
     assert h1_dim_bruteforce(module, "a1")[0] == 2
@@ -233,9 +242,11 @@ def test_echelon_cache_tells_derivations_apart():
 
 
 # Every echelon row of the full build, with the anchor, window, degree
-# and dimension, of these modules, hashed when the kernel still divided
-# out the content after every elimination step.  A cheaper kernel must
-# build the same rows, so the digest must not move.
+# and dimension, of these modules.  PINNED_DIGEST hashes the degree-ordered
+# reference build, pinned when the kernel still divided out the content
+# after every elimination step; WEIGHTED_DIGEST hashes the package's
+# weight-ordered build.  A cheaper kernel must build the same rows, so
+# neither digest may move.
 PINNED_MODULES = (
     [(2, k, twist, where) for k in (1, 2, 3, 5, 8, 11)
      for twist, where in ((0, "a1"), (0, "gm"), (HALF, "gm"))]
@@ -243,13 +254,13 @@ PINNED_MODULES = (
     + [(4, k, 0, where) for k in range(1, 4) for where in ("a1", "gm")]
 )
 PINNED_DIGEST = "e40fab51db03a8a274e942e3c9406083409164066e19384e0fda902576a745f9"
+WEIGHTED_DIGEST = "2e81f95a454849e57a5075484ebc1706685d58c80162d9904bf2d94df6a15664"
 
 
-def test_stored_echelon_rows_are_pinned():
-    start = time.perf_counter()
+def _rows_digest(build) -> str:
     digest = hashlib.sha256()
     for n, k, twist, where in PINNED_MODULES:
-        state = _build_stable_image(build_symk(n, k, twist), where)
+        state = build(build_symk(n, k, twist), where)
         digest.update(repr((
             n, k, str(twist), where,
             state.anchor, state.window, state.degree, state.dim,
@@ -258,7 +269,18 @@ def test_stored_echelon_rows_are_pinned():
             (lead, sorted(row.items()))
             for lead, row in state.echelon.rows.items()
         )).encode())
-    assert digest.hexdigest() == PINNED_DIGEST
+    return digest.hexdigest()
+
+
+def test_stored_echelon_rows_are_pinned():
+    start = time.perf_counter()
+    assert _rows_digest(reference.build_image) == PINNED_DIGEST
+    assert time.perf_counter() - start < 1.0
+
+
+def test_weighted_echelon_rows_are_pinned():
+    start = time.perf_counter()
+    assert _rows_digest(_build_stable_image) == WEIGHTED_DIGEST
     assert time.perf_counter() - start < 1.0
 
 
@@ -274,8 +296,14 @@ def test_cached_image_keeps_the_window_rows_of_the_full_build(
     assert (cached.anchor, cached.window, cached.degree, cached.dim) == (
         full.anchor, full.window, full.degree, full.dim
     )
-    # Monomials of degree at most ``window`` have ids from here up.
-    threshold = (full.anchor - full.window) * full.gens
+    # Monomials of weighted degree at most ``window`` (weight at most
+    # n * window) have ids from here up, and only they.
+    threshold = full.threshold
+    bound = n * full.window
+    for i in range(module.rank):
+        for weight in (bound - 1, bound, bound + 1):
+            at = _monomial_id(weight, i, full.anchor, full.gens)
+            assert (at >= threshold) == (weight <= bound)
     assert cached.echelon.rows == {
         lead: row for lead, row in full.echelon.rows.items()
         if lead >= threshold
@@ -283,7 +311,7 @@ def test_cached_image_keeps_the_window_rows_of_the_full_build(
 
 
 def test_cached_image_holds_only_its_window(monkeypatch):
-    # Sym^40 a1 builds 10,619 rows; 5,311 of them are led inside the
+    # Sym^40 a1 builds 10,199 rows; 4,891 of them are led inside the
     # window, at most one per id there.  The middle-basis reductions
     # that follow must read the same cached image, not build another.
     module = build_symk(2, 40)
@@ -337,31 +365,122 @@ def _full_image(n, k, twist, where):
     return _build_stable_image(build_symk(n, k, twist), where)
 
 
+def _draw_entries(data, module, top) -> dict[tuple[int, int], Fraction]:
+    """Nonzero coefficients on at most eight monomials z^d * g_i, drawn
+    with d <= top(i)."""
+    monomials = st.integers(0, module.rank - 1).flatmap(
+        lambda i: st.tuples(st.integers(0, top(i)), st.just(i))
+    )
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    return data.draw(st.dictionaries(
+        monomials, coeffs.filter(bool), max_size=8
+    ))
+
+
+def _element(module, entries) -> ModuleElement:
+    return ModuleElement(tuple(
+        (module.labels[i], Polynomial.monomial(d, c))
+        for (d, i), c in entries.items()
+    ))
+
+
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_window_normal_forms_match_the_full_build(data):
     n, k, twist, where = data.draw(st.sampled_from(WINDOW_MODULES))
-    cached = _stable_image(build_symk(n, k, twist), where)
+    module = build_symk(n, k, twist)
+    cached = _stable_image(module, where)
     full = _full_image(n, k, twist, where)
-    monomials = st.tuples(
-        st.integers(0, cached.window), st.integers(0, cached.gens - 1)
+    # The highest degree of each generator inside the weighted window.
+    bound = n * cached.window
+    entries = _draw_entries(
+        data, module, lambda i: (bound - module.weights[i]) // n
     )
-    entries = data.draw(st.dictionaries(
-        monomials, st.integers(-9, 9).filter(bool), max_size=8
-    ))
-    vector = (
-        data.draw(st.integers(1, 6)),
-        {(cached.anchor - d) * cached.gens + i: c
-         for (d, i), c in entries.items()},
-    )
+    vector = _element_ids(_element(module, entries), module, cached)
     assert cached.echelon.normal_form(vector) == full.echelon.normal_form(
         vector
     )
 
 
+def _closed_form_basis(k, twist, where) -> CohomologyBasis:
+    """The closed-form basis of H^1 over G_m, or over A^1 its classes
+    z^(i-1) u0, which ``h1_a1_basis`` serves from k = 2 on."""
+    if where == "gm":
+        return gm_cokernel_basis(k, twist)
+    classes = tuple(omega_class(i) for i in range(1, omega_count(k) + 1))
+    return CohomologyBasis(space="a1", k=k, twist=Fraction(0), classes=classes)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_weight_order_matches_the_degree_reference(data):
+    # Both orders certify the same (dim, degree).  An element of the
+    # degree window reduces to the same coordinates in both, unless a
+    # term of it lies above the weighted window: the weight order
+    # refuses that element instead.
+    n, k, twist, where = data.draw(st.sampled_from(WINDOW_MODULES))
+    module = build_symk(n, k, twist)
+    degree_image = reference.cached_image(module, where)
+    assert h1_dim_bruteforce(module, where) == (
+        degree_image.dim, degree_image.degree
+    )
+    if n != 2:
+        return
+    window = _stable_image(module, where).window
+    entries = _draw_entries(data, module, lambda i: window)
+    element = _element(module, entries)
+    basis = _closed_form_basis(k, twist, where)
+    expected = reference.reduce_to_basis(element, basis, module)
+    if any(2 * d + module.weights[i] > 2 * window for d, i in entries):
+        with pytest.raises(StabilityError, match="weighted degree"):
+            reduce_to_basis(element, basis, module)
+    else:
+        assert reduce_to_basis(element, basis, module) == expected
+
+
+# Every (dim, degree) that the certificate reports on this grid of 143
+# modules, against the degree-ordered reference.  Budget: both builds
+# of the grid take about 8 s under pytest on a 2-vCPU VM, more than
+# half of it the reference.
+GRID_BUDGET_S = 30.0
+BRUTEFORCE_GRID = (
+    [(2, k, 0, "a1") for k in range(1, 41)]
+    + [(2, k, twist, "gm") for k in range(1, 41) for twist in (0, HALF)]
+    + [(3, k, 0, "a1") for k in range(1, 11)]
+    + [(3, k, 0, "gm") for k in range(1, 7)]
+    + [(4, k, 0, "a1") for k in range(1, 8)]
+)
+
+
+def test_bruteforce_matches_the_degree_reference_on_the_grid(monkeypatch):
+    # A fresh cache, emptied after every module, keeps the test's
+    # memory to one image at a time.
+    cache = {}
+    monkeypatch.setattr(connection, "_STABLE_CACHE", cache)
+    start = time.perf_counter()
+    for n, k, twist, where in BRUTEFORCE_GRID:
+        module = build_symk(n, k, twist)
+        assert h1_dim_bruteforce(module, where) == (
+            reference.h1_dim_bruteforce(module, where)
+        ), (n, k, twist, where)
+        cache.clear()
+    assert len(BRUTEFORCE_GRID) == 143
+    assert time.perf_counter() - start < GRID_BUDGET_S
+
+
+def test_reduce_refuses_another_order_before_building():
+    # No basis lives in an order-3 module: the refusal comes before the
+    # image and its class solver are built and cached.
+    module = build_symk(3, 9)
+    cached = set(connection._STABLE_CACHE)
+    with pytest.raises(DomainError, match="order-2"):
+        reduce_to_basis(omega_class(1), h1_a1_basis(9), module)
+    assert set(connection._STABLE_CACHE) == cached
+
+
 # Closed forms against the brute force over random (n, k).  Budget: an
-# uncached draw takes at most about 0.2 s on a 2-vCPU VM (n = 2 at
-# k = 40 in gm, n = 4 at k = 7), so each draw must finish in 5 s.
+# uncached draw takes at most about 0.1 s on a 2-vCPU VM (n = 2 at
+# k = 40 in gm or a1, n = 4 at k = 7), so each draw must finish in 5 s.
 DRAW_BUDGET_S = 5.0
 
 symmetric_powers = st.one_of(
