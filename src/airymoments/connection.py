@@ -18,8 +18,13 @@ therefore computes, in one pass, the dimension of the image intersected
 with every such window, and normal forms of low-weight vectors never
 leave the window.  That is what makes the truncated quotient an exact
 model of the true cokernel once the dimension stabilises.  It is also
-why the cached image may drop every row led outside the stabilised
+why the held image may drop every row led outside the stabilised
 window: the normal form of a vector inside the window never meets one.
+
+One image is held at a time, with its class solvers; building another
+drops it first.  Every certified (dimension, degree) is kept in a small
+table, so a repeated dimension query never rebuilds, and a normal form
+asked of an image no longer held rebuilds it, with the same rows.
 """
 
 from __future__ import annotations
@@ -335,7 +340,11 @@ class _StableImage:
         return (self.anchor + 1) * self.gens
 
 
+#: The one image held, keyed by (module, space): at most one entry.
 _STABLE_CACHE: dict[tuple, _StableImage] = {}
+
+#: Every certified (dimension, degree), keyed as the image is.
+_CERTIFIED: dict[tuple, tuple[int, int]] = {}
 
 
 def _monomial_id(weight: int, i: int, anchor: int, gens: int) -> int:
@@ -394,11 +403,17 @@ def _first_truncation(k: int) -> int:
 
 def _stable_image(module: ConnectionModule, where: str) -> _StableImage:
     """The stabilised image of d/dz over the affine line ("a1"), or of
-    z d/dz + twist over the punctured line ("gm"), built once per
-    module and space.
+    z d/dz + twist over the punctured line ("gm"), with its class
+    solvers.
 
-    The cache keeps only the echelon rows led inside the window.  Every
-    query is of an element of weighted degree at most ``window``
+    One image is held at a time.  Asking for another drops the held
+    one before the build, so its rows and the new build's never
+    coexist; asking again for a dropped one rebuilds it with the same
+    engine and so the same rows.  Building records the image's
+    (dimension, degree) in ``_CERTIFIED``.
+
+    The held image keeps only the echelon rows led inside the window.
+    Every query is of an element of weighted degree at most ``window``
     (``_element_ids`` refuses the rest), whose ids all lie at or above
     the threshold, and a row led there has its whole support there too:
     its normal form meets no other row, so the pruned echelon answers
@@ -411,6 +426,7 @@ def _stable_image(module: ConnectionModule, where: str) -> _StableImage:
     key = (module, where)
     state = _STABLE_CACHE.get(key)
     if state is None:
+        _STABLE_CACHE.clear()
         state = _build_stable_image(module, where)
         threshold = state.threshold
         state.echelon.rows = {
@@ -419,6 +435,7 @@ def _stable_image(module: ConnectionModule, where: str) -> _StableImage:
             if lead >= threshold
         }
         _STABLE_CACHE[key] = state
+        _CERTIFIED[key] = state.dim, state.degree
     return state
 
 
@@ -501,12 +518,15 @@ def h1_dim_bruteforce(module: ConnectionModule, where: str) -> tuple[int, int]:
     d + w_i / n <= D, and the dimension is read off the window of
     weighted degree D // 2.  The affine-line case is the cokernel of
     d/dz and requires an untwisted module; the punctured-line case is
-    the cokernel of z d/dz + twist.
+    the cokernel of z d/dz + twist.  A module certified before is
+    answered from ``_CERTIFIED``, with no image built.
     """
     if where not in ("a1", "gm"):
         raise DomainError(f"unknown cohomology space {where!r}")
-    state = _stable_image(module, where)
-    return state.dim, state.degree
+    key = (module, where)
+    if key not in _CERTIFIED:
+        _stable_image(module, where)
+    return _CERTIFIED[key]
 
 
 def _element_ids(

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from airymoments.errors import InconsistencyError
+from airymoments import connection
 from airymoments.moments import h1_dims, mk_invariants, rho_preimage
 from airymoments.connection import (
     build_symk,
@@ -85,8 +86,16 @@ def test_criterion_1_graded_tables(capsys):
         )
 
 
-def test_criterion_2_bruteforce_order_two(capsys):
-    with criterion(capsys, "criterion 2: brute force vs closed form, order 2", 30.0):
+@pytest.fixture
+def engine(monkeypatch):
+    """Empty the brute force's held image and dims table, so that a
+    budget times the engine, not answers certified earlier."""
+    monkeypatch.setattr(connection, "_STABLE_CACHE", {})
+    monkeypatch.setattr(connection, "_CERTIFIED", {})
+
+
+def test_criterion_2_bruteforce_order_two(capsys, engine):
+    with criterion(capsys, "criterion 2: brute force vs closed form, order 2", 3.0):
         for k in range(1, 21):
             dim, _ = h1_dim_bruteforce(build_symk(2, k), "a1")
             assert dim == h1_dims(2, k).all, f"k={k}"
@@ -98,8 +107,8 @@ def test_criterion_2_bruteforce_order_two(capsys):
                 assert dim == expected, f"k={k}, twist={twist}"
 
 
-def test_criterion_3_bruteforce_higher_order(capsys):
-    with criterion(capsys, "criterion 3: brute force vs closed form, orders 3 and 4", 30.0):
+def test_criterion_3_bruteforce_higher_order(capsys, engine):
+    with criterion(capsys, "criterion 3: brute force vs closed form, orders 3 and 4", 3.0):
         for k in range(2, 9):
             dim, _ = h1_dim_bruteforce(build_symk(3, k), "a1")
             assert dim == h1_dims(3, k).all, f"n=3, k={k}"

@@ -310,31 +310,78 @@ def test_cached_image_keeps_the_window_rows_of_the_full_build(
     }
 
 
-def test_cached_image_holds_only_its_window(monkeypatch):
-    # Sym^40 a1 builds 10,199 rows; 4,891 of them are led inside the
-    # window, at most one per id there.  The middle-basis reductions
-    # that follow must read the same cached image, not build another.
-    module = build_symk(2, 40)
-    key = (module, "a1")
-    monkeypatch.delitem(connection._STABLE_CACHE, key, raising=False)
-    builds = []
+@pytest.fixture
+def builds(monkeypatch):
+    """Empty the held image and the dims table, and record the
+    (module, where) of every image built from here on.  Each build must
+    start with no image held."""
+    monkeypatch.setattr(connection, "_STABLE_CACHE", {})
+    monkeypatch.setattr(connection, "_CERTIFIED", {})
+    built = []
     build = connection._build_stable_image
 
     def counted(module, where):
-        builds.append((module, where))
+        assert not connection._STABLE_CACHE, "an image is held during a build"
+        built.append((module, where))
         return build(module, where)
 
     monkeypatch.setattr(connection, "_build_stable_image", counted)
+    return built
+
+
+def test_cached_image_holds_only_its_window(builds):
+    # Sym^40 a1 builds 10,199 rows; 4,891 of them are led inside the
+    # window, at most one per id there.  The middle-basis reductions
+    # that follow must read the held image, not build another.
+    module = build_symk(2, 40)
+    key = (module, "a1")
     h1_dim_bruteforce(module, "a1")
+    assert builds == [key]
     state = connection._STABLE_CACHE[key]
-    assert builds.count(key) == 1
     assert len(state.echelon.rows) <= state.gens * (state.window + 1)
-    h1_dim_bruteforce(module, "a1")
     basis = mid_basis(40)
     for element in basis.classes:
         reduce_to_basis(element, basis, module)
-    assert builds.count(key) == 1
-    assert connection._STABLE_CACHE[key] is state
+    assert builds == [key]
+    assert connection._STABLE_CACHE == {key: state}
+
+
+def test_gm_bases_hold_one_image_and_keep_every_dimension(builds):
+    # Each basis certifies its dimension against a new image, which
+    # drops the one before it; the dimensions stay in the table.
+    modules = [build_symk(2, k, twist) for k in range(8, 15)
+               for twist in (0, HALF)]
+    for module in modules:
+        gm_cokernel_basis(module.k, module.twist)
+    assert builds == [(module, "gm") for module in modules]
+    assert list(connection._STABLE_CACHE) == [(modules[-1], "gm")]
+    first = modules[0]
+    assert h1_dim_bruteforce(first, "gm") == (
+        reference.h1_dim_bruteforce(first, "gm")
+    )
+    assert len(builds) == len(modules)
+
+
+def test_reduce_rebuilds_an_image_dropped_for_another(builds):
+    # The a1 image of Sym^12 is dropped when a gm basis builds its own,
+    # and rebuilt, once, when its classes are reduced again.
+    module = build_symk(2, 12)
+    basis = mid_basis(12)
+    units = [
+        tuple(Fraction(int(i == j)) for j in range(len(basis)))
+        for i in range(len(basis))
+    ]
+    assert [reduce_to_basis(c, basis, module) for c in basis.classes] == units
+    gm_cokernel_basis(12)
+    assert (module, "a1") not in connection._STABLE_CACHE
+    assert [reduce_to_basis(c, basis, module) for c in basis.classes] == units
+    assert builds == [
+        (module, "a1"), (build_symk(2, 12), "gm"), (module, "a1")
+    ]
+    window = connection._STABLE_CACHE[(module, "a1")].window
+    with pytest.raises(StabilityError, match="exceeds the stabilised window"):
+        reduce_to_basis(monomial_element("u0", window + 1), basis, module)
+    assert len(builds) == 3
 
 
 @pytest.mark.parametrize(
@@ -452,30 +499,29 @@ BRUTEFORCE_GRID = (
 )
 
 
-def test_bruteforce_matches_the_degree_reference_on_the_grid(monkeypatch):
-    # A fresh cache, emptied after every module, keeps the test's
-    # memory to one image at a time.
-    cache = {}
-    monkeypatch.setattr(connection, "_STABLE_CACHE", cache)
+def test_bruteforce_matches_the_degree_reference_on_the_grid(builds):
+    # From an empty dims table every module is certified by the engine,
+    # one held image at a time, not read from an earlier test's answers.
     start = time.perf_counter()
     for n, k, twist, where in BRUTEFORCE_GRID:
         module = build_symk(n, k, twist)
         assert h1_dim_bruteforce(module, where) == (
             reference.h1_dim_bruteforce(module, where)
         ), (n, k, twist, where)
-        cache.clear()
-    assert len(BRUTEFORCE_GRID) == 143
+    assert len(BRUTEFORCE_GRID) == len(builds) == 143
+    assert len(connection._STABLE_CACHE) == 1
     assert time.perf_counter() - start < GRID_BUDGET_S
 
 
-def test_reduce_refuses_another_order_before_building():
-    # No basis lives in an order-3 module: the refusal comes before the
-    # image and its class solver are built and cached.
-    module = build_symk(3, 9)
-    cached = set(connection._STABLE_CACHE)
+def test_reduce_refuses_another_order_before_building(builds):
+    # No basis lives in an order-3 module: the refusal comes before its
+    # image is built, so the image held before it stays held.
+    held = build_symk(2, 9)
+    h1_dim_bruteforce(held, "a1")
     with pytest.raises(DomainError, match="order-2"):
-        reduce_to_basis(omega_class(1), h1_a1_basis(9), module)
-    assert set(connection._STABLE_CACHE) == cached
+        reduce_to_basis(omega_class(1), h1_a1_basis(9), build_symk(3, 9))
+    assert builds == [(held, "a1")]
+    assert list(connection._STABLE_CACHE) == [(held, "a1")]
 
 
 # Closed forms against the brute force over random (n, k).  Budget: an
