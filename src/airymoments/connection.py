@@ -343,7 +343,10 @@ class _StableImage:
 #: The one image held, keyed by (module, space): at most one entry.
 _STABLE_CACHE: dict[tuple, _StableImage] = {}
 
-#: Every certified (dimension, degree), keyed as the image is.
+#: Every certified (dimension, degree), keyed as the image is.  It
+#: spares the rebuild of an image dropped between two dimension queries
+#: of one module.  An entry keeps its module alive, which is small
+#: beside any image.
 _CERTIFIED: dict[tuple, tuple[int, int]] = {}
 
 
@@ -426,6 +429,10 @@ def _stable_image(module: ConnectionModule, where: str) -> _StableImage:
     key = (module, where)
     state = _STABLE_CACHE.get(key)
     if state is None:
+        # Refuse before dropping the held image, not after.
+        if where == "a1" and module.twist:
+            raise DomainError("affine-line cohomology requires an untwisted module")
+        _first_truncation(module.k)
         _STABLE_CACHE.clear()
         state = _build_stable_image(module, where)
         threshold = state.threshold
@@ -447,10 +454,9 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
     n * D, inserted in increasing weight, and the window is the weighted
     degree D // 2.  Rows are built in integers: scaling a row by a
     positive integer leaves the echelon unchanged, because insertion
-    divides out the content of every row.
+    divides out the content of every row.  The request is checked by ``_stable_image``: an affine-line image
+    needs an untwisted module.
     """
-    if where == "a1" and module.twist:
-        raise DomainError("affine-line cohomology requires an untwisted module")
     degree = _first_truncation(module.k)
     n, gens, weights = module.n, module.rank, module.weights
     # Ids stay non-negative up to the anchor's weight, above the

@@ -515,11 +515,17 @@ def test_bruteforce_matches_the_degree_reference_on_the_grid(builds):
 
 def test_reduce_refuses_another_order_before_building(builds):
     # No basis lives in an order-3 module: the refusal comes before its
-    # image is built, so the image held before it stays held.
+    # image is built, so the image held before it stays held.  So do
+    # the brute force's own refusals, of a twisted module over the
+    # affine line and of a k whose truncation is above the ceiling.
     held = build_symk(2, 9)
     h1_dim_bruteforce(held, "a1")
     with pytest.raises(DomainError, match="order-2"):
         reduce_to_basis(omega_class(1), h1_a1_basis(9), build_symk(3, 9))
+    with pytest.raises(DomainError, match="untwisted"):
+        h1_dim_bruteforce(build_symk(2, 9, HALF), "a1")
+    with pytest.raises(SizeLimitError, match="cap"):
+        h1_dim_bruteforce(build_symk(2, 680), "gm")
     assert builds == [(held, "a1")]
     assert list(connection._STABLE_CACHE) == [(held, "a1")]
 
