@@ -146,28 +146,24 @@ def config_from_args(args) -> RunConfig:
 
 class Command(NamedTuple):
     """One entry of ``COMMANDS``.  The handler maps a RunConfig to
-    (exit code, payload), and builds only the payload its format
-    prints: the JSON object for ``json``, otherwise the table rows, or
-    for ``text`` a finished report of its own.  It looks library
-    functions up in this module when called, so tests can replace them."""
+    (exit code, document), the finished text of its format.  It looks
+    library functions up in this module when called, so tests can
+    replace them."""
 
     help: str
     options: tuple[str, ...]
-    headers: tuple[str, ...]
-    handler: Callable[[RunConfig], tuple]
+    handler: Callable[[RunConfig], tuple[int, str]]
 
 
-def _each_k(one_k):
+def _each_k(headers, one_k):
     """Handler from a per-k one, which maps (config, k) to the JSON
-    object when the format is ``json`` and to rows otherwise: the rows
-    concatenate, and the JSON objects form a list, or stay a bare
-    object for one k."""
+    object when the format is ``json`` and to rows otherwise.  Each k's
+    payload goes to the format's encoder as soon as it is computed, so
+    only the encoded text outlives its k."""
 
     def compute(config: RunConfig):
-        if config.format != "json":
-            return 0, [row for k in config.k_values for row in one_k(config, k)]
-        objs = [one_k(config, k) for k in config.k_values]
-        return 0, objs[0] if len(objs) == 1 else objs
+        payloads = (one_k(config, k) for k in config.k_values)
+        return 0, _ENCODERS[config.format](headers, payloads)
 
     return compute
 
@@ -282,51 +278,67 @@ def _decomp(config: RunConfig, k: int):
     return rows
 
 
-def _verify_text(config: RunConfig, report) -> str:
-    """One line per k, or per failed check of a k, then a summary."""
-    by_k = {k: [] for k in sorted(set(config.k_values))}
-    for r in report.results:
-        by_k[r.k].append(r)
-    lines = []
-    for k, k_results in by_k.items():
-        bad = [r for r in k_results if not r.passed]
-        if bad:
-            for r in bad:
-                lines.append(
-                    f"k={k} {r.check}: FAILED "
-                    f"(expected {r.expected}, got {r.got})"
-                )
-        else:
-            lines.append(f"k={k}: {len(k_results)} checks passed")
-    lines.append(
-        "all passed"
-        if report.passed
-        else f"{len(report.failures())} of {len(report.results)} checks failed"
+#: Columns of ``verify``'s CSV and LaTeX forms, one row per check.
+_VERIFY_HEADERS = ("k", "check", "passed", "expected", "got")
+
+
+def _verify_lines(k: int, report) -> str:
+    """A line per failed check of ``k``, or one line if all passed."""
+    if report.passed:
+        return f"k={k}: {len(report.results)} checks passed\n"
+    return "".join(
+        f"k={k} {r.check}: FAILED (expected {r.expected}, got {r.got})\n"
+        for r in report.failures()
     )
-    return "\n".join(lines) + "\n"
 
 
 def _verify(config: RunConfig):
-    """The verifier over the whole range, with its own text report and
-    exit code 2 when a check fails."""
-    report = verify(config.k_values)
-    exit_code = 0 if report.passed else 2
-    if config.format == "json":
-        return exit_code, {
+    """The verifier one k at a time, with exit code 2 when a check
+    fails.  CSV and LaTeX list every check as its k comes; the text
+    report has the lines of each k, then a summary; JSON is a summary.
+    Across k only the failures and the count of checks are kept."""
+    failures = []
+    checks = 0
+
+    def each_k():
+        nonlocal checks
+        for k in sorted(set(config.k_values)):
+            report = verify((k,))
+            checks += len(report.results)
+            failures.extend(report.failures())
+            yield k, report
+
+    if config.format == "text":
+        lines = "".join(_verify_lines(k, report) for k, report in each_k())
+        summary = (
+            f"{len(failures)} of {checks} checks failed"
+            if failures
+            else "all passed"
+        )
+        document = lines + summary + "\n"
+    elif config.format == "json":
+        for _ in each_k():
+            pass
+        summary = {
             "k": list(config.k_values),
-            "passed": report.passed,
-            "checks": len(report.results),
+            "passed": not failures,
+            "checks": checks,
             "failures": [
                 {"k": r.k, "check": r.check, "expected": r.expected, "got": r.got}
-                for r in report.failures()
+                for r in failures
             ],
         }
-    if config.format == "text":
-        return exit_code, _verify_text(config, report)
-    return exit_code, [
-        [str(r.k), r.check, "yes" if r.passed else "NO", r.expected, r.got]
-        for r in report.results
-    ]
+        document = json.dumps(summary, separators=(",", ":")) + "\n"
+    else:
+        rows = (
+            [
+                [str(r.k), r.check, "yes" if r.passed else "NO", r.expected, r.got]
+                for r in report.results
+            ]
+            for _, report in each_k()
+        )
+        document = _ENCODERS[config.format](_VERIFY_HEADERS, rows)
+    return (2 if failures else 0), document
 
 
 #: ``add_argument`` keywords of every option beyond the shared ones.
@@ -342,84 +354,104 @@ COMMANDS = {
     "dims": Command(
         "closed-form cohomology dimensions (all and middle)",
         ("--n",),
-        ("k", "all", "mid"),
-        _each_k(_dims),
+        _each_k(("k", "all", "mid"), _dims),
     ),
     "basis": Command(
         "cohomology basis classes",
         ("--space", "--rho"),
-        ("k", "index", "class", "level"),
-        _each_k(_basis),
+        _each_k(("k", "index", "class", "level"), _basis),
     ),
     "gamma": Command(
         "asymptotic correction coefficients",
         ("--series-terms",),
-        ("k", "exponent", "value"),
-        _each_k(_gamma),
+        _each_k(("k", "exponent", "value"), _gamma),
     ),
     "hodge": Command(
         "Hodge-number table",
         (),
-        ("k", "p", "q", "h"),
         _each_k(
-            lambda config, k: _table_payload(config, hodge_numbers(k)[0], k)
+            ("k", "p", "q", "h"),
+            lambda config, k: _table_payload(config, hodge_numbers(k)[0], k),
         ),
     ),
     "tilde": Command(
         "graded table of the extended family (even k >= 4)",
         (),
-        ("k", "p", "q", "h"),
         _each_k(
-            lambda config, k: _table_payload(config, tilde_mid_hodge(k), k)
+            ("k", "p", "q", "h"),
+            lambda config, k: _table_payload(config, tilde_mid_hodge(k), k),
         ),
     ),
     "decomp": Command(
         "formal exponents at infinity",
         ("--n",),
-        ("n", "k", "exponent", "multiplicity"),
-        _each_k(_decomp),
+        _each_k(("n", "k", "exponent", "multiplicity"), _decomp),
     ),
-    "verify": Command(
-        "internal consistency checks",
-        (),
-        ("k", "check", "passed", "expected", "got"),
-        _verify,
-    ),
+    "verify": Command("internal consistency checks", (), _verify),
 }
 
 
-def _format_text(headers, rows) -> str:
-    widths = [max(map(len, column)) for column in zip(headers, *rows)]
-    return "".join(
-        "  ".join(map(str.ljust, row, widths)).rstrip() + "\n"
-        for row in (headers, *rows)
-    )
+# The encoders: each maps (headers, the payloads of every k in order) to
+# the finished document.  A payload is encoded as soon as it arrives, so
+# only its text is held past its k.
 
 
-def _format_csv(headers, rows) -> str:
+def _encode_text(headers, tables) -> str:
+    """Columns padded two spaces apart.  Each k's rows are held as one
+    tab-separated string until the last k has set the widths."""
+    widths = list(map(len, headers))
+    held = ["\t".join(headers)]
+    for rows in tables:
+        if rows:
+            widths = [
+                max(width, *map(len, column))
+                for width, column in zip(widths, zip(*rows))
+            ]
+            held.append("\n".join(map("\t".join, rows)))
+    for pos, chunk in enumerate(held):
+        held[pos] = "".join(
+            "  ".join(map(str.ljust, line.split("\t"), widths)).rstrip() + "\n"
+            for line in chunk.split("\n")
+        )
+    return "".join(held)
+
+
+def _csv_lines(rows) -> str:
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rows)
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
 
 
-def _format_latex(headers, rows) -> str:
-    lines = [
-        "\\begin{tabular}{" + "l" * len(headers) + "}",
-        " & ".join(headers) + " \\\\",
-        "\\hline",
+def _encode_csv(headers, tables) -> str:
+    return "".join([_csv_lines([headers]), *map(_csv_lines, tables)])
+
+
+def _encode_latex(headers, tables) -> str:
+    held = [
+        "\\begin{tabular}{" + "l" * len(headers) + "}\n",
+        " & ".join(headers) + " \\\\\n\\hline\n",
     ]
-    for row in rows:
-        lines.append(" & ".join(row) + " \\\\")
-    lines.append("\\end{tabular}")
-    return "\n".join(lines) + "\n"
+    for rows in tables:
+        held.append("".join(" & ".join(row) + " \\\\\n" for row in rows))
+    held.append("\\end{tabular}\n")
+    return "".join(held)
 
 
-_TABLE_FORMATS = {
-    "text": _format_text,
-    "csv": _format_csv,
-    "latex": _format_latex,
+def _encode_json(headers, objects) -> str:
+    """A bare object for one k, else a list of them."""
+    held = [json.dumps(obj, separators=(",", ":")) for obj in objects]
+    if len(held) > 1:
+        held[0] = "[" + held[0]
+        held[-1] += "]"
+    held[-1] += "\n"
+    return ",".join(held)
+
+
+_ENCODERS = {
+    "text": _encode_text,
+    "json": _encode_json,
+    "csv": _encode_csv,
+    "latex": _encode_latex,
 }
 
 
@@ -462,7 +494,10 @@ def _write_atomically(path: str, document: str) -> None:
 
 
 def run(config: RunConfig) -> tuple[int, str]:
-    """Execute one command; returns (exit code, emitted document)."""
+    """Execute one command; returns (exit code, emitted document).
+
+    The document is whole before ``main`` prints any of it, so a range
+    that fails at any k prints nothing and leaves no cache entry."""
     command = COMMANDS.get(config.command)
     if command is None:
         raise DomainError(f"unknown command {config.command!r}")
@@ -491,13 +526,7 @@ def run(config: RunConfig) -> tuple[int, str]:
     if cache_path and os.path.exists(cache_path):
         with open(cache_path, "r", encoding="utf-8") as handle:
             return 0, handle.read()
-    exit_code, payload = command.handler(config)
-    if config.format == "json":
-        document = json.dumps(payload, separators=(",", ":")) + "\n"
-    elif isinstance(payload, str):  # the command's own text report
-        document = payload
-    else:
-        document = _TABLE_FORMATS[config.format](command.headers, payload)
+    exit_code, document = command.handler(config)
     if cache_path and exit_code == 0:
         _write_atomically(cache_path, document)
     return exit_code, document

@@ -454,7 +454,9 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
     n * D, inserted in increasing weight, and the window is the weighted
     degree D // 2.  Rows are built in integers: scaling a row by a
     positive integer leaves the echelon unchanged, because insertion
-    divides out the content of every row.  The request is checked by ``_stable_image``: an affine-line image
+    divides out the content of every row.
+
+    The request is checked by ``_stable_image``: an affine-line image
     needs an untwisted module.
     """
     degree = _first_truncation(module.k)

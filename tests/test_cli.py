@@ -7,6 +7,7 @@ import json
 import os
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -294,14 +295,29 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     assert "table-mass" in out
 
 
-def test_internal_inconsistency_exits_three(capsys, monkeypatch):
+def test_internal_inconsistency_exits_three(capsys, monkeypatch, tmp_path):
+    # Only k = 6 fails, so a range has encoded k = 2..5 when it raises.
+    asked = []
+
     def rigged(k):
-        raise InconsistencyError("rigged")
+        asked.append(k)
+        if k == 6:
+            raise InconsistencyError("rigged")
+        return hodge_numbers(k)
 
     monkeypatch.setattr(cli, "hodge_numbers", rigged)
-    code, _, err = run_cli(capsys, "hodge", "--k", "4")
-    assert code == 3
-    assert "inconsistency" in err
+    for argv in (
+        ("hodge", "--k", "6"),
+        ("hodge", "--k", "2..10"),
+        ("hodge", "--k", "2..10", "--format", "json"),
+    ):
+        asked.clear()
+        code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 3
+        assert out == ""
+        assert "inconsistency" in err
+        assert asked[-1] == 6
+        assert os.listdir(tmp_path) == []
 
 
 def test_k_range_length_is_bounded(capsys):
@@ -435,6 +451,48 @@ def test_top_of_bounds_refuses_fast(capsys, argv):
     assert out == ""
     assert "cap" in err
     assert "Traceback" not in err
+
+
+class _Sink:
+    """A stdout that keeps only the length of what it is sent."""
+
+    length = 0
+
+    def write(self, text):
+        self.length += len(text)
+        return len(text)
+
+
+# A range is encoded one k at a time, so a command's traced allocations
+# stay within a few times its output: the whole document is held before
+# it is printed, and nothing else grows with the range.  Budget: each
+# case takes 0.2 to 0.9 s on a 2-vCPU VM, traced, and has 5 s.
+MEMORY_CASES = [
+    ("hodge", "--k", "2..200", "--format", "csv"),
+    ("tilde", "--k", "4..200", "--parity", "even"),
+    ("tilde", "--k", "4..200", "--parity", "even", "--format", "json"),
+    ("basis", "--k", "2..200", "--format", "latex"),
+    ("verify", "--k", "2..200"),
+    ("verify", "--k", "2..200", "--format", "csv"),
+]
+
+
+@pytest.mark.parametrize("argv", MEMORY_CASES, ids=" ".join)
+def test_range_memory_follows_the_output(monkeypatch, argv):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    sink = _Sink()
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(list(argv))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert sink.length > 0
+    assert peak <= 4 * sink.length + 500_000
 
 
 # --enumeration-cap and --truncation-ceiling stay in SAMPLE though no
