@@ -21,6 +21,12 @@ model of the true cokernel once the dimension stabilises.  It is also
 why the held image may drop every row led outside the stabilised
 window: the normal form of a vector inside the window never meets one.
 
+The elimination is fraction-free, in the style of Bareiss (1968).  Each
+image row is built once, primitive with a positive lead, and stored as
+it is when its lead has no pivot yet, which holds for most rows; only
+the others are eliminated, with the working row scaled lazily and its
+leads taken off a heap (see ``_Echelon``).
+
 One image is held at a time, with its class solvers; building another
 drops it first.  Every certified (dimension, degree) is kept in a small
 table, so a repeated dimension query never rebuilds, and a normal form
@@ -32,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .errors import (
     DomainError,
@@ -57,8 +64,10 @@ SPACES = ("a1", "gm", "mid")
 Column = tuple[tuple[int, int, int], ...]
 
 #: A column as echelon coordinates: the (id, coeff) terms of the image
-#: row of the generator itself, and the id its diagonal takes there.
-IdColumn = tuple[list[tuple[int, int]], int]
+#: row of the generator itself, the id its diagonal takes there, the
+#: least id of the terms (None when there are none), and the gcd of the
+#: coeffs, signed as the coeff at that id (0 when there are none).
+IdColumn = tuple[list[tuple[int, int]], int, int | None, int]
 
 
 @dataclass(frozen=True)
@@ -241,52 +250,92 @@ class _Echelon:
     positive rational, so skipping the division in between meets the
     same pivots and stores the same rows.  Vectors are carried as
     (scale, integer vector), standing for the integer vector divided by
-    the positive integer scale.
+    the positive integer scale.  A primitive row whose positive lead
+    has no pivot is the row ``insert`` would store, so a caller holding
+    one may put it into ``rows`` directly, as ``_build_stable_image``
+    does with most image rows.
+
+    A reduction scales its working row lazily: an entry is held as a
+    pair (v, p) standing for v * scale / p, where scale is the product
+    of the step factors so far, so a step that scales the row multiplies
+    one integer, and an entry is brought to the current scale only when
+    a pivot touches it or the reduction ends.  Leads only grow, so they
+    come off a heap of the row's ids instead of a scan of the row; an
+    id whose entry has cancelled is skipped when it comes off.
     """
 
     def __init__(self):
         self.rows: dict[int, dict[int, int]] = {}
 
     def _reduce(
-        self, row: dict[int, int], done: dict[int, int]
+        self, row: dict[int, int], full: bool = False
     ) -> tuple[int | None, int]:
-        """Eliminate the leads of ``row`` that have a pivot, in place.
+        """Eliminate the leads of ``row`` that have a pivot, in place,
+        least first.
 
         An elimination step at a pivot with leading entry a multiplies
-        ``row`` and ``done`` by a/g.  Returns the first lead with no
-        pivot, or None when ``row`` reduced to zero, and the product of
-        these factors."""
+        the working row by a/g.  The reduction stops at the first lead
+        with no pivot or, when ``full``, passes over it and goes on to
+        the normal form.  Returns the lead it stopped at, or None when
+        it ran out of leads, and the product of the factors, which
+        ``row`` comes back multiplied by."""
         rows = self.rows
+        # A zero at a pivot has nothing to eliminate: drop it here, so
+        # that every entry a step meets is nonzero.
+        work = {
+            pos: (value, 1)
+            for pos, value in row.items()
+            if value or pos not in rows
+        }
+        heap = list(row)
+        heapify(heap)
         scale = 1
-        while row:
-            lead = min(row)
-            pivot = rows.get(lead)
+        lead = None
+        while heap:
+            at = heappop(heap)
+            entry = work.get(at)
+            if entry is None:
+                continue
+            pivot = rows.get(at)
             if pivot is None:
-                return lead, scale
-            a = pivot[lead]
-            b = row.pop(lead)
+                if full:
+                    continue
+                lead = at
+                break
+            del work[at]
+            b, p = entry
+            if p != scale:
+                b *= scale // p
+            a = pivot[at]
             g = math.gcd(a, b)
             ma, mb = a // g, b // g
             if ma != 1:
                 scale *= ma
-                for pos in row:
-                    row[pos] *= ma
-                for pos in done:
-                    done[pos] *= ma
             for pos, value in pivot.items():
-                if pos == lead:
+                if pos == at:
                     continue
-                updated = row.get(pos, 0) - mb * value
-                if updated:
-                    row[pos] = updated
+                entry = work.get(pos)
+                if entry is None:
+                    work[pos] = -mb * value, scale
+                    heappush(heap, pos)
+                    continue
+                v, p = entry
+                if p != scale:
+                    v *= scale // p
+                v -= mb * value
+                if v:
+                    work[pos] = v, scale
                 else:
-                    row.pop(pos, None)
-        return None, scale
+                    del work[pos]
+        row.clear()
+        for pos, (v, p) in work.items():
+            row[pos] = v if p == scale else v * (scale // p)
+        return lead, scale
 
     def insert(self, row: dict[int, int]) -> bool:
         """Reduce ``row`` against the current rows and store what is
         left; returns False when the row reduced to zero."""
-        lead, _ = self._reduce(row, {})
+        lead, _ = self._reduce(row)
         if lead is None:
             return False
         g = math.gcd(*row.values())
@@ -303,14 +352,9 @@ class _Echelon:
         """Fully reduce a (scale, integer vector) against the stored
         rows; the result is zero exactly when the vector lies in the
         row space."""
-        scale, work = vector[0], dict(vector[1])
-        out: dict[int, int] = {}
-        while True:
-            lead, factor = self._reduce(work, out)
-            scale *= factor
-            if lead is None:
-                return scale, out
-            out[lead] = work.pop(lead)
+        out = dict(vector[1])
+        _, factor = self._reduce(out, full=True)
+        return vector[0] * factor, out
 
     def pivots_at_or_above(self, threshold: int) -> int:
         return sum(1 for lead in self.rows if lead >= threshold)
@@ -368,27 +412,50 @@ def _image_columns(
         weight = module.n * degree + module.weights[i]
         return _monomial_id(weight, i, anchor, module.rank)
 
-    return [
-        ([(at(m + up, i), c * scale) for m, i, c in column], at(up - 1, j))
-        for j, column in enumerate(module.partial)
-    ]
+    columns: list[IdColumn] = []
+    for j, column in enumerate(module.partial):
+        terms = [(at(m + up, i), c * scale) for m, i, c in column]
+        lead, content = None, 0
+        if terms:
+            lead, first = min(terms)
+            content = math.gcd(*(c for _, c in terms))
+            if first < 0:
+                content = -content
+        columns.append((terms, at(up - 1, j), lead, content))
+    return columns
 
 
 def _image_row(
     column: IdColumn, scale: int, twist: int, d: int, stride: int
-) -> dict[int, int]:
+) -> tuple[int | None, dict[int, int]]:
     """Integer coordinate row of ``scale`` times z^up d/dz + twist
     applied to z^d * g_j, for ``column`` the id column of g_j: ``twist``
     is already times ``scale``, and a factor z^d lowers every id by
     d * ``stride``.  No term lands on the diagonal, which sits one
-    degree below z^(d+up)."""
-    terms, diagonal_at = column
+    degree below z^(d+up).
+
+    Returns the row's lead, or None when the row is zero, and the row
+    divided by its content, signed so that its lead entry is positive:
+    the row that ``_Echelon.insert`` stores when the lead has no
+    pivot."""
+    terms, diagonal_at, lead, content = column
     shift = d * stride
-    row = {pos - shift: c for pos, c in terms}
     diagonal = d * scale + twist
+    g = math.gcd(content, diagonal)
+    if not g:
+        return None, {}
+    sign = content
+    if diagonal and (lead is None or diagonal_at < lead):
+        lead, sign = diagonal_at, diagonal
+    if sign < 0:
+        g = -g
+    if g == 1:
+        row = {pos - shift: c for pos, c in terms}
+    else:
+        row = {pos - shift: c // g for pos, c in terms}
     if diagonal:
-        row[diagonal_at - shift] = diagonal
-    return row
+        row[diagonal_at - shift] = diagonal // g
+    return lead - shift, row
 
 
 def _first_truncation(k: int) -> int:
@@ -452,9 +519,11 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
 
     Truncation degree D takes the sources z^d * g_j of weight at most
     n * D, inserted in increasing weight, and the window is the weighted
-    degree D // 2.  Rows are built in integers: scaling a row by a
-    positive integer leaves the echelon unchanged, because insertion
-    divides out the content of every row.
+    degree D // 2.  Rows are built in integers, each primitive with a
+    positive lead (``_image_row``).  A row whose lead has no pivot yet,
+    which is most of them, is stored as it is: that is the row
+    insertion would store.  Only the others go through
+    ``_Echelon.insert``.
 
     The request is checked by ``_stable_image``: an affine-line image
     needs an untwisted module.
@@ -474,6 +543,7 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
         for r in range(n)
     ]
     echelon = _Echelon()
+    rows = echelon.rows
     processed = -1
     previous = None
     while True:
@@ -486,10 +556,12 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
             for w, j in layers[weight % n]:
                 if w > weight:
                     break
-                row = _image_row(
+                lead, row = _image_row(
                     columns[j], scale, twist, (weight - w) // n, stride
                 )
-                if not echelon.insert(row):
+                if lead is not None and lead not in rows:
+                    rows[lead] = row
+                elif not echelon.insert(row):
                     raise InconsistencyError(
                         "derivation row reduced to zero: the derivation "
                         "has a kernel at truncation degree "

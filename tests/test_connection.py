@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
+import math
 import time
 from fractions import Fraction
 
@@ -106,18 +108,19 @@ def test_symmetric_power_half_twist_shifts_diagonal():
     columns = _image_columns(m, "gm", anchor)
     for d in range(3):
         for j in range(gens):
-            row = _image_row(columns[j], 2, 1, d, stride)
+            lead, row = _image_row(columns[j], 2, 1, d, stride)
             assert row[at(d, j)] == 2 * d + 1
-        row = _image_row(columns[0], 2, 1, d, stride)
+            assert lead == min(row)
+        lead, row = _image_row(columns[0], 2, 1, d, stride)
         assert row == {at(d, 0): 2 * d + 1, at(d + 1, 1): 4}
     # Over A^1 the same formula with up = 0 and no twist is d/dz: the
     # diagonal d sits one degree down, and vanishes at d = 0.
     plain = _image_columns(build_symk(2, 2), "a1", anchor)
-    row = _image_row(plain[1], 1, 0, 0, stride)
+    lead, row = _image_row(plain[1], 1, 0, 0, stride)
     assert row == {at(0, 2): 1, at(1, 0): 1}
     # u2 and z u0 both have weight 2: the highest generator leads.
-    assert min(row) == at(0, 2)
-    assert _image_row(plain[1], 1, 0, 3, stride)[at(2, 1)] == 3
+    assert lead == min(row) == at(0, 2)
+    assert _image_row(plain[1], 1, 0, 3, stride)[1][at(2, 1)] == 3
 
 
 def test_build_symk_validation():
@@ -241,6 +244,23 @@ def test_echelon_cache_tells_derivations_apart():
     assert h1_dim_bruteforce(build_symk(2, 1), "a1")[0] == 1
 
 
+@pytest.mark.parametrize("where", ["a1", "gm"])
+def test_derivation_killing_a_generator_is_refused(where):
+    # d/dz v1 = 0: the row of v1 itself is zero over both lines (no
+    # column terms, and the diagonal d * v1 vanishes at d = 0), a kernel
+    # of the derivation that the certificate must report.
+    module = ConnectionModule(
+        n=2,
+        k=1,
+        twist=Fraction(0),
+        labels=("v0", "v1"),
+        partial=(((0, 1, 1),), ()),
+        weights=(0, 1),
+    )
+    with pytest.raises(InconsistencyError, match="reduced to zero"):
+        h1_dim_bruteforce(module, where)
+
+
 # Every echelon row of the full build, with the anchor, window, degree
 # and dimension, of these modules.  PINNED_DIGEST hashes the degree-ordered
 # reference build, pinned when the kernel still divided out the content
@@ -282,6 +302,59 @@ def test_weighted_echelon_rows_are_pinned():
     start = time.perf_counter()
     assert _rows_digest(_build_stable_image) == WEIGHTED_DIGEST
     assert time.perf_counter() - start < 1.0
+
+
+def _inserted_image(module, where, state) -> _Echelon:
+    """Every image row of the truncation ``state`` stopped at, each
+    through ``_Echelon.insert``, in the build's order: by weight, then
+    by source generator weight and index."""
+    n, bound = module.n, module.n * state.degree
+    columns = _image_columns(module, where, state.anchor)
+    scale, twist = module.twist.denominator, module.twist.numerator
+    sources = sorted(
+        (n * d + w, w, j, d)
+        for j, w in enumerate(module.weights)
+        for d in range((bound - w) // n + 1)
+    )
+    echelon = _Echelon()
+    for _, _, j, d in sources:
+        lead, row = _image_row(columns[j], scale, twist, d, n * state.gens)
+        assert lead == min(row) and row[lead] > 0
+        assert math.gcd(*row.values()) == 1
+        assert echelon.insert(row)
+    return echelon
+
+
+# Negative coefficients, whose rows the build must store with a positive
+# lead, and Sym^4, whose u2 column (2 u3 + 2 z u1) has content 2.
+NEGATIVE_AIRY = ConnectionModule(
+    n=2,
+    k=1,
+    twist=Fraction(0),
+    labels=("v0", "v1"),
+    partial=(((0, 1, -2),), ((1, 0, -4),)),
+    weights=(0, 1),
+)
+
+
+@pytest.mark.parametrize(
+    "module, where",
+    [
+        (NEGATIVE_AIRY, "a1"),
+        (NEGATIVE_AIRY, "gm"),
+        (dataclasses.replace(NEGATIVE_AIRY, twist=HALF), "gm"),
+        (build_symk(2, 4), "a1"),
+        (build_symk(2, 4), "gm"),
+        (build_symk(2, 4, HALF), "gm"),
+    ],
+    ids=["negative-a1", "negative-gm", "negative-gm-half",
+         "sym4-a1", "sym4-gm", "sym4-gm-half"],
+)
+def test_build_stores_the_rows_that_insert_would(module, where):
+    state = _build_stable_image(module, where)
+    reference = _inserted_image(module, where, state)
+    assert list(state.echelon.rows.items()) == list(reference.rows.items())
+    assert all(row[lead] > 0 for lead, row in state.echelon.rows.items())
 
 
 @pytest.mark.parametrize(
@@ -511,6 +584,22 @@ def test_bruteforce_matches_the_degree_reference_on_the_grid(builds):
     assert len(BRUTEFORCE_GRID) == len(builds) == 143
     assert len(connection._STABLE_CACHE) == 1
     assert time.perf_counter() - start < GRID_BUDGET_S
+
+
+# The two largest brute-force builds of the cohomology benchmark, from
+# an empty dims table.  Budget: about five times the 0.05-0.08 s they
+# take together on a 2-vCPU VM.
+ENGINE_BUDGET_S = 0.4
+
+
+def test_largest_builds_return_within_budget(builds):
+    start = time.perf_counter()
+    gm_cokernel_basis(36, HALF)
+    assert h1_dim_bruteforce(build_symk(2, 40), "a1") == (
+        h1_dims(2, 40).all, 258
+    )
+    assert time.perf_counter() - start < ENGINE_BUDGET_S
+    assert builds == [(build_symk(2, 36, HALF), "gm"), (build_symk(2, 40), "a1")]
 
 
 def test_reduce_refuses_another_order_before_building(builds):

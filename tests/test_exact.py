@@ -403,6 +403,41 @@ def test_normal_form_matches_reference_kernel(rows, data):
     assert _normal_form(echelon, {}) == {} == _oracle_normal_form(echelon.rows, {})
 
 
+def test_normal_form_rescales_entries_already_set_aside():
+    # 0 has no pivot and is set aside at scale 1; the pivot at 1 has
+    # lead 3, which does not divide the entry 1 there, so the row is
+    # scaled by 3; 2 and 3 are set aside at scale 3; the pivot at 4 has
+    # lead 2, not dividing the entry 3 there, which scales by 2 again.
+    # Every entry set aside must come out at the final scale 6.
+    echelon = _Echelon()
+    assert echelon.insert({1: 3, 2: 1})
+    assert echelon.insert({4: 2, 5: 1})
+    vector = {0: 1, 1: 1, 3: 1, 4: 1}
+    assert echelon.normal_form((1, vector)) == (6, {0: 6, 2: -2, 3: 6, 5: -3})
+    expected = {0: Fraction(1), 2: Fraction(-1, 3), 3: Fraction(1), 5: Fraction(-1, 2)}
+    as_fractions = {pos: Fraction(v) for pos, v in vector.items()}
+    assert _oracle_normal_form(echelon.rows, as_fractions) == expected
+    assert _normal_form(echelon, as_fractions) == expected
+
+
+def test_insert_skips_an_entry_that_cancelled_and_came_back():
+    # Against the pivots at 0, 1 and 2: the step at 0 cancels the entry
+    # at 2 (2 - 2 * 1), the step at 1 brings it back (0 + 3 * 1), so id
+    # 2 is queued twice; the step at 2 (lead 2 against 3: scale 2)
+    # leaves -1 at 3 and 10 at 4, and the second 2 must be passed over.
+    pivots = ({2: 2, 3: 1}, {1: 3, 2: -1}, {0: 2, 2: 1})
+    row = {0: 4, 1: 9, 2: 2, 3: 1, 4: 5}
+    echelon = _Echelon()
+    reference: dict[int, dict[int, int]] = {}
+    for pivot in pivots:
+        assert echelon.insert(dict(pivot))
+        assert _oracle_insert(reference, dict(pivot))
+    assert echelon.insert(dict(row))
+    assert _oracle_insert(reference, dict(row))
+    assert echelon.rows[3] == {3: 1, 4: -10}
+    assert list(echelon.rows.items()) == list(reference.items())
+
+
 def test_series_product_truncates_to_shorter_factor():
     a = OffsetSeries(0, 1, (1, 1, 1))
     b = OffsetSeries(0, 1, (1, 1))
