@@ -17,9 +17,7 @@ degree at most E form a suffix of the coordinate order.  Row reduction
 therefore computes, in one pass, the dimension of the image intersected
 with every such window, and normal forms of low-weight vectors never
 leave the window.  That is what makes the truncated quotient an exact
-model of the true cokernel once the dimension stabilises.  It is also
-why the held image may drop every row led outside the stabilised
-window: the normal form of a vector inside the window never meets one.
+model of the true cokernel once the dimension stabilises.
 
 The elimination is fraction-free, in the style of Bareiss (1968).  Each
 image row is built once, primitive with a positive lead, and stored as
@@ -278,16 +276,10 @@ class _Echelon:
         with no pivot or, when ``full``, passes over it and goes on to
         the normal form.  Returns the lead it stopped at, or None when
         it ran out of leads, and the product of the factors, which
-        ``row`` comes back multiplied by."""
+        ``row`` comes back multiplied by, with no zero entry."""
         rows = self.rows
-        # A zero at a pivot has nothing to eliminate: drop it here, so
-        # that every entry a step meets is nonzero.
-        work = {
-            pos: (value, 1)
-            for pos, value in row.items()
-            if value or pos not in rows
-        }
-        heap = list(row)
+        work = {pos: (value, 1) for pos, value in row.items() if value}
+        heap = list(work)
         heapify(heap)
         scale = 1
         lead = None
@@ -368,9 +360,6 @@ class _StableImage:
     gens: int
     anchor: int
     window: int
-    #: First id of the window: the monomials of weighted degree at most
-    #: ``window`` have ids from here up.
-    threshold: int
     degree: int
     dim: int
     echelon: _Echelon
@@ -481,14 +470,6 @@ def _stable_image(module: ConnectionModule, where: str) -> _StableImage:
     coexist; asking again for a dropped one rebuilds it with the same
     engine and so the same rows.  Building records the image's
     (dimension, degree) in ``_CERTIFIED``.
-
-    The held image keeps only the echelon rows led inside the window.
-    Every query is of an element of weighted degree at most ``window``
-    (``_element_ids`` refuses the rest), whose ids all lie at or above
-    the threshold, and a row led there has its whole support there too:
-    its normal form meets no other row, so the pruned echelon answers
-    it exactly as the full one does.  The rows are copied into a new
-    dict, whose table is sized for what is kept.
     """
     # Keyed on the whole module: two modules with equal (n, k) but
     # different columns must not share an echelon, nor two with
@@ -502,20 +483,13 @@ def _stable_image(module: ConnectionModule, where: str) -> _StableImage:
         _first_truncation(module.k)
         _STABLE_CACHE.clear()
         state = _build_stable_image(module, where)
-        threshold = state.threshold
-        state.echelon.rows = {
-            lead: row
-            for lead, row in state.echelon.rows.items()
-            if lead >= threshold
-        }
         _STABLE_CACHE[key] = state
         _CERTIFIED[key] = state.dim, state.degree
     return state
 
 
 def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
-    """The stabilised image with every row of the last truncation,
-    uncached.
+    """The stabilised image, uncached.
 
     Truncation degree D takes the sources z^d * g_j of weight at most
     n * D, inserted in increasing weight, and the window is the weighted
@@ -579,7 +553,6 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
                 gens=gens,
                 anchor=anchor,
                 window=window,
-                threshold=threshold,
                 degree=degree,
                 dim=dim,
                 echelon=echelon,

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-import functools
 import hashlib
+import io
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,7 @@ from airymoments.errors import (
 from airymoments.asymptotics import mid_basis
 from airymoments.moments import h1_dims
 from airymoments.exact import Polynomial, Z
-from airymoments import connection
+from airymoments import cli, connection
 from airymoments.connection import (
     CohomologyBasis,
     ConnectionModule,
@@ -265,8 +267,10 @@ def test_derivation_killing_a_generator_is_refused(where):
 # and dimension, of these modules.  PINNED_DIGEST hashes the degree-ordered
 # reference build, pinned when the kernel still divided out the content
 # after every elimination step; WEIGHTED_DIGEST hashes the package's
-# weight-ordered build.  A cheaper kernel must build the same rows, so
-# neither digest may move.
+# weight-ordered build, and the image held for queries, which is that
+# build as it is.  A cheaper kernel must build the same rows, so neither
+# digest may move.  Budget: each digest takes about 0.1 s on a 2-vCPU
+# VM, and has 1 s.
 PINNED_MODULES = (
     [(2, k, twist, where) for k in (1, 2, 3, 5, 8, 11)
      for twist, where in ((0, "a1"), (0, "gm"), (HALF, "gm"))]
@@ -298,10 +302,13 @@ def test_stored_echelon_rows_are_pinned():
     assert time.perf_counter() - start < 1.0
 
 
-def test_weighted_echelon_rows_are_pinned():
-    start = time.perf_counter()
-    assert _rows_digest(_build_stable_image) == WEIGHTED_DIGEST
-    assert time.perf_counter() - start < 1.0
+def test_weighted_echelon_rows_are_pinned(builds):
+    for build in (_build_stable_image, _stable_image):
+        start = time.perf_counter()
+        assert _rows_digest(build) == WEIGHTED_DIGEST
+        assert time.perf_counter() - start < 1.0
+    # Every image held was built here, none left by an earlier test.
+    assert len(builds) == len(PINNED_MODULES)
 
 
 def _inserted_image(module, where, state) -> _Echelon:
@@ -363,24 +370,19 @@ def test_build_stores_the_rows_that_insert_would(module, where):
 def test_cached_image_keeps_the_window_rows_of_the_full_build(
     n, k, twist, where
 ):
-    module = build_symk(n, k, twist)
-    cached = _stable_image(module, where)
-    full = _build_stable_image(module, where)
-    assert (cached.anchor, cached.window, cached.degree, cached.dim) == (
-        full.anchor, full.window, full.degree, full.dim
-    )
     # Monomials of weighted degree at most ``window`` (weight at most
-    # n * window) have ids from here up, and only they.
-    threshold = full.threshold
-    bound = n * full.window
+    # n * window) have ids from the window's first id up, and only they;
+    # the held image's rows led there count its certified dimension.
+    module = build_symk(n, k, twist)
+    state = _stable_image(module, where)
+    bound = n * state.window
+    first = _window_start(state, n)
     for i in range(module.rank):
         for weight in (bound - 1, bound, bound + 1):
-            at = _monomial_id(weight, i, full.anchor, full.gens)
-            assert (at >= threshold) == (weight <= bound)
-    assert cached.echelon.rows == {
-        lead: row for lead, row in full.echelon.rows.items()
-        if lead >= threshold
-    }
+            at = _monomial_id(weight, i, state.anchor, state.gens)
+            assert (at >= first) == (weight <= bound)
+    monomials = sum((bound - w) // n + 1 for w in module.weights if w <= bound)
+    assert monomials - state.echelon.pivots_at_or_above(first) == state.dim
 
 
 @pytest.fixture
@@ -402,16 +404,14 @@ def builds(monkeypatch):
     return built
 
 
-def test_cached_image_holds_only_its_window(builds):
-    # Sym^40 a1 builds 10,199 rows; 4,891 of them are led inside the
-    # window, at most one per id there.  The middle-basis reductions
-    # that follow must read the held image, not build another.
+def test_middle_basis_reductions_build_no_image(builds):
+    # The middle-basis reductions that follow a dimension query of
+    # Sym^40 a1 must read the held image, not build another.
     module = build_symk(2, 40)
     key = (module, "a1")
     h1_dim_bruteforce(module, "a1")
     assert builds == [key]
     state = connection._STABLE_CACHE[key]
-    assert len(state.echelon.rows) <= state.gens * (state.window + 1)
     basis = mid_basis(40)
     for element in basis.classes:
         reduce_to_basis(element, basis, module)
@@ -433,6 +433,38 @@ def test_gm_bases_hold_one_image_and_keep_every_dimension(builds):
         reference.h1_dim_bruteforce(first, "gm")
     )
     assert len(builds) == len(modules)
+
+
+# The held image is the whole last truncation, and one image is held at
+# a time, so the traced peak of a range of gm bases is that of its
+# largest build.  Budget: both commands take about 3 s traced on a
+# 2-vCPU VM, and have 15 s.
+RANGE_BUDGET_S = 15.0
+
+
+def _traced_peak(argv) -> int:
+    """Traced peak of ``argv`` from no image held and an empty dims
+    table."""
+    connection._STABLE_CACHE.clear()
+    connection._CERTIFIED.clear()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_gm_range_peaks_at_its_largest_build(builds, monkeypatch):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    start = time.perf_counter()
+    alone = _traced_peak(["basis", "--space", "gm", "--k", "32"])
+    ranged = _traced_peak(["basis", "--space", "gm", "--k", "24..32"])
+    assert time.perf_counter() - start < RANGE_BUDGET_S
+    assert len(builds) == 1 + 9
+    assert ranged <= 1.1 * alone
 
 
 def test_reduce_rebuilds_an_image_dropped_for_another(builds):
@@ -463,8 +495,9 @@ def test_reduce_rebuilds_an_image_dropped_for_another(builds):
     ids=["a1", "gm-rho0", "gm-rho1/2"],
 )
 def test_reduce_refuses_elements_above_the_window(where, twist):
-    # The cached image has no row led above the window, so an element
-    # there would get a wrong normal form; it must be refused instead.
+    # The quotient is certified only inside the stabilised window: above
+    # it, the last truncation may lack image rows that a larger one
+    # would add, so an element there must be refused, not reduced.
     module = build_symk(2, 5, twist)
     basis = h1_a1_basis(5) if where == "a1" else gm_cokernel_basis(5, twist)
     window = _stable_image(module, where).window
@@ -480,9 +513,10 @@ WINDOW_MODULES = (
 )
 
 
-@functools.cache
-def _full_image(n, k, twist, where):
-    return _build_stable_image(build_symk(n, k, twist), where)
+def _window_start(state, n: int) -> int:
+    """First id of the window: the top generator at the window's
+    weight, n times its weighted degree."""
+    return _monomial_id(n * state.window, state.gens - 1, state.anchor, state.gens)
 
 
 def _draw_entries(data, module, top) -> dict[tuple[int, int], Fraction]:
@@ -504,22 +538,33 @@ def _element(module, entries) -> ModuleElement:
     ))
 
 
+# The normal form of a vector inside the window stays inside it, and is
+# reduced: no id of it has a pivot.  Budget: the 60 examples take about
+# 1 s under pytest on a 2-vCPU VM, and have 5 s.
+WINDOW_BUDGET_S = 5.0
+
+
 @given(data=st.data())
-@settings(max_examples=150, deadline=None)
-def test_window_normal_forms_match_the_full_build(data):
+@settings(max_examples=60, deadline=None)
+def _window_normal_form_stays_in_the_window(data):
     n, k, twist, where = data.draw(st.sampled_from(WINDOW_MODULES))
     module = build_symk(n, k, twist)
-    cached = _stable_image(module, where)
-    full = _full_image(n, k, twist, where)
+    state = _stable_image(module, where)
     # The highest degree of each generator inside the weighted window.
-    bound = n * cached.window
+    bound = n * state.window
     entries = _draw_entries(
         data, module, lambda i: (bound - module.weights[i]) // n
     )
-    vector = _element_ids(_element(module, entries), module, cached)
-    assert cached.echelon.normal_form(vector) == full.echelon.normal_form(
-        vector
-    )
+    vector = _element_ids(_element(module, entries), module, state)
+    _, form = state.echelon.normal_form(vector)
+    first = _window_start(state, n)
+    assert all(pos >= first and pos not in state.echelon.rows for pos in form)
+
+
+def test_window_normal_forms_stay_in_the_window():
+    start = time.perf_counter()
+    _window_normal_form_stays_in_the_window()
+    assert time.perf_counter() - start < WINDOW_BUDGET_S
 
 
 def _closed_form_basis(k, twist, where) -> CohomologyBasis:

@@ -157,17 +157,18 @@ def test_module_element_constructor_matches_reference_normaliser(coordinates):
 
 
 # The exact elimination kernel: a matrix is a list of integer rows, and
-# row r becomes the sparse vector {column: entry}.
+# row r becomes the vector {column: entry}, its zero entries included:
+# the kernel drops them.
 
 
-def _sparse(row) -> dict:
-    return {col: value for col, value in enumerate(row) if value}
+def _vector(row) -> dict:
+    return dict(enumerate(row))
 
 
 def _echelon(rows) -> tuple[_Echelon, int]:
     """Echelon of the rows and its rank (the inserts that landed)."""
     echelon = _Echelon()
-    rank = sum(echelon.insert(_sparse(row)) for row in rows)
+    rank = sum(echelon.insert(_vector(row)) for row in rows)
     return echelon, rank
 
 
@@ -279,9 +280,10 @@ def test_normal_form_of_row_combination_is_zero(rows, weights):
 
 
 # Reference kernel: the same elimination with the content divided out
-# after every step and normal forms carried in Fractions.  The kernel
-# must store the same rows, in the same order, and return the same
-# normal forms.
+# after every step and normal forms carried in Fractions.  Both drop the
+# zero entries of what they are given, so no stored row or normal form
+# holds a zero.  The kernel must store the same rows, in the same order,
+# and return the same normal forms.
 
 
 def _oracle_reduce_content(row: dict[int, int]) -> None:
@@ -296,6 +298,7 @@ def _oracle_reduce_content(row: dict[int, int]) -> None:
 
 
 def _oracle_insert(rows: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
+    row = {pos: value for pos, value in row.items() if value}
     while row:
         lead = min(row)
         pivot = rows.get(lead)
@@ -326,7 +329,7 @@ def _oracle_insert(rows: dict[int, dict[int, int]], row: dict[int, int]) -> bool
 
 
 def _oracle_normal_form(rows, vector: dict[int, Fraction]) -> dict[int, Fraction]:
-    work = dict(vector)
+    work = {pos: value for pos, value in vector.items() if value}
     out: dict[int, Fraction] = {}
     while work:
         pos = min(work)
@@ -380,8 +383,8 @@ def test_insert_matches_reference_kernel(rows):
     echelon = _Echelon()
     reference: dict[int, dict[int, int]] = {}
     for row in rows:
-        landed = echelon.insert(_sparse(row))
-        assert landed == _oracle_insert(reference, _sparse(row))
+        landed = echelon.insert(_vector(row))
+        assert landed == _oracle_insert(reference, _vector(row))
     assert list(echelon.rows.items()) == list(reference.items())
 
 
@@ -436,6 +439,27 @@ def test_insert_skips_an_entry_that_cancelled_and_came_back():
     assert _oracle_insert(reference, dict(row))
     assert echelon.rows[3] == {3: 1, 4: -10}
     assert list(echelon.rows.items()) == list(reference.items())
+
+
+def test_insert_drops_a_zero_at_a_free_id():
+    # A zero at an id with no pivot is no lead: the row is stored under
+    # its first nonzero entry, and a vector at that id is left as it is.
+    echelon = _Echelon()
+    assert echelon.insert({0: 0, 1: 1})
+    assert echelon.rows == {1: {1: 1}}
+    assert echelon.normal_form((1, {0: 1})) == (1, {0: 1})
+    reference: dict[int, dict[int, int]] = {}
+    assert _oracle_insert(reference, {0: 0, 1: 1})
+    assert reference == echelon.rows
+
+
+def test_normal_form_drops_a_zero_at_a_free_id():
+    # A vector in the row space reduces to no entry at all, not to a
+    # zero that would read as a residual outside the span.
+    echelon = _Echelon()
+    assert echelon.insert({1: 1})
+    assert echelon.normal_form((1, {0: 0, 1: 2})) == (1, {})
+    assert _oracle_normal_form(echelon.rows, {0: Fraction(0), 1: Fraction(2)}) == {}
 
 
 def test_series_product_truncates_to_shorter_factor():
