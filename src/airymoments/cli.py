@@ -46,6 +46,11 @@ MAX_MID_K = 4_000
 #: certificate takes 0.5 to 1.0 s per twist at k = 120 and 0.9 to 1.3 s
 #: at 140 (2-vCPU VM), and grows steeply from there.
 MAX_GM_K = 120
+#: Largest accepted sum of the k of a ``verify`` range: each k costs O(k),
+#: so a range's time follows this sum.  2..1000, the widest range it
+#: accepts from k = 2, takes about 2.3 s, 2..2000 7.8 s and 2..10000
+#: about 349 s (2-vCPU VM).
+MAX_VERIFY_K_SUM = 500_500
 #: Longest accepted k literal, checked before ``int()``, which refuses
 #: literals from 4300 digits on.
 MAX_K_DIGITS = 100
@@ -521,6 +526,10 @@ def run(config: RunConfig) -> tuple[int, str]:
         raise SizeLimitError(
             f"k = {top} is above the cap {basis_cap} "
             f"for the {config.space} basis"
+        )
+    if config.command == "verify" and sum(set(config.k_values)) > MAX_VERIFY_K_SUM:
+        raise SizeLimitError(
+            f"the k values of a verify range sum above the cap {MAX_VERIFY_K_SUM}"
         )
     cache_path = _cache_path(config)
     if cache_path and os.path.exists(cache_path):

@@ -283,92 +283,30 @@ def _counter_str(thirds: Counter) -> str:
     )
 
 
-def _verify_one(k: int) -> list[CheckResult]:
-    results = []
-    full, mid = hodge_numbers(k)
-    dims = h1_dims(2, k)
+def _equal(check: str, expected, got, show=str) -> tuple:
+    """The fields of a check that passes when ``expected == got``, each
+    side printed by ``show``."""
+    return check, expected == got, show(expected), show(got)
 
-    symmetric = full.is_symmetric() and mid.is_symmetric()
-    results.append(
-        CheckResult(
-            k=k,
-            check="table-symmetry",
-            passed=symmetric,
-            expected="h(p,q) = h(q,p) in both tables",
-            got="symmetric" if symmetric else "asymmetric entry found",
-        )
-    )
 
-    mass_ok = full.total() == dims.all and mid.total() == dims.mid
-    results.append(
-        CheckResult(
-            k=k,
-            check="table-mass",
-            passed=mass_ok,
-            expected=f"({dims.all}, {dims.mid})",
-            got=f"({full.total()}, {mid.total()})",
-        )
-    )
+def _above(thirds: Counter, bound: int) -> Counter:
+    """The part of a multiset of thirds above ``bound``."""
+    return Counter({t: mult for t, mult in thirds.items() if t > bound})
 
-    # Levels below are thirds: 3p for the level p.
-    if k % 2:
-        expected = g_levels(k, "Ai").thirds_counter()
-        got = full.p_thirds()
-        results.append(
-            CheckResult(
-                k=k,
-                check="odd-level-multiset",
-                passed=expected == got,
-                expected=_counter_str(expected),
-                got=_counter_str(got),
-            )
-        )
-    else:
-        bound = 3 * (k // 2 + 1)
-        if k >= 4:
-            tilde_counter = tilde_mid_hodge(k).p_thirds()
-            reference = g_levels(k, "tilde").thirds_counter()
-            lhs = Counter(
-                {t: mult for t, mult in tilde_counter.items() if t > bound}
-            )
-            rhs = Counter(
-                {t: mult for t, mult in reference.items() if t > bound}
-            )
-            results.append(
-                CheckResult(
-                    k=k,
-                    check="high-level-match",
-                    passed=lhs == rhs,
-                    expected=_counter_str(rhs),
-                    got=_counter_str(lhs),
-                )
-            )
 
-        mid_counter = mid.p_thirds()
-        reflected = Counter(
-            {3 * (k + 1) - t: mult for t, mult in mid_counter.items()}
-        )
-        high = Counter(
-            {t: mult for t, mult in mid_counter.items() if t > bound}
-        )
-        quarter = (k + 2) // 4 - 1
-        expected_high = Counter(
-            omega_thirds(k, i) for i in range(1, quarter + 1)
-        )
-        structure_ok = mid_counter == reflected and high == expected_high
-        results.append(
-            CheckResult(
-                k=k,
-                check="mid-structure",
-                passed=structure_ok,
-                expected=f"symmetric, high part {_counter_str(expected_high)}",
-                got=(
-                    f"{'symmetric' if mid_counter == reflected else 'asymmetric'}"
-                    f", high part {_counter_str(high)}"
-                ),
-            )
-        )
+def _show_structure(structure: tuple[bool, Counter]) -> str:
+    symmetric, high = structure
+    symmetry = "symmetric" if symmetric else "asymmetric"
+    return f"{symmetry}, high part {_counter_str(high)}"
 
+
+ALL_ADMISSIBLE = "all admissible with matching levels"
+
+
+def _pole_detail(k: int) -> str:
+    """``ALL_ADMISSIBLE`` when every pole order the tables of ``k``
+    consume is admissible and yields its level, else the first that
+    is not."""
     kp = (k - 1) // 2
     if k % 2:
         families = [
@@ -383,25 +321,52 @@ def _verify_one(k: int) -> list[CheckResult]:
             ]
             + [("twisted", 0, j, _residue_thirds(k, j)) for j in range(kp + 1)]
         )
-    yu_ok = True
-    detail = "all admissible with matching levels"
     for variant, r, nu, level in families:
         _, admissible, f_level = _pole_thirds(k, r, nu, variant)
         if not admissible or f_level != level:
-            yu_ok = False
-            result = yu_pole_level(k, r, nu, variant)
-            detail = f"{variant} r={r} nu={nu}: {result}"
-            break
-    results.append(
-        CheckResult(
-            k=k,
-            check="pole-admissibility",
-            passed=yu_ok,
-            expected="all admissible with matching levels",
-            got=detail,
+            return f"{variant} r={r} nu={nu}: {yu_pole_level(k, r, nu, variant)}"
+    return ALL_ADMISSIBLE
+
+
+def _verify_one(k: int) -> list[CheckResult]:
+    full, mid = hodge_numbers(k)
+    dims = h1_dims(2, k)
+    symmetric = full.is_symmetric() and mid.is_symmetric()
+    checks = [
+        (
+            "table-symmetry",
+            symmetric,
+            "h(p,q) = h(q,p) in both tables",
+            "symmetric" if symmetric else "asymmetric entry found",
+        ),
+        _equal("table-mass", (dims.all, dims.mid), (full.total(), mid.total())),
+    ]
+    # Levels below are thirds: 3p for the level p.
+    if k % 2:
+        expected = g_levels(k, "Ai").thirds_counter()
+        checks.append(
+            _equal("odd-level-multiset", expected, full.p_thirds(), _counter_str)
         )
-    )
-    return results
+    else:
+        bound = 3 * (k // 2 + 1)
+        if k >= 4:
+            expected = _above(g_levels(k, "tilde").thirds_counter(), bound)
+            got = _above(tilde_mid_hodge(k).p_thirds(), bound)
+            checks.append(_equal("high-level-match", expected, got, _counter_str))
+        mid_counter = mid.p_thirds()
+        reflected = Counter({3 * (k + 1) - t: mult for t, mult in mid_counter.items()})
+        quarter = (k + 2) // 4 - 1
+        expected_high = Counter(omega_thirds(k, i) for i in range(1, quarter + 1))
+        checks.append(
+            _equal(
+                "mid-structure",
+                (True, expected_high),
+                (mid_counter == reflected, _above(mid_counter, bound)),
+                _show_structure,
+            )
+        )
+    checks.append(_equal("pole-admissibility", ALL_ADMISSIBLE, _pole_detail(k)))
+    return [CheckResult(k, *check) for check in checks]
 
 
 def verify(k_range) -> VerifyReport:
@@ -409,13 +374,16 @@ def verify(k_range) -> VerifyReport:
     table symmetry, table mass against the closed-form dimensions, level
     multisets (odd k against the basis levels, even k against the
     extended family above level k/2+1), middle-table structure, and pole
-    admissibility for every level the tables consume."""
+    admissibility for every level the tables consume.
+
+    Every check but table symmetry compares an expected value with the
+    value got and reports both as text.  Each k costs O(k), so the CLI
+    refuses a range whose k sum to more than ``cli.MAX_VERIFY_K_SUM``."""
     ks = sorted(set(k_range))
     if not ks:
         raise DomainError("empty verification range")
-    for k in ks:
-        if k < 2:
-            raise DomainError("verification needs k >= 2")
+    if ks[0] < 2:
+        raise DomainError("verification needs k >= 2")
     results = []
     for k in ks:
         results.extend(_verify_one(k))

@@ -393,8 +393,8 @@ def test_work_beyond_the_fixed_bounds_is_refused_fast(capsys, argv):
 
 TOP = str(cli.MAX_K)
 
-# Every per-k command at the largest accepted k, and the widest dims
-# range, with a budget in seconds for each: about five times the time
+# Every per-k command at the largest accepted k, and the widest dims and
+# verify ranges, with a budget in seconds for each: about five times the time
 # taken on a 2-vCPU VM, shown after each case.
 TOP_OF_BOUNDS_RETURNS = [
     (("dims", "--k", TOP), 2),  # under 0.01 s
@@ -409,6 +409,7 @@ TOP_OF_BOUNDS_RETURNS = [
     (("tilde", "--k", TOP), 2),  # 0.08 s
     (("decomp", "--k", TOP), 3),  # 0.25 s
     (("verify", "--k", TOP), 2),  # 0.1 s
+    (("verify", "--k", "2..1000"), 10),  # 1.6-2.3 s: the k sum cap
 ]
 
 # ... and the ones that refuse there: each within 1 s, with "cap".
@@ -424,6 +425,8 @@ TOP_OF_BOUNDS_REFUSALS = [
     ("basis", "--space", "mid", "--k", f"2..{TOP}"),
     ("decomp", "--n", "3", "--k", TOP),
     ("dims", "--n", "8", "--k", "400"),
+    ("verify", "--k", "2..1001"),
+    ("verify", "--k", f"2..{TOP}"),
 ]
 
 

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import contextlib
 import cProfile
+import io
 import pstats
+import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from airymoments import cli, hodge
 from airymoments.errors import DomainError
 from airymoments.moments import h1_dims
 from airymoments.hodge import (
@@ -255,3 +260,183 @@ def test_tables_and_verify_build_no_fraction():
         if path.endswith("fractions.py") and name == "__new__"
     ]
     assert built == []
+
+
+# The failure corpus: each rig replaces one global of ``hodge`` so that
+# a check fails at one k, and pins every check of that k as
+# (check, passed, expected, got).  Together they fail every check and
+# print both sides of each.  Budget: under 0.1 s for all of them.
+ADMISSIBLE = "all admissible with matching levels"
+
+
+def _asymmetric_full(tables, k):
+    full, mid = tables
+    return replace(full, thirds=full.thirds[:-1] + ((11, 8, 1),)), mid
+
+
+def _reflection_broken_mid(tables, k):
+    # Still symmetric under (p, q) -> (q, p), but p + q is off weight.
+    full, mid = tables
+    shifted = tuple((p + 1, q + 1, h) for p, q, h in mid.thirds)
+    return full, replace(mid, thirds=shifted)
+
+
+def _inadmissible_residue(thirds, k, r, nu, variant):
+    m, _, level = thirds
+    return (m, False, level) if (variant, r, nu) == ("twisted", 0, 2) else thirds
+
+
+RIGS = {
+    "table-symmetry": (5, "hodge_numbers", _asymmetric_full, [
+        ("table-symmetry", False, "h(p,q) = h(q,p) in both tables",
+         "asymmetric entry found"),
+        ("table-mass", True, "(3, 3)", "(3, 3)"),
+        ("odd-level-multiset", True, "{7/3: 1, 3: 1, 11/3: 1}",
+         "{7/3: 1, 3: 1, 11/3: 1}"),
+        ("pole-admissibility", True, ADMISSIBLE, ADMISSIBLE),
+    ]),
+    "table-mass": (
+        8,
+        "h1_dims",
+        lambda dims, n, k: dims._replace(all=dims.all + 1),
+        [
+            ("table-symmetry", True, "h(p,q) = h(q,p) in both tables",
+             "symmetric"),
+            ("table-mass", False, "(4, 2)", "(3, 2)"),
+            ("high-level-match", True, "{16/3: 2, 17/3: 2, 6: 1}",
+             "{16/3: 2, 17/3: 2, 6: 1}"),
+            ("mid-structure", True, "symmetric, high part {17/3: 1}",
+             "symmetric, high part {17/3: 1}"),
+            ("pole-admissibility", True, ADMISSIBLE, ADMISSIBLE),
+        ],
+    ),
+    "odd-level-multiset": (
+        7,
+        "g_levels",
+        lambda levels, k, which: replace(levels, thirds=levels.thirds[1:]),
+        [
+            ("table-symmetry", True, "h(p,q) = h(q,p) in both tables",
+             "symmetric"),
+            ("table-mass", True, "(4, 4)", "(4, 4)"),
+            ("odd-level-multiset", False, "{11/3: 1, 13/3: 1, 5: 1}",
+             "{3: 1, 11/3: 1, 13/3: 1, 5: 1}"),
+            ("pole-admissibility", True, ADMISSIBLE, ADMISSIBLE),
+        ],
+    ),
+    "high-level-match": (
+        10,
+        "tilde_mid_hodge",
+        lambda table, k: replace(table, thirds=table.thirds[:-1]),
+        [
+            ("table-symmetry", True, "h(p,q) = h(q,p) in both tables",
+             "symmetric"),
+            ("table-mass", True, "(4, 4)", "(4, 4)"),
+            ("high-level-match", False, "{19/3: 2, 20/3: 2, 7: 2, 22/3: 1}",
+             "{19/3: 2, 20/3: 2, 7: 2}"),
+            ("mid-structure", True, "symmetric, high part {19/3: 1, 7: 1}",
+             "symmetric, high part {19/3: 1, 7: 1}"),
+            ("pole-admissibility", True, ADMISSIBLE, ADMISSIBLE),
+        ],
+    ),
+    "mid-structure": (12, "hodge_numbers", _reflection_broken_mid, [
+        ("table-symmetry", True, "h(p,q) = h(q,p) in both tables",
+         "symmetric"),
+        ("table-mass", True, "(5, 4)", "(5, 4)"),
+        ("high-level-match", True,
+         "{22/3: 2, 23/3: 2, 8: 2, 25/3: 2, 26/3: 1}",
+         "{22/3: 2, 23/3: 2, 8: 2, 25/3: 2, 26/3: 1}"),
+        ("mid-structure", False, "symmetric, high part {23/3: 1, 25/3: 1}",
+         "asymmetric, high part {8: 1, 26/3: 1}"),
+        ("pole-admissibility", True, ADMISSIBLE, ADMISSIBLE),
+    ]),
+    "pole-admissibility": (6, "_pole_thirds", _inadmissible_residue, [
+        ("table-symmetry", True, "h(p,q) = h(q,p) in both tables",
+         "symmetric"),
+        ("table-mass", True, "(2, 2)", "(2, 2)"),
+        ("high-level-match", True, "{13/3: 2, 14/3: 1}",
+         "{13/3: 2, 14/3: 1}"),
+        ("mid-structure", True, "symmetric, high part {13/3: 1}",
+         "symmetric, high part {13/3: 1}"),
+        ("pole-admissibility", False, ADMISSIBLE,
+         "twisted r=0 nu=2: PoleLevel(m=Fraction(3, 1), admissible=False, "
+         "f_level=Fraction(4, 1))"),
+    ]),
+    "pole-level": (
+        9,
+        "omega_thirds",
+        lambda thirds, k, i: thirds + 3 if i == 2 else thirds,
+        [
+            ("table-symmetry", True, "h(p,q) = h(q,p) in both tables",
+             "symmetric"),
+            ("table-mass", True, "(5, 5)", "(5, 5)"),
+            ("odd-level-multiset", False,
+             "{11/3: 1, 13/3: 1, 5: 1, 19/3: 1, 20/3: 1}",
+             "{11/3: 1, 13/3: 1, 5: 1, 17/3: 1, 19/3: 1}"),
+            ("pole-admissibility", False, ADMISSIBLE,
+             "odd-simple r=2 nu=0: PoleLevel(m=Fraction(13, 3), "
+             "admissible=True, f_level=Fraction(17, 3))"),
+        ],
+    ),
+}
+
+
+def _rig(monkeypatch, k, name, change):
+    """Make the hodge global ``name`` return ``change(result, *args)``
+    when it is called for ``k``, and its own result otherwise."""
+    original = getattr(hodge, name)
+    position = 1 if name == "h1_dims" else 0  # h1_dims takes (n, k)
+
+    def rigged(*args):
+        result = original(*args)
+        return change(result, *args) if args[position] == k else result
+
+    monkeypatch.setattr(hodge, name, rigged)
+
+
+@pytest.mark.parametrize("rig", RIGS)
+def test_a_rigged_check_fails_with_both_sides(monkeypatch, rig):
+    k, name, change, expected = RIGS[rig]
+    _rig(monkeypatch, k, name, change)
+    start = time.perf_counter()
+    report = verify([k, k + 1])
+    assert time.perf_counter() - start < 1
+    rigged = [r for r in report.results if r.k == k]
+    assert [(r.check, r.passed, r.expected, r.got) for r in rigged] == expected
+    # Only the rigged k fails.
+    assert {r.k for r in report.failures()} == {k}
+
+
+RIGGED_TEXT = (
+    "k=8: 5 checks passed\n"
+    "k=9 odd-level-multiset: FAILED (expected {11/3: 1, 13/3: 1, 5: 1, "
+    "19/3: 1, 20/3: 1}, got {11/3: 1, 13/3: 1, 5: 1, 17/3: 1, 19/3: 1})\n"
+    "k=9 pole-admissibility: FAILED (expected all admissible with matching "
+    "levels, got odd-simple r=2 nu=0: PoleLevel(m=Fraction(13, 3), "
+    "admissible=True, f_level=Fraction(17, 3)))\n"
+    "k=10: 5 checks passed\n"
+    "2 of 14 checks failed\n"
+)
+RIGGED_JSON = (
+    '{"k":[8,9,10],"passed":false,"checks":14,"failures":['
+    '{"k":9,"check":"odd-level-multiset",'
+    '"expected":"{11/3: 1, 13/3: 1, 5: 1, 19/3: 1, 20/3: 1}",'
+    '"got":"{11/3: 1, 13/3: 1, 5: 1, 17/3: 1, 19/3: 1}"},'
+    '{"k":9,"check":"pole-admissibility",'
+    '"expected":"all admissible with matching levels",'
+    '"got":"odd-simple r=2 nu=0: PoleLevel(m=Fraction(13, 3), '
+    'admissible=True, f_level=Fraction(17, 3))"}]}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "fmt, document", [("text", RIGGED_TEXT), ("json", RIGGED_JSON)]
+)
+def test_a_rigged_range_prints_its_failures(monkeypatch, fmt, document):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    k, name, change, _ = RIGS["pole-level"]
+    _rig(monkeypatch, k, name, change)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "--k", "8..10", "--format", fmt])
+    assert code == 2
+    assert out.getvalue() == document

@@ -57,3 +57,23 @@ def test_wide_outputs_are_pinned(monkeypatch):
 def test_thirds_formatter_matches_format_rational():
     for t in range(-1000, 1001):
         assert format_thirds(t) == format_rational(Fraction(t, 3))
+
+
+# ``verify --k 2..200 --format csv`` prints both sides of every check for
+# every k mod 4 branch; its own digest points a change at the verifier.
+PINNED_VERIFY_DIGEST = (
+    "0c1b912cad189243ef0721bd8272e9a9d3646c3daabfde84392252ae83899f2d"
+)
+
+
+def test_wide_verify_is_pinned(monkeypatch):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    start = time.perf_counter()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "--k", "2..200", "--format", "csv"])
+    assert code == 0
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == PINNED_VERIFY_DIGEST
+    # Budget: about 0.3 s on a 2-vCPU VM.
+    assert time.perf_counter() - start < 3
