@@ -43,14 +43,26 @@ MAX_K = 10_000
 #: k = 8200 on a coefficient has more digits than Python prints.
 MAX_MID_K = 4_000
 #: Largest accepted k for ``basis --space gm``: its brute-force
-#: certificate takes 0.5 to 1.0 s per twist at k = 120 and 0.9 to 1.3 s
-#: at 140 (2-vCPU VM), and grows steeply from there.
+#: certificate takes 0.25 to 0.45 s per twist at k = 120 and 0.35 to
+#: 0.6 s at 140 (2-vCPU VM), and grows steeply from there.
 MAX_GM_K = 120
-#: Largest accepted sum of the k of a ``verify`` range: each k costs O(k),
-#: so a range's time follows this sum.  2..1000, the widest range it
-#: accepts from k = 2, takes about 2.3 s, 2..2000 7.8 s and 2..10000
-#: about 349 s (2-vCPU VM).
-MAX_VERIFY_K_SUM = 500_500
+#: Largest accepted sum of the k of a range, per command: each k of these
+#: commands costs O(k), so a range's time follows this sum.  Each cap is
+#: set so that the widest range it accepts takes about 2 s (2-vCPU VM):
+#: ``verify --k 2..1000`` (sum 1..1000; 2..2000 took 7.8 s and 2..10000
+#: about 349 s), ``hodge --k 2..1500`` (sum 1..1500), ``tilde --k 4..1000
+#: --parity even`` (the even k up to 1000) and ``basis --k 2..600`` (sum
+#: 1..600), in any format but ``basis --format json``, which writes dense
+#: coefficient lists and takes about 26 s there.  Uncapped, ``hodge --k
+#: 2..10000`` took 65 s and 1.4 GB, ``tilde --k 4..10000 --parity even``
+#: 100 s and 1.6 GB, and ``basis --k 2..10000`` had not returned after
+#: 150 s.
+MAX_K_SUM = {
+    "verify": 500_500,
+    "hodge": 1_125_750,
+    "tilde": 250_500,
+    "basis": 180_300,
+}
 #: Longest accepted k literal, checked before ``int()``, which refuses
 #: literals from 4300 digits on.
 MAX_K_DIGITS = 100
@@ -527,9 +539,11 @@ def run(config: RunConfig) -> tuple[int, str]:
             f"k = {top} is above the cap {basis_cap} "
             f"for the {config.space} basis"
         )
-    if config.command == "verify" and sum(set(config.k_values)) > MAX_VERIFY_K_SUM:
+    k_sum_cap = MAX_K_SUM.get(config.command)
+    if k_sum_cap is not None and sum(set(config.k_values)) > k_sum_cap:
         raise SizeLimitError(
-            f"the k values of a verify range sum above the cap {MAX_VERIFY_K_SUM}"
+            f"the k values of a {config.command} range sum above the cap "
+            f"{k_sum_cap}"
         )
     cache_path = _cache_path(config)
     if cache_path and os.path.exists(cache_path):

@@ -64,7 +64,8 @@ Column = tuple[tuple[int, int, int], ...]
 #: A column as echelon coordinates: the (id, coeff) terms of the image
 #: row of the generator itself, the id its diagonal takes there, the
 #: least id of the terms (None when there are none), and the gcd of the
-#: coeffs, signed as the coeff at that id (0 when there are none).
+#: coeffs, signed as the coeff at that id (0 when there are none).  The
+#: weight loop of ``_build_stable_image`` makes every row from these.
 IdColumn = tuple[list[tuple[int, int]], int, int | None, int]
 
 
@@ -277,18 +278,22 @@ class _Echelon:
         the normal form.  Returns the lead it stopped at, or None when
         it ran out of leads, and the product of the factors, which
         ``row`` comes back multiplied by, with no zero entry."""
-        rows = self.rows
-        work = {pos: (value, 1) for pos, value in row.items() if value}
+        pivot_at, gcd, pop, push = self.rows.get, math.gcd, heappop, heappush
+        work = {}
+        for pos, value in row.items():
+            if value:
+                work[pos] = value, 1
+        entry_at = work.get
         heap = list(work)
         heapify(heap)
         scale = 1
         lead = None
         while heap:
-            at = heappop(heap)
-            entry = work.get(at)
+            at = pop(heap)
+            entry = entry_at(at)
             if entry is None:
                 continue
-            pivot = rows.get(at)
+            pivot = pivot_at(at)
             if pivot is None:
                 if full:
                     continue
@@ -299,17 +304,17 @@ class _Echelon:
             if p != scale:
                 b *= scale // p
             a = pivot[at]
-            g = math.gcd(a, b)
+            g = gcd(a, b)
             ma, mb = a // g, b // g
             if ma != 1:
                 scale *= ma
             for pos, value in pivot.items():
                 if pos == at:
                     continue
-                entry = work.get(pos)
+                entry = entry_at(pos)
                 if entry is None:
                     work[pos] = -mb * value, scale
-                    heappush(heap, pos)
+                    push(heap, pos)
                     continue
                 v, p = entry
                 if p != scale:
@@ -349,7 +354,7 @@ class _Echelon:
         return vector[0] * factor, out
 
     def pivots_at_or_above(self, threshold: int) -> int:
-        return sum(1 for lead in self.rows if lead >= threshold)
+        return sum(map(threshold.__le__, self.rows))
 
 
 @dataclass
@@ -414,39 +419,6 @@ def _image_columns(
     return columns
 
 
-def _image_row(
-    column: IdColumn, scale: int, twist: int, d: int, stride: int
-) -> tuple[int | None, dict[int, int]]:
-    """Integer coordinate row of ``scale`` times z^up d/dz + twist
-    applied to z^d * g_j, for ``column`` the id column of g_j: ``twist``
-    is already times ``scale``, and a factor z^d lowers every id by
-    d * ``stride``.  No term lands on the diagonal, which sits one
-    degree below z^(d+up).
-
-    Returns the row's lead, or None when the row is zero, and the row
-    divided by its content, signed so that its lead entry is positive:
-    the row that ``_Echelon.insert`` stores when the lead has no
-    pivot."""
-    terms, diagonal_at, lead, content = column
-    shift = d * stride
-    diagonal = d * scale + twist
-    g = math.gcd(content, diagonal)
-    if not g:
-        return None, {}
-    sign = content
-    if diagonal and (lead is None or diagonal_at < lead):
-        lead, sign = diagonal_at, diagonal
-    if sign < 0:
-        g = -g
-    if g == 1:
-        row = {pos - shift: c for pos, c in terms}
-    else:
-        row = {pos - shift: c // g for pos, c in terms}
-    if diagonal:
-        row[diagonal_at - shift] = diagonal // g
-    return lead - shift, row
-
-
 def _first_truncation(k: int) -> int:
     """The first truncation degree of the certificate for Sym^k.  It
     compares at least two truncations, degree and 2 * degree, so this
@@ -493,11 +465,11 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
 
     Truncation degree D takes the sources z^d * g_j of weight at most
     n * D, inserted in increasing weight, and the window is the weighted
-    degree D // 2.  Rows are built in integers, each primitive with a
-    positive lead (``_image_row``).  A row whose lead has no pivot yet,
-    which is most of them, is stored as it is: that is the row
-    insertion would store.  Only the others go through
-    ``_Echelon.insert``.
+    degree D // 2.  Each row is built in integers inside the weight
+    loop, from its generator's ``IdColumn``, primitive with a positive
+    lead.  A row whose lead has no pivot yet, which is most of them, is
+    stored as it is: that is the row insertion would store.  Only the
+    others go through ``_Echelon.insert``.
 
     The request is checked by ``_stable_image``: an affine-line image
     needs an untwisted module.
@@ -517,7 +489,7 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
         for r in range(n)
     ]
     echelon = _Echelon()
-    rows = echelon.rows
+    rows, insert, gcd = echelon.rows, echelon.insert, math.gcd
     processed = -1
     previous = None
     while True:
@@ -530,12 +502,35 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
             for w, j in layers[weight % n]:
                 if w > weight:
                     break
-                lead, row = _image_row(
-                    columns[j], scale, twist, (weight - w) // n, stride
-                )
-                if lead is not None and lead not in rows:
-                    rows[lead] = row
-                elif not echelon.insert(row):
+                # scale * (z^up d/dz + twist) on z^d * g_j: the column's
+                # ids lowered by d * stride, and the diagonal one degree
+                # below z^(d+up), where no column term lands; divided by
+                # its content and signed so that its lead is positive.
+                terms, diagonal_at, lead, content = columns[j]
+                d = (weight - w) // n
+                shift = d * stride
+                diagonal = d * scale + twist
+                g = gcd(content, diagonal)
+                sign = content
+                if diagonal and (lead is None or diagonal_at < lead):
+                    lead, sign = diagonal_at, diagonal
+                if sign < 0:
+                    g = -g
+                row = {}
+                if g == 1:
+                    for pos, c in terms:
+                        row[pos - shift] = c
+                else:
+                    for pos, c in terms:
+                        row[pos - shift] = c // g
+                if diagonal:
+                    row[diagonal_at - shift] = diagonal // g
+                if lead is not None:
+                    lead -= shift
+                    if lead not in rows:
+                        rows[lead] = row
+                        continue
+                if not insert(row):
                     raise InconsistencyError(
                         "derivation row reduced to zero: the derivation "
                         "has a kernel at truncation degree "

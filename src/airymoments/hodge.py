@@ -378,7 +378,7 @@ def verify(k_range) -> VerifyReport:
 
     Every check but table symmetry compares an expected value with the
     value got and reports both as text.  Each k costs O(k), so the CLI
-    refuses a range whose k sum to more than ``cli.MAX_VERIFY_K_SUM``."""
+    refuses a range whose k sum to more than ``cli.MAX_K_SUM["verify"]``."""
     ks = sorted(set(k_range))
     if not ks:
         raise DomainError("empty verification range")

@@ -393,9 +393,10 @@ def test_work_beyond_the_fixed_bounds_is_refused_fast(capsys, argv):
 
 TOP = str(cli.MAX_K)
 
-# Every per-k command at the largest accepted k, and the widest dims and
-# verify ranges, with a budget in seconds for each: about five times the time
-# taken on a 2-vCPU VM, shown after each case.
+# Every per-k command at the largest accepted k, and the widest dims range
+# and the widest range under each k-sum cap, with a budget in seconds for
+# each: about five times the time taken on a 2-vCPU VM, shown after each
+# case.
 TOP_OF_BOUNDS_RETURNS = [
     (("dims", "--k", TOP), 2),  # under 0.01 s
     (("dims", "--k", f"2..{TOP}"), 2),  # 0.15 s
@@ -410,6 +411,9 @@ TOP_OF_BOUNDS_RETURNS = [
     (("decomp", "--k", TOP), 3),  # 0.25 s
     (("verify", "--k", TOP), 2),  # 0.1 s
     (("verify", "--k", "2..1000"), 10),  # 1.6-2.3 s: the k sum cap
+    (("hodge", "--k", "2..1500"), 10),  # 1.2-2.4 s: the k sum cap
+    (("tilde", "--k", "4..1000", "--parity", "even"), 10),  # 1.3-1.9 s
+    (("basis", "--k", "2..600"), 10),  # 1.2-1.9 s: the k sum cap
 ]
 
 # ... and the ones that refuse there: each within 1 s, with "cap".
@@ -427,6 +431,12 @@ TOP_OF_BOUNDS_REFUSALS = [
     ("dims", "--n", "8", "--k", "400"),
     ("verify", "--k", "2..1001"),
     ("verify", "--k", f"2..{TOP}"),
+    ("hodge", "--k", "2..1501"),
+    ("hodge", "--k", f"2..{TOP}"),
+    ("tilde", "--k", "4..1002", "--parity", "even"),
+    ("tilde", "--k", f"4..{TOP}", "--parity", "even"),
+    ("basis", "--k", "2..601"),
+    ("basis", "--k", f"2..{TOP}"),
 ]
 
 
