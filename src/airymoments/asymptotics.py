@@ -8,7 +8,8 @@ consecutive coefficients (DLMF 9.7(ii)), and a formal solution of the
 third-order symmetric-square equation derived from the connection by a
 cyclic-vector elimination.  The k/2-th powers of that series, computed
 in integers, give the correction coefficients for the middle-cohomology
-basis.
+basis.  The series and every power of it are one type,
+:class:`OffsetSeries`, on a lattice of exponents 3 apart.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .connection import (
+    HALF,
     CohomologyBasis,
     ModuleElement,
     build_symk,
@@ -26,10 +28,42 @@ from .connection import (
     omega_level,
 )
 from .errors import DomainError, InconsistencyError
-from .exact import OffsetSeries, Polynomial, polynomial_gcd
+from .exact import Polynomial, polynomial_gcd
 
-HALF = Fraction(1, 2)
 ZERO = Fraction(0)
+
+
+@dataclass(frozen=True)
+class OffsetSeries:
+    """Truncated series in w = 1/z on the lattice ``offset + 3j``:
+    ``coefficients[j]`` is the coefficient of w^(offset + 3j).
+
+    Exponents off the lattice have coefficient zero; exponents past the
+    stored range are unknown, not zero.
+    """
+
+    offset: Fraction
+    coefficients: tuple[Fraction, ...]
+
+    def value_at(self, index: int | Fraction) -> Fraction:
+        """Coefficient at exponent ``index``; zero off the lattice,
+        error past the stored range.  The position (index - offset) / 3
+        is found in integers."""
+        if not isinstance(index, (int, Fraction)):
+            raise DomainError(f"exponent {index!r} is not exact")
+        offset = self.offset
+        j, off_lattice = divmod(
+            index.numerator * offset.denominator
+            - offset.numerator * index.denominator,
+            3 * index.denominator * offset.denominator,
+        )
+        if j < 0 or off_lattice:
+            return ZERO
+        if j >= len(self.coefficients):
+            raise DomainError(
+                f"exponent {index} is beyond the tabulated range"
+            )
+        return self.coefficients[j]
 
 
 def _aibi_numerators(terms: int) -> list[int]:
@@ -66,9 +100,7 @@ def aibi_series(terms: int) -> OffsetSeries:
     """
     if terms < 1:
         raise DomainError("need at least one term")
-    return OffsetSeries(
-        HALF, Fraction(3), _over_96n_factorial(_aibi_numerators(terms))
-    )
+    return OffsetSeries(HALF, _over_96n_factorial(_aibi_numerators(terms)))
 
 
 def _det3(m: list[list[Polynomial]]) -> Polynomial:
@@ -185,52 +217,13 @@ def aibi_series_ode_oracle(terms: int) -> OffsetSeries:
                 f"nonzero coefficient off the exponent lattice at step {tau}"
             )
         coefficients.append(value)
-    return OffsetSeries(HALF, Fraction(3), tuple(coefficients[::3]))
+    return OffsetSeries(HALF, tuple(coefficients[::3]))
 
 
-@dataclass(frozen=True)
-class GammaTable:
-    """Coefficients of the k/2-th power of the normalised solution
-    product: value j sits at exponent k/4 + 3j in w = 1/z.
-
-    The leading value is 1 and every tabulated value is positive; the
-    constructor enforces both.
-    """
-
-    k: int
-    offset: Fraction
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not self.values or self.values[0] != 1:
-            raise InconsistencyError("leading coefficient must be 1")
-        if any(value <= 0 for value in self.values):
-            raise InconsistencyError("coefficients must stay positive")
-
-    def value_at(self, index: int | Fraction) -> Fraction:
-        """Coefficient at exponent ``index``; zero off the lattice
-        k/4 + 3j, error past the tabulated range.  The position
-        (index - offset) / 3 is found in integers."""
-        if not isinstance(index, (int, Fraction)):
-            raise DomainError(f"exponent {index!r} is not exact")
-        offset = self.offset
-        j, off_lattice = divmod(
-            index.numerator * offset.denominator
-            - offset.numerator * index.denominator,
-            3 * index.denominator * offset.denominator,
-        )
-        if j < 0 or off_lattice:
-            return ZERO
-        if j >= len(self.values):
-            raise DomainError(
-                f"exponent {index} is beyond the tabulated range"
-            )
-        return self.values[j]
-
-
-def gamma(k: int, terms: int) -> GammaTable:
+def gamma(k: int, terms: int) -> OffsetSeries:
     """Asymptotic coefficients of the k/2-th power of the normalised
-    solution product, for even k, on the lattice k/4 + 3j.
+    solution product, for even k, on the lattice k/4 + 3j.  The leading
+    value is 1 and every value is positive; both are asserted.
 
     With alpha = k/2 and the integers A_j of :func:`_aibi_numerators`,
     value n is B_n / (96^n n!), where B_0 = 1 and J.C.P. Miller's power
@@ -259,9 +252,12 @@ def gamma(k: int, terms: int) -> GammaTable:
                 f"power recurrence left a fraction at step {m}"
             )
         powered.append(value)
-    return GammaTable(
-        k=k, offset=Fraction(k, 4), values=_over_96n_factorial(powered)
-    )
+    values = _over_96n_factorial(powered)
+    if values[0] != 1:
+        raise InconsistencyError("leading coefficient must be 1")
+    if any(value <= 0 for value in values):
+        raise InconsistencyError("coefficients must stay positive")
+    return OffsetSeries(Fraction(k, 4), values)
 
 
 def mid_basis(k: int) -> CohomologyBasis:

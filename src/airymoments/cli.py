@@ -63,6 +63,17 @@ MAX_K_SUM = {
     "tilde": 250_500,
     "basis": 180_300,
 }
+#: Largest accepted (number of k) * (series terms)^3 of a ``gamma`` range.
+#: One table's time does not depend on k but grows about as the cube of
+#: its length, so this product follows a range's time: the widest ranges
+#: it accepts, ``--k 2..10000 --parity even`` at the default 30 terms and
+#: two k at 400 terms, take 1.8 to 2.6 s (2-vCPU VM), where ten k at 400
+#: terms took 8.4 to 11.1 s.
+MAX_GAMMA_WORK = 150_000_000
+#: Largest accepted sum of k^3 over a ``basis --space gm`` range: the k
+#: of ``MAX_GM_K`` alone (0.3 s per twist), up to ``--k 2..72`` (1.9 to
+#: 2.3 s, 2-vCPU VM), where ``--k 2..120`` took 13.6 s.
+MAX_GM_K_CUBES = 4 * MAX_GM_K**3
 #: Longest accepted k literal, checked before ``int()``, which refuses
 #: literals from 4300 digits on.
 MAX_K_DIGITS = 100
@@ -237,12 +248,12 @@ def _gamma(config: RunConfig, k: int):
     if config.format != "json":
         return [
             [str(k), format_rational(table.offset + 3 * j), format_rational(value)]
-            for j, value in enumerate(table.values)
+            for j, value in enumerate(table.coefficients)
         ]
     return {
         "k": k,
         "offset": format_rational(table.offset),
-        "values": [format_rational(v) for v in table.values],
+        "values": [format_rational(v) for v in table.coefficients],
     }
 
 
@@ -545,6 +556,20 @@ def run(config: RunConfig) -> tuple[int, str]:
             f"the k values of a {config.command} range sum above the cap "
             f"{k_sum_cap}"
         )
+    if config.command == "gamma":
+        work = len(config.k_values) * config.series_terms**3
+        if work > MAX_GAMMA_WORK:
+            raise SizeLimitError(
+                f"a gamma range of {len(config.k_values)} k at "
+                f"{config.series_terms} series terms is above the cap "
+                f"{MAX_GAMMA_WORK} on the k count times the terms cubed"
+            )
+    if config.command == "basis" and config.space == "gm":
+        if sum(k**3 for k in config.k_values) > MAX_GM_K_CUBES:
+            raise SizeLimitError(
+                f"the cubes of the k of a gm basis range sum above the cap "
+                f"{MAX_GM_K_CUBES}"
+            )
     cache_path = _cache_path(config)
     if cache_path and os.path.exists(cache_path):
         with open(cache_path, "r", encoding="utf-8") as handle:

@@ -1,5 +1,5 @@
-"""Exact scalar arithmetic: rationals, sparse polynomials, series on a
-shifted exponent lattice, and the integer helpers behind them.
+"""Exact scalar arithmetic: rationals, sparse polynomials over them, and
+the integer compositions that index monomials and multinomial sums.
 
 Everything here is exact.  Rationals are ``fractions.Fraction`` (always
 in lowest terms), polynomials store only nonzero terms, and all
@@ -169,10 +169,6 @@ class Polynomial:
         return text.replace("+ -", "- ")
 
 
-#: The polynomial ``z``, for building expressions.
-Z = Polynomial.monomial(1)
-
-
 def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor over the rationals."""
     while not b.is_zero():
@@ -180,30 +176,6 @@ def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_zero():
         return a
     return a * (1 / a.leading_coefficient())
-
-
-@dataclass(frozen=True)
-class OffsetSeries:
-    """Truncated series supported on the lattice ``offset + step*j``.
-
-    ``coefficients[j]`` is the coefficient of the exponent
-    ``offset + step*j``; exponents past the stored range are unknown,
-    not zero.
-    """
-
-    offset: Fraction
-    step: Fraction
-    coefficients: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        step = _coerce(self.step)
-        if step <= 0:
-            raise DomainError("series step must be positive")
-        object.__setattr__(self, "offset", _coerce(self.offset))
-        object.__setattr__(self, "step", step)
-        object.__setattr__(
-            self, "coefficients", tuple(_coerce(c) for c in self.coefficients)
-        )
 
 
 def compositions(parts: int, total: int):

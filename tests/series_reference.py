@@ -6,17 +6,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from airymoments.asymptotics import OffsetSeries
 from airymoments.errors import DomainError
-from airymoments.exact import OffsetSeries
 
 
 def series_mul(a: OffsetSeries, b: OffsetSeries) -> OffsetSeries:
-    """Product of two lattice series; offsets add, truncation is the min.
-
-    Both factors must live on the same step lattice.
-    """
-    if a.step != b.step:
-        raise DomainError(f"incompatible series steps {a.step} and {b.step}")
+    """Product of two lattice series; offsets add, truncation is the min."""
     length = min(len(a.coefficients), len(b.coefficients))
     coeffs = [Fraction(0)] * length
     for i, ca in enumerate(a.coefficients[:length]):
@@ -24,12 +19,12 @@ def series_mul(a: OffsetSeries, b: OffsetSeries) -> OffsetSeries:
             continue
         for j, cb in enumerate(b.coefficients[: length - i]):
             coeffs[i + j] += ca * cb
-    return OffsetSeries(a.offset + b.offset, a.step, tuple(coeffs))
+    return OffsetSeries(a.offset + b.offset, tuple(coeffs))
 
 
 def series_pow(series: OffsetSeries, exponent: int) -> OffsetSeries:
     """Integer power ``exponent >= 1``, truncated like repeated
-    :func:`series_mul` (same offset, step and length).
+    :func:`series_mul` (same offset and length).
 
     Uses J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): for
     a_0 != 0, g = f^e satisfies g_0 = a_0^e and
@@ -56,4 +51,4 @@ def series_pow(series: OffsetSeries, exponent: int) -> OffsetSeries:
             )
             g.append(total / (n * a0))
     padded = [Fraction(0)] * min(shift, length) + g
-    return OffsetSeries(series.offset * exponent, series.step, tuple(padded))
+    return OffsetSeries(series.offset * exponent, tuple(padded))

@@ -126,9 +126,9 @@ def test_criterion_4_series_routes(capsys):
         assert direct.coefficients[1] == F(5, 32)
         for k in (4, 8, 12, 16):
             table = gamma(k, 30)
-            assert len(table.values) == 30
-            assert table.values[0] == 1
-            assert all(value > 0 for value in table.values)
+            assert len(table.coefficients) == 30
+            assert table.coefficients[0] == 1
+            assert all(value > 0 for value in table.coefficients)
             assert table.offset == F(k, 4)
 
 

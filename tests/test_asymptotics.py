@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from airymoments import asymptotics
 from airymoments.errors import DomainError, InconsistencyError
-from airymoments.exact import OffsetSeries, Polynomial, Z
+from airymoments.exact import Polynomial
 from airymoments.connection import ModuleElement, h1_a1_basis, omega_class
 from airymoments.moments import h1_dims
 from airymoments.asymptotics import (
-    GammaTable,
+    OffsetSeries,
     aibi_series,
     aibi_series_ode_oracle,
     gamma,
@@ -28,6 +28,7 @@ from airymoments.asymptotics import (
 from series_reference import series_mul, series_pow
 
 HALF = Fraction(1, 2)
+Z = Polynomial.monomial(1)
 
 
 def _product_coefficient_by_definition(n):
@@ -61,7 +62,6 @@ def test_product_route_matches_aibi_series():
 def test_aibi_series_first_terms():
     series = aibi_series(3)
     assert series.offset == HALF
-    assert series.step == 3
     assert series.coefficients[0] == 1
     assert series.coefficients[1] == Fraction(5, 32)
     assert series.coefficients[2] == Fraction(1155, 2048)
@@ -96,7 +96,8 @@ def test_symmetric_square_operator_is_built_once():
 
 
 # SHA-256 of repr((offset, step, coefficients)) of the 40-term oracle
-# series, as computed before the operator was cached.
+# series, as computed before the operator was cached.  The series no
+# longer stores its step, which was always 3.
 ORACLE_40_DIGEST = (
     "555f9470ab42484220035bd8cdee1b79178dd8663bc232c5422b8691ce0fbc13"
 )
@@ -105,16 +106,14 @@ ORACLE_40_DIGEST = (
 def test_ode_oracle_is_pinned():
     for _ in range(2):
         s = aibi_series_ode_oracle(40)
-        text = repr((s.offset, s.step, s.coefficients))
+        text = repr((s.offset, Fraction(3), s.coefficients))
         assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_40_DIGEST
 
 
 def test_ode_oracle_agrees_with_product_route():
     direct = aibi_series(40)
     oracle = aibi_series_ode_oracle(40)
-    assert direct.offset == oracle.offset
-    assert direct.step == oracle.step
-    assert direct.coefficients == oracle.coefficients
+    assert direct == oracle
 
 
 @given(st.integers(min_value=1, max_value=120))
@@ -138,8 +137,7 @@ def test_gamma_matches_iterated_oracle_products(k):
     for _ in range(k // 2 - 1):
         powered = series_mul(powered, base)
     table = gamma(k, 20)
-    assert table.offset == powered.offset
-    assert table.values == powered.coefficients
+    assert table == powered
 
 
 @given(st.integers(min_value=1, max_value=200), st.integers(1, 40))
@@ -147,8 +145,7 @@ def test_gamma_matches_iterated_oracle_products(k):
 def test_gamma_matches_fraction_power_of_the_oracle(half_k, terms):
     powered = series_pow(aibi_series_ode_oracle(terms), half_k)
     table = gamma(2 * half_k, terms)
-    assert table.offset == powered.offset
-    assert table.values == powered.coefficients
+    assert table == powered
 
 
 @given(
@@ -161,18 +158,18 @@ def test_integer_power_matches_fraction_power_of_any_positive_series(
 ):
     # the division by m is exact for any integer EGF, not only Ai*Bi's
     numerators = [1] + tail
-    series = OffsetSeries(HALF, 3, tuple(
+    series = OffsetSeries(HALF, tuple(
         Fraction(a, 96**j * math.factorial(j))
         for j, a in enumerate(numerators)
     ))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(asymptotics, "_aibi_numerators", lambda terms: numerators)
         table = gamma(2 * half_k, len(numerators))
-    assert table.values == series_pow(series, half_k).coefficients
+    assert table.coefficients == series_pow(series, half_k).coefficients
 
 
 def test_gamma_at_k_two_is_the_series_itself():
-    assert gamma(2, 150).values == aibi_series(150).coefficients
+    assert gamma(2, 150) == aibi_series(150)
 
 
 def test_gamma_refuses_an_inexact_power_step(monkeypatch):
@@ -197,7 +194,7 @@ def test_series_tables_are_pinned():
     coefficients = aibi_series(200).coefficients
     digest.update(repr(("aibi", 200, [str(c) for c in coefficients])).encode())
     for k, terms in [(k, 40) for k in range(2, 201, 2)] + [(10000, 30)]:
-        values = [str(v) for v in gamma(k, terms).values]
+        values = [str(v) for v in gamma(k, terms).coefficients]
         digest.update(repr(("gamma", k, terms, values)).encode())
     assert digest.hexdigest() == PINNED_SERIES_DIGEST
     assert time.perf_counter() - start < 5.0
@@ -222,22 +219,26 @@ def test_gamma_validation():
         gamma(3, 5)
     with pytest.raises(DomainError):
         gamma(4, 0)
-    with pytest.raises(InconsistencyError):
-        GammaTable(k=4, offset=Fraction(1), values=(Fraction(2),))
-    with pytest.raises(InconsistencyError):
-        GammaTable(
-            k=4,
-            offset=Fraction(1),
-            values=(Fraction(1), Fraction(-1)),
-        )
+    # rigs: gamma checks the values it is about to return
+    rigs = [
+        ((Fraction(2),), "leading"),
+        ((Fraction(1), Fraction(-1)), "positive"),
+    ]
+    for values, check in rigs:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                asymptotics, "_over_96n_factorial", lambda _, v=values: v
+            )
+            with pytest.raises(InconsistencyError, match=check):
+                gamma(4, len(values))
 
 
 @given(st.integers(min_value=1, max_value=12))
 @settings(max_examples=12, deadline=None)
 def test_gamma_values_positive(half_k):
     table = gamma(2 * half_k, 8)
-    assert table.values[0] == 1
-    assert all(value > 0 for value in table.values)
+    assert table.coefficients[0] == 1
+    assert all(value > 0 for value in table.coefficients)
 
 
 def test_mid_basis_size_matches_dimension_count():
@@ -306,8 +307,8 @@ def test_mid_basis_builds_one_polynomial_per_class():
     profiler = cProfile.Profile()
     basis = profiler.runcall(mid_basis, 160)
     stats = pstats.Stats(profiler)
-    # Polynomial and OffsetSeries are the classes of exact.py with a
-    # __post_init__, and mid_basis builds no series
+    # Polynomial is the only class of exact.py with a __post_init__;
+    # the series that mid_basis builds is an asymptotics.OffsetSeries
     built = _calls(stats, "exact.py", "__post_init__")
     assert built <= len(basis) + 2
 

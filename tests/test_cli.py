@@ -414,6 +414,10 @@ TOP_OF_BOUNDS_RETURNS = [
     (("hodge", "--k", "2..1500"), 10),  # 1.2-2.4 s: the k sum cap
     (("tilde", "--k", "4..1000", "--parity", "even"), 10),  # 1.3-1.9 s
     (("basis", "--k", "2..600"), 10),  # 1.2-1.9 s: the k sum cap
+    # 1.8-2.6 s each: the gamma work cap at both ends of the length
+    (("gamma", "--k", f"2..{TOP}", "--parity", "even"), 12),
+    (("gamma", "--k", "2..4", "--parity", "even", "--series-terms", "400"), 10),
+    (("basis", "--space", "gm", "--k", "2..72"), 10),  # 1.9-2.3 s: k^3 cap
 ]
 
 # ... and the ones that refuse there: each within 1 s, with "cap".
@@ -437,6 +441,11 @@ TOP_OF_BOUNDS_REFUSALS = [
     ("tilde", "--k", f"4..{TOP}", "--parity", "even"),
     ("basis", "--k", "2..601"),
     ("basis", "--k", f"2..{TOP}"),
+    ("gamma", "--k", "2..6", "--parity", "even", "--series-terms", "400"),
+    ("gamma", "--k", "2..20", "--parity", "even", "--series-terms", "400"),
+    ("gamma", "--k", f"2..{TOP}"),
+    ("basis", "--space", "gm", "--k", "2..73"),
+    ("basis", "--space", "gm", "--k", "2..120"),
 ]
 
 

@@ -21,7 +21,7 @@ from airymoments.errors import (
 )
 from airymoments.asymptotics import mid_basis
 from airymoments.moments import h1_dims
-from airymoments.exact import Polynomial, Z
+from airymoments.exact import Polynomial
 from airymoments import cli, connection
 from airymoments.connection import (
     CohomologyBasis,
@@ -45,6 +45,7 @@ from airymoments.connection import (
 import echelon_reference as reference
 
 HALF = Fraction(1, 2)
+Z = Polynomial.monomial(1)
 ONE = Polynomial.constant(1)
 
 

@@ -5,11 +5,12 @@ the package runs.
 No linter runs on this package, so these scans with the standard
 library's ``ast`` are the check: an imported name that no expression
 reads and ``__all__`` does not export is reported with its line, and
-so is a public module-level function or class, or a non-dunder method
-of a public class, that nothing names outside its own definition, in
-the package, the benchmark or the acceptance tests.  A private
-module-level function or class must be named in the package or the
-benchmark: a helper that only a test still calls is dead code.
+so is a public module-level function, class or constant, or a
+non-dunder method of a public class, that nothing names outside its own
+definition, in the package, the benchmark or the acceptance tests.  A
+private module-level function, class or constant must be named in the
+package or the benchmark: a helper that only a test still calls is dead
+code.
 
 A name scan cannot see a dunder method, nor a method whose name some
 other class also uses, so the last guard runs the traffic the package
@@ -100,28 +101,42 @@ def _names(node) -> set[str]:
     return out
 
 
+def _defined(node) -> set[str]:
+    """Names a module-level statement defines: a function, a class, or
+    the plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return set()
+    return {target.id for target in targets if isinstance(target, ast.Name)}
+
+
 def unreached_names(
     defining: str, callers: dict[str, str], private: bool = False
 ) -> list[str]:
-    """Public (or, with ``private``, private) module-level functions and
-    classes of ``defining`` (the name of one of ``callers``, which maps
-    a name to its source) that no caller names outside their own
-    definition."""
+    """Public (or, with ``private``, private) module-level functions,
+    classes and constants of ``defining`` (the name of one of
+    ``callers``, which maps a name to its source) that no caller names
+    outside their own definition.  Dunders such as ``__all__`` are
+    neither."""
     reached = set()
     for name, source in callers.items():
         for node in ast.parse(source).body:
             found = _names(node)
-            if name == defining and isinstance(
-                node, (ast.FunctionDef, ast.ClassDef)
-            ):
-                found.discard(node.name)
+            if name == defining:
+                found -= _defined(node)
             reached |= found
     return sorted(
-        node.name
+        defined
         for node in ast.parse(callers[defining]).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_") == private
-        and node.name not in reached
+        for defined in _defined(node)
+        if defined.startswith("_") == private
+        and not defined.startswith("__")
+        and defined not in reached
     )
 
 
@@ -130,10 +145,14 @@ def test_scan_reports_unreached_names():
         "lib": "def used():\n    pass\n\n"
         "def recursive(n):\n    return recursive(n - 1)\n\n"
         "class Orphan:\n    pass\n\n"
-        "def _private():\n    pass\n",
-        "app": "from lib import used\nused()\n",
+        "def _private():\n    pass\n\n"
+        "LIMIT = 3\nLONELY: int = 4\nDOUBLED = LIMIT * 2\n"
+        "__all__ = []\n",
+        "app": "from lib import used, DOUBLED\nused(DOUBLED)\n",
     }
-    assert unreached_names("lib", callers) == ["Orphan", "recursive"]
+    assert unreached_names("lib", callers) == [
+        "LONELY", "Orphan", "recursive"
+    ]
 
 
 def test_scan_reports_unreached_private_names():
@@ -142,10 +161,13 @@ def test_scan_reports_unreached_private_names():
         "def _tested():\n    pass\n\n"
         "class _Kernel:\n    pass\n\n"
         "def _loop(n):\n    return _loop(n - 1)\n\n"
-        "def public():\n    return _helper(), _Kernel()\n",
+        "_TABLE = {}\n_SPARE = ()\n"
+        "def public():\n    return _helper(), _Kernel(), _TABLE\n",
         "app": "from lib import public\npublic()\n",
     }
-    assert unreached_names("lib", callers, private=True) == ["_loop", "_tested"]
+    assert unreached_names("lib", callers, private=True) == [
+        "_SPARE", "_loop", "_tested"
+    ]
     # The public scan leaves private names to this one.
     assert unreached_names("lib", callers) == []
 
