@@ -27,7 +27,7 @@ from .errors import (
 )
 from .exact import Polynomial, format_rational
 from .hodge import format_thirds, hodge_numbers, tilde_mid_hodge, verify
-from .moments import formal_decomposition, h1_dims
+from .moments import formal_decomposition, h1_dims, s_nk_visits
 
 USAGE_EXIT = 64
 CACHE_ENV = "AIRYMOMENTS_CACHE_DIR"
@@ -46,34 +46,6 @@ MAX_MID_K = 4_000
 #: certificate takes 0.25 to 0.45 s per twist at k = 120 and 0.35 to
 #: 0.6 s at 140 (2-vCPU VM), and grows steeply from there.
 MAX_GM_K = 120
-#: Largest accepted sum of the k of a range, per command: each k of these
-#: commands costs O(k), so a range's time follows this sum.  Each cap is
-#: set so that the widest range it accepts takes about 2 s (2-vCPU VM):
-#: ``verify --k 2..1000`` (sum 1..1000; 2..2000 took 7.8 s and 2..10000
-#: about 349 s), ``hodge --k 2..1500`` (sum 1..1500), ``tilde --k 4..1000
-#: --parity even`` (the even k up to 1000) and ``basis --k 2..600`` (sum
-#: 1..600), in any format but ``basis --format json``, which writes dense
-#: coefficient lists and takes about 26 s there.  Uncapped, ``hodge --k
-#: 2..10000`` took 65 s and 1.4 GB, ``tilde --k 4..10000 --parity even``
-#: 100 s and 1.6 GB, and ``basis --k 2..10000`` had not returned after
-#: 150 s.
-MAX_K_SUM = {
-    "verify": 500_500,
-    "hodge": 1_125_750,
-    "tilde": 250_500,
-    "basis": 180_300,
-}
-#: Largest accepted (number of k) * (series terms)^3 of a ``gamma`` range.
-#: One table's time does not depend on k but grows about as the cube of
-#: its length, so this product follows a range's time: the widest ranges
-#: it accepts, ``--k 2..10000 --parity even`` at the default 30 terms and
-#: two k at 400 terms, take 1.8 to 2.6 s (2-vCPU VM), where ten k at 400
-#: terms took 8.4 to 11.1 s.
-MAX_GAMMA_WORK = 150_000_000
-#: Largest accepted sum of k^3 over a ``basis --space gm`` range: the k
-#: of ``MAX_GM_K`` alone (0.3 s per twist), up to ``--k 2..72`` (1.9 to
-#: 2.3 s, 2-vCPU VM), where ``--k 2..120`` took 13.6 s.
-MAX_GM_K_CUBES = 4 * MAX_GM_K**3
 #: Longest accepted k literal, checked before ``int()``, which refuses
 #: literals from 4300 digits on.
 MAX_K_DIGITS = 100
@@ -176,11 +148,14 @@ class Command(NamedTuple):
     """One entry of ``COMMANDS``.  The handler maps a RunConfig to
     (exit code, document), the finished text of its format.  It looks
     library functions up in this module when called, so tests can
-    replace them."""
+    replace them.  ``limits``, if set, maps a RunConfig to (the cost of
+    one k, the cap on one k's cost, the cap on a range's summed cost):
+    ``run`` refuses a config past either cap before the handler runs."""
 
     help: str
     options: tuple[str, ...]
     handler: Callable[[RunConfig], tuple[int, str]]
+    limits: Callable[[RunConfig], tuple[Callable[[int], int], int, int]] | None
 
 
 def _each_k(headers, one_k):
@@ -330,7 +305,7 @@ def _verify(config: RunConfig):
 
     def each_k():
         nonlocal checks
-        for k in sorted(set(config.k_values)):
+        for k in config.k_values:
             report = verify((k,))
             checks += len(report.results)
             failures.extend(report.failures())
@@ -378,21 +353,56 @@ OPTIONS = {
     "--series-terms": {"type": int},
 }
 
+
+def _linear(k: int) -> int:
+    """The cost of one k of a command whose time grows as k."""
+    return k
+
+
+# Each range cap is set so that the widest range it accepts takes about
+# 2 s (2-vCPU VM); the times beside each are from there.
 COMMANDS = {
     "dims": Command(
         "closed-form cohomology dimensions (all and middle)",
         ("--n",),
         _each_k(("k", "all", "mid"), _dims),
+        # The sums s_nk visits, none at prime n: --n 8 --k 60 (1.27M)
+        # takes 1.3 to 2.6 s and --k 80 (3.86M) 6.6 to 9.0 s, and --n 8
+        # --k 2..60 took 26 s uncapped.  The widest accepted range,
+        # --n 8 --k 2..34 (1.15M), took 1.2 s where --k 60 took 1.3 s.
+        limits=lambda config: (
+            functools.partial(s_nk_visits, config.n), 1_300_000, 1_300_000
+        ),
     ),
     "basis": Command(
         "cohomology basis classes",
         ("--space", "--rho"),
         _each_k(("k", "index", "class", "level"), _basis),
+        limits=lambda config: {
+            # Σ 1..600: --k 2..600 takes 1.2 to 1.9 s in any format but
+            # json, whose dense coefficient lists take about 26 s there.
+            # Uncapped, --k 2..10000 had not returned after 150 s.
+            "a1": (_linear, MAX_K, 180_300),
+            "mid": (_linear, MAX_MID_K, 180_300),
+            # Each k costs a brute-force build, which grows about as
+            # k^3: k = MAX_GM_K alone takes 0.3 s per twist and --k
+            # 2..72 1.9 to 2.3 s, where --k 2..120 took 13.6 s.  k^3
+            # overstates small k (--k 2..90 took 3.4 s at 2.4 times the
+            # sum of 2..72), so the cap errs on the side of refusing.
+            "gm": (lambda k: k**3, MAX_GM_K**3, 4 * MAX_GM_K**3),
+        }[config.space],
     ),
     "gamma": Command(
         "asymptotic correction coefficients",
         ("--series-terms",),
         _each_k(("k", "exponent", "value"), _gamma),
+        # One table's time does not depend on k but grows about as the
+        # cube of its length: --k 2..10000 --parity even at 30 terms and
+        # two k at 400 terms take 1.8 to 2.6 s, where ten k at 400 terms
+        # took 8.4 to 11.1 s.
+        limits=lambda config: (
+            lambda k: config.series_terms**3, MAX_SERIES_TERMS**3, 150_000_000
+        ),
     ),
     "hodge": Command(
         "Hodge-number table",
@@ -401,6 +411,9 @@ COMMANDS = {
             ("k", "p", "q", "h"),
             lambda config, k: _table_payload(config, hodge_numbers(k)[0], k),
         ),
+        # Σ 1..1500: --k 2..1500 takes 1.2 to 2.4 s, where --k 2..10000
+        # took 65 s and 1.4 GB uncapped.
+        limits=lambda config: (_linear, MAX_K, 1_125_750),
     ),
     "tilde": Command(
         "graded table of the extended family (even k >= 4)",
@@ -409,13 +422,26 @@ COMMANDS = {
             ("k", "p", "q", "h"),
             lambda config, k: _table_payload(config, tilde_mid_hodge(k), k),
         ),
+        # The even k up to 1000: --k 4..1000 --parity even takes 1.3 to
+        # 1.9 s, where --k 4..10000 --parity even took 100 s and 1.6 GB.
+        limits=lambda config: (_linear, MAX_K, 250_500),
     ),
     "decomp": Command(
         "formal exponents at infinity",
         ("--n",),
         _each_k(("n", "k", "exponent", "multiplicity"), _decomp),
+        # Its time follows its output, not the compositions it visits,
+        # which the enumeration cap of the moments module bounds.
+        limits=None,
     ),
-    "verify": Command("internal consistency checks", (), _verify),
+    "verify": Command(
+        "internal consistency checks",
+        (),
+        _verify,
+        # Σ 1..1000: --k 2..1000 takes 1.6 to 2.3 s, where --k 2..2000
+        # took 7.8 s and --k 2..10000 about 349 s.
+        limits=lambda config: (_linear, MAX_K, 500_500),
+    ),
 }
 
 
@@ -540,35 +566,18 @@ def run(config: RunConfig) -> tuple[int, str]:
         raise SizeLimitError(f"k = {top} is above the cap {MAX_K}")
     if config.series_terms < 1:
         raise DomainError("series terms must be positive")
-    if config.series_terms > MAX_SERIES_TERMS:
-        raise SizeLimitError(
-            f"{config.series_terms} series terms exceed the cap {MAX_SERIES_TERMS}"
-        )
-    basis_cap = {"gm": MAX_GM_K, "mid": MAX_MID_K}.get(config.space, MAX_K)
-    if config.command == "basis" and top > basis_cap:
-        raise SizeLimitError(
-            f"k = {top} is above the cap {basis_cap} "
-            f"for the {config.space} basis"
-        )
-    k_sum_cap = MAX_K_SUM.get(config.command)
-    if k_sum_cap is not None and sum(set(config.k_values)) > k_sum_cap:
-        raise SizeLimitError(
-            f"the k values of a {config.command} range sum above the cap "
-            f"{k_sum_cap}"
-        )
-    if config.command == "gamma":
-        work = len(config.k_values) * config.series_terms**3
-        if work > MAX_GAMMA_WORK:
+    if command.limits is not None:
+        cost, one_k_cap, range_cap = command.limits(config)
+        costs = [cost(k) for k in config.k_values]
+        if max(costs) > one_k_cap:
             raise SizeLimitError(
-                f"a gamma range of {len(config.k_values)} k at "
-                f"{config.series_terms} series terms is above the cap "
-                f"{MAX_GAMMA_WORK} on the k count times the terms cubed"
+                f"a {config.command} k costs {max(costs)}, above the cap "
+                f"{one_k_cap} on one k"
             )
-    if config.command == "basis" and config.space == "gm":
-        if sum(k**3 for k in config.k_values) > MAX_GM_K_CUBES:
+        if sum(costs) > range_cap:
             raise SizeLimitError(
-                f"the cubes of the k of a gm basis range sum above the cap "
-                f"{MAX_GM_K_CUBES}"
+                f"the k of this {config.command} range cost {sum(costs)}, "
+                f"above the cap {range_cap} on a range"
             )
     cache_path = _cache_path(config)
     if cache_path and os.path.exists(cache_path):

@@ -377,8 +377,8 @@ def verify(k_range) -> VerifyReport:
     admissibility for every level the tables consume.
 
     Every check but table symmetry compares an expected value with the
-    value got and reports both as text.  Each k costs O(k), so the CLI
-    refuses a range whose k sum to more than ``cli.MAX_K_SUM["verify"]``."""
+    value got and reports both as text.  Each k costs O(k), so the
+    ``verify`` entry of ``cli.COMMANDS`` caps the summed k of a range."""
     ks = sorted(set(k_range))
     if not ks:
         raise DomainError("empty verification range")

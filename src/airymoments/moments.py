@@ -90,6 +90,21 @@ def _weighted_sums(rows, width: int, total: int):
         yield acc
 
 
+def s_nk_visits(n: int, k: int) -> int:
+    """How many sums ``s_nk(n, k)`` visits: none at prime n, else
+    binom(n//2 + k, k) + binom(n - n//2 + k, k), the two halves of its
+    meet in the middle.  Refuses what ``s_nk`` refuses."""
+    if n < 2:
+        raise DomainError("need at least two parts")
+    if k < 0:
+        raise DomainError("total must be nonnegative")
+    _check_order(n)
+    if _is_prime(n):
+        return 0
+    half = n // 2
+    return math.comb(half + k, k) + math.comb(n - half + k, k)
+
+
 def s_nk(n: int, k: int) -> int:
     """Number of compositions a of k into n parts whose weighted power sum
     vanishes in the n-th cyclotomic field.
@@ -103,18 +118,14 @@ def s_nk(n: int, k: int) -> int:
     halves, and for each share t of k taken by the first half, the sums
     of the first half are tallied and looked up, negated, from the sums
     of the second half, which takes k - t.  Over all t the halves visit
-    binom(n//2 + k, k) + binom(n - n//2 + k, k) sums, and that is what
-    the enumeration cap bounds.
+    ``s_nk_visits(n, k)`` sums, and that is what the enumeration cap
+    bounds.
     """
-    if n < 2:
-        raise DomainError("need at least two parts")
-    if k < 0:
-        raise DomainError("total must be nonnegative")
-    _check_order(n)
+    visits = s_nk_visits(n, k)
     if _is_prime(n):
         return 1 if k % n == 0 else 0
+    _check_visits(visits)
     half = n // 2
-    _check_visits(math.comb(half + k, k) + math.comb(n - half + k, k))
     rows, width = _power_residues(n)
     low, high = rows[:half], rows[half:]
     count = 0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -362,13 +363,14 @@ def test_huge_k_is_rejected(capsys, argv):
         (cli.RunConfig("basis", (8,), space="gm2"), DomainError, "space"),
         (cli.RunConfig("hodge", (5,), format="xml"), DomainError, "format"),
         (cli.RunConfig("hodge", (10**6,)), SizeLimitError, "cap"),
+        (cli.RunConfig("hodge", (1500,) * 1000), SizeLimitError, "cap"),
     ],
-    ids=["space", "format", "k"],
+    ids=["space", "format", "k", "repeated k"],
 )
 def test_run_refuses_configs_the_parser_never_builds(config, error, match):
     # A library caller can hand ``run`` any RunConfig: it gets the
-    # parser's refusals, not another space's table, a KeyError or an
-    # unbounded k.
+    # parser's refusals, not another space's table, a KeyError, an
+    # unbounded k or a range whose repeats each cost a k.
     with pytest.raises(error, match=match):
         cli.run(config)
 
@@ -402,6 +404,7 @@ TOP_OF_BOUNDS_RETURNS = [
     (("dims", "--k", f"2..{TOP}"), 2),  # 0.15 s
     (("dims", "--n", "97", "--k", TOP), 2),  # under 0.01 s: prime order
     (("dims", "--n", "8", "--k", "40"), 4),  # 0.8 s: 271,502 visits
+    (("dims", "--n", "8", "--k", "60"), 10),  # 1.3-2.6 s: 1,270,752 visits
     (("basis", "--k", TOP), 3),  # 0.2 s
     (("basis", "--space", "mid", "--k", str(cli.MAX_MID_K)), 6),  # 0.9 s
     (("basis", "--space", "gm", "--k", str(cli.MAX_GM_K)), 6),  # 0.8-1.1 s
@@ -418,6 +421,7 @@ TOP_OF_BOUNDS_RETURNS = [
     (("gamma", "--k", f"2..{TOP}", "--parity", "even"), 12),
     (("gamma", "--k", "2..4", "--parity", "even", "--series-terms", "400"), 10),
     (("basis", "--space", "gm", "--k", "2..72"), 10),  # 1.9-2.3 s: k^3 cap
+    (("dims", "--n", "8", "--k", "2..34"), 10),  # 1.2 s: the visits cap
 ]
 
 # ... and the ones that refuse there: each within 1 s, with "cap".
@@ -433,6 +437,11 @@ TOP_OF_BOUNDS_REFUSALS = [
     ("basis", "--space", "mid", "--k", f"2..{TOP}"),
     ("decomp", "--n", "3", "--k", TOP),
     ("dims", "--n", "8", "--k", "400"),
+    ("dims", "--n", "8", "--k", "61"),
+    ("dims", "--n", "8", "--k", "80"),
+    ("dims", "--n", "4", "--k", "2000"),
+    ("dims", "--n", "8", "--k", "2..35"),
+    ("dims", "--n", "8", "--k", "2..60"),
     ("verify", "--k", "2..1001"),
     ("verify", "--k", f"2..{TOP}"),
     ("hodge", "--k", "2..1501"),
@@ -473,6 +482,68 @@ def test_top_of_bounds_refuses_fast(capsys, argv):
     assert out == ""
     assert "cap" in err
     assert "Traceback" not in err
+
+
+# One config of every command that has limits, and of every basis space.
+LIMITED = [
+    cli.RunConfig("dims", (), n=8),
+    cli.RunConfig("dims", (), n=4),
+    *(cli.RunConfig("basis", (), space=space) for space in cli.SPACES),
+    cli.RunConfig("gamma", ()),
+    cli.RunConfig("gamma", (), series_terms=cli.MAX_SERIES_TERMS + 1),
+    cli.RunConfig("hodge", ()),
+    cli.RunConfig("tilde", ()),
+    cli.RunConfig("verify", ()),
+]
+
+
+def test_limited_covers_every_command_with_limits():
+    assert {config.command for config in LIMITED} == {
+        name for name, command in cli.COMMANDS.items() if command.limits
+    }
+
+
+@pytest.mark.parametrize(
+    "config",
+    LIMITED,
+    ids=lambda c: f"{c.command}-n{c.n}-{c.space}-{c.series_terms}",
+)
+def test_every_cap_refuses_before_any_work(monkeypatch, config):
+    # The shortest run of k from 1, each within the cap on one k, whose
+    # summed cost passes the range cap, and the first k whose own cost
+    # passes the cap on one k: both are refused before the handler runs,
+    # and the run without its last k is served.
+    command = cli.COMMANDS[config.command]
+    cost, one_k_cap, range_cap = command.limits(config)
+    served = []
+
+    def handler(config):
+        served.append(config.k_values)
+        return 0, ""
+
+    monkeypatch.setitem(
+        cli.COMMANDS, config.command, command._replace(handler=handler)
+    )
+    run_k, total, dear_k = [], 0, None
+    for k in range(1, cli.MAX_K + 1):
+        if cost(k) > one_k_cap:
+            dear_k = dear_k or k
+        elif total <= range_cap:
+            run_k.append(k)
+            total += cost(k)
+    refused, accepted = [], []
+    if total > range_cap:
+        refused.append(tuple(run_k))
+        accepted.append(tuple(run_k[:-1]))
+    if dear_k is not None:
+        refused.append((dear_k,))
+    assert refused, "neither cap can be reached below MAX_K"
+    for k_values in refused:
+        with pytest.raises(SizeLimitError, match="cap"):
+            cli.run(dataclasses.replace(config, k_values=k_values))
+    for k_values in accepted:
+        cli.run(dataclasses.replace(config, k_values=k_values))
+    assert served == accepted
 
 
 class _Sink:

@@ -12,6 +12,10 @@ private module-level function, class or constant must be named in the
 package or the benchmark: a helper that only a test still calls is dead
 code.
 
+Every backticked ``module.NAME`` in the README or a package docstring
+must name an attribute of that package module, so the docs name no
+deleted constant.
+
 A name scan cannot see a dunder method, nor a method whose name some
 other class also uses, so the last guard runs the traffic the package
 serves and lists each function or method, dunders and properties
@@ -29,9 +33,11 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -190,6 +196,51 @@ def test_every_private_name_is_reached(path):
         str(caller): caller.read_text(encoding="utf-8") for caller in LIBRARY
     }
     assert unreached_names(str(path), callers, private=True) == []
+
+
+def dotted_doc_names(text: str, modules: set[str]) -> list[tuple[str, str]]:
+    """(module, NAME) of every ``module.NAME`` that opens a backticked
+    span of ``text``, in order, for the module names in ``modules``."""
+    return [
+        (module, name)
+        for module, name in re.findall(r"`(\w+)\.(\w+)", text)
+        if module in modules
+    ]
+
+
+def test_scan_reports_dotted_doc_names():
+    text = (
+        "See `cli.run`, ``hodge.verify``, `cli.LIMITS['x']`, "
+        "`airymoments.cli`, `fractions.Fraction` and cli.main."
+    )
+    assert dotted_doc_names(text, {"cli", "hodge"}) == [
+        ("cli", "run"), ("hodge", "verify"), ("cli", "LIMITS")
+    ]
+
+
+def test_every_dotted_doc_name_resolves():
+    modules = {
+        path.stem for path in PACKAGE.glob("*.py") if path.stem[0] != "_"
+    }
+    texts = [(ROOT / "README.md").read_text(encoding="utf-8")]
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        texts.extend(
+            ast.get_docstring(node) or ""
+            for node in ast.walk(tree)
+            if isinstance(
+                node,
+                (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef),
+            )
+        )
+    names = [pair for text in texts for pair in dotted_doc_names(text, modules)]
+    assert names
+    missing = [
+        f"{module}.{name}"
+        for module, name in names
+        if not hasattr(importlib.import_module(f"airymoments.{module}"), name)
+    ]
+    assert missing == []
 
 
 def unreached_methods(defining: str, callers: dict[str, str]) -> list[str]:
