@@ -27,7 +27,7 @@ from .errors import (
 )
 from .exact import Polynomial, format_rational
 from .hodge import format_thirds, hodge_numbers, tilde_mid_hodge, verify
-from .moments import formal_decomposition, h1_dims, s_nk_visits
+from .moments import cyclotomic, formal_decomposition, h1_dims, s_nk_visits
 
 USAGE_EXIT = 64
 CACHE_ENV = "AIRYMOMENTS_CACHE_DIR"
@@ -43,8 +43,8 @@ MAX_K = 10_000
 #: k = 8200 on a coefficient has more digits than Python prints.
 MAX_MID_K = 4_000
 #: Largest accepted k for ``basis --space gm``: its brute-force
-#: certificate takes 0.25 to 0.45 s per twist at k = 120 and 0.35 to
-#: 0.6 s at 140 (2-vCPU VM), and grows steeply from there.
+#: certificate takes about 0.04 s per twist at k = 120, 0.05 s at 140
+#: and 0.17 s at 240 (2-vCPU VM), and grows about as k^3 from there.
 MAX_GM_K = 120
 #: Longest accepted k literal, checked before ``int()``, which refuses
 #: literals from 4300 digits on.
@@ -366,12 +366,19 @@ COMMANDS = {
         "closed-form cohomology dimensions (all and middle)",
         ("--n",),
         _each_k(("k", "all", "mid"), _dims),
-        # The sums s_nk visits, none at prime n: --n 8 --k 60 (1.27M)
-        # takes 1.3 to 2.6 s and --k 80 (3.86M) 6.6 to 9.0 s, and --n 8
-        # --k 2..60 took 26 s uncapped.  The widest accepted range,
-        # --n 8 --k 2..34 (1.15M), took 1.2 s where --k 60 took 1.3 s.
+        # The sums s_nk visits, none at prime n, times their width, the
+        # degree phi(n) of the n-th cyclotomic: --n 8 --k 60 (1.27M
+        # visits, phi 4) takes 1.3 to 2.6 s and --k 80 (3.86M) 6.6 to
+        # 9.0 s, and --n 8 --k 2..34 (1.15M) 1.2 s, where --n 8 --k
+        # 2..60 took 26 s uncapped.  Visits alone undercount high
+        # orders: --n 100 --k 4 (632k visits, phi 40) took 2.5 s.  At
+        # phi 2 the widest accepted k, --n 4 --k 1610, takes 2.2 s.
+        # s_nk_visits goes first: it refuses an order above the cap
+        # before any cyclotomic is built.
         limits=lambda config: (
-            functools.partial(s_nk_visits, config.n), 1_300_000, 1_300_000
+            lambda k: s_nk_visits(config.n, k) * cyclotomic(config.n).degree,
+            4 * 1_300_000,
+            4 * 1_300_000,
         ),
     ),
     "basis": Command(
@@ -385,10 +392,12 @@ COMMANDS = {
             "a1": (_linear, MAX_K, 180_300),
             "mid": (_linear, MAX_MID_K, 180_300),
             # Each k costs a brute-force build, which grows about as
-            # k^3: k = MAX_GM_K alone takes 0.3 s per twist and --k
-            # 2..72 1.9 to 2.3 s, where --k 2..120 took 13.6 s.  k^3
-            # overstates small k (--k 2..90 took 3.4 s at 2.4 times the
+            # k^3: k = MAX_GM_K alone takes 0.04 s per twist and --k
+            # 2..72 0.35 to 0.4 s, where --k 2..120 takes 1.4 s.  k^3
+            # overstates small k (--k 2..90 takes 0.6 s at 2.4 times the
             # sum of 2..72), so the cap errs on the side of refusing.
+            # Since the punctured line starts its certificate at k + 4,
+            # this cap sits well below the 2 s the others aim at.
             "gm": (lambda k: k**3, MAX_GM_K**3, 4 * MAX_GM_K**3),
         }[config.space],
     ),

@@ -74,7 +74,7 @@ def build_image(module: ConnectionModule, where: str) -> DegreeImage:
     window dimension repeats, every row landing a new pivot."""
     if where == "a1" and module.twist:
         raise DomainError("affine-line cohomology requires an untwisted module")
-    degree = _first_truncation(module.k)
+    degree = _first_truncation(module.k, where)
     gens = module.rank
     anchor = TRUNCATION_CEILING + 2
     up = int(where == "gm")

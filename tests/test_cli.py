@@ -404,10 +404,11 @@ TOP_OF_BOUNDS_RETURNS = [
     (("dims", "--k", f"2..{TOP}"), 2),  # 0.15 s
     (("dims", "--n", "97", "--k", TOP), 2),  # under 0.01 s: prime order
     (("dims", "--n", "8", "--k", "40"), 4),  # 0.8 s: 271,502 visits
-    (("dims", "--n", "8", "--k", "60"), 10),  # 1.3-2.6 s: 1,270,752 visits
+    # 1.3-2.6 s: 1,270,752 visits of width 4, the cap on visits x width
+    (("dims", "--n", "8", "--k", "60"), 10),
     (("basis", "--k", TOP), 3),  # 0.2 s
     (("basis", "--space", "mid", "--k", str(cli.MAX_MID_K)), 6),  # 0.9 s
-    (("basis", "--space", "gm", "--k", str(cli.MAX_GM_K)), 6),  # 0.8-1.1 s
+    (("basis", "--space", "gm", "--k", str(cli.MAX_GM_K)), 6),  # 0.04 s
     (("gamma", "--k", TOP), 2),  # under 0.01 s
     (("hodge", "--k", TOP), 2),  # 0.03 s
     (("tilde", "--k", TOP), 2),  # 0.08 s
@@ -420,8 +421,8 @@ TOP_OF_BOUNDS_RETURNS = [
     # 1.8-2.6 s each: the gamma work cap at both ends of the length
     (("gamma", "--k", f"2..{TOP}", "--parity", "even"), 12),
     (("gamma", "--k", "2..4", "--parity", "even", "--series-terms", "400"), 10),
-    (("basis", "--space", "gm", "--k", "2..72"), 10),  # 1.9-2.3 s: k^3 cap
-    (("dims", "--n", "8", "--k", "2..34"), 10),  # 1.2 s: the visits cap
+    (("basis", "--space", "gm", "--k", "2..72"), 10),  # 0.35 s: k^3 cap
+    (("dims", "--n", "8", "--k", "2..34"), 10),  # 1.2 s: the same cap
 ]
 
 # ... and the ones that refuse there: each within 1 s, with "cap".
@@ -440,6 +441,7 @@ TOP_OF_BOUNDS_REFUSALS = [
     ("dims", "--n", "8", "--k", "61"),
     ("dims", "--n", "8", "--k", "80"),
     ("dims", "--n", "4", "--k", "2000"),
+    ("dims", "--n", "100", "--k", "4"),
     ("dims", "--n", "8", "--k", "2..35"),
     ("dims", "--n", "8", "--k", "2..60"),
     ("verify", "--k", "2..1001"),

@@ -188,6 +188,45 @@ def test_bruteforce_reports_truncation_degree():
     dim, used = h1_dim_bruteforce(build_symk(2, 3), "a1")
     assert dim == 2
     assert used >= 3 * 4 + 6
+    # Over the punctured line the first truncation of Sym^3 is 3 + 4,
+    # and one doubling certifies its 6 classes.
+    assert h1_dim_bruteforce(build_symk(2, 3), "gm") == (6, 2 * (3 + 4))
+
+
+# Over the punctured line the certificate starts at k + 4 and stops
+# after one doubling, with a window that holds every class of
+# ``gm_cokernel_basis``: z^p * u0 has weighted degree p <= ceil(k/2),
+# and u_j has j/2 <= k/2.  Budget: the 80 builds take about 0.1 s on a
+# 2-vCPU VM, and have 3 s.
+GM_SCHEDULE_BUDGET_S = 3.0
+
+
+def test_gm_certificate_stops_after_one_doubling(builds):
+    start = time.perf_counter()
+    for k in range(1, 41):
+        for twist in (0, HALF):
+            state = _stable_image(build_symk(2, k, twist), "gm")
+            assert state.degree == 2 * (k + 4), (k, twist)
+            assert state.window >= -(-k // 2), (k, twist)
+    assert len(builds) == 80
+    assert time.perf_counter() - start < GM_SCHEDULE_BUDGET_S
+
+
+# ``gm_cokernel_basis`` certifies its classes (count against the brute
+# force, and independence) from the first truncation k + 4, across the
+# k the CLI accepts; it raises if either check fails.  Budget: the 36
+# certificates take about 0.45 s on a 2-vCPU VM, and have 8 s.
+GM_BASIS_BUDGET_S = 8.0
+
+
+def test_gm_basis_certifies_up_to_the_cli_bound(builds):
+    start = time.perf_counter()
+    ks = [*range(1, cli.MAX_GM_K, 7), cli.MAX_GM_K]
+    for k in ks:
+        for twist in (0, HALF):
+            assert gm_cokernel_basis(k, twist).k == k
+    assert len(builds) == 2 * len(ks)
+    assert time.perf_counter() - start < GM_BASIS_BUDGET_S
 
 
 def test_bruteforce_twist_invariance():
@@ -237,11 +276,15 @@ def test_twisted_module_is_refused_over_the_affine_line():
 
 
 def test_bruteforce_ceiling_failure():
-    # From k = 680 on, the second truncation 2 * (3(k+1) + 6) is above
-    # the ceiling 4096, so no run can certify: refused before any row.
-    for where in ("a1", "gm"):
+    # The second truncation is above the ceiling 4096 from k = 680 on
+    # over the affine line, 2 * (3(k+1) + 6), and from k = 2045 on over
+    # the punctured line, 2 * (k + 4): no run can certify, so the k is
+    # refused before any row.  The k below it is not refused there.
+    for where, k in (("a1", 680), ("gm", 2045)):
+        ceiling = connection.TRUNCATION_CEILING
+        assert 2 * connection._first_truncation(k - 1, where) <= ceiling
         with pytest.raises(SizeLimitError, match="cap"):
-            h1_dim_bruteforce(build_symk(2, 680), where)
+            h1_dim_bruteforce(build_symk(2, k), where)
 
 
 def test_bruteforce_unstable_dimension_raises():
@@ -294,26 +337,36 @@ def test_derivation_killing_a_generator_is_refused(where):
 
 
 # Every echelon row of the full build, with the anchor, window, degree
-# and dimension, of these modules.  PINNED_DIGEST hashes the degree-ordered
-# reference build, pinned when the kernel still divided out the content
-# after every elimination step; WEIGHTED_DIGEST hashes the package's
-# weight-ordered build, and the image held for queries, which is that
-# build as it is.  A cheaper kernel must build the same rows, so neither
-# digest may move.  Budget: each digest takes about 0.1 s on a 2-vCPU
-# VM, and has 1 s.
+# and dimension, of these modules, digested per space.  PINNED_DIGESTS
+# hash the degree-ordered reference build, pinned when the kernel still
+# divided out the content after every elimination step; WEIGHTED_DIGESTS
+# hash the package's weight-ordered build, and the image held for
+# queries, which is that build as it is.  A cheaper kernel must build
+# the same rows, so no digest may move.  The "a1" digests date from
+# before the punctured line got its own first truncation, k + 4, which
+# moved only the "gm" ones.  Budget: each digest takes about 0.05 s on
+# a 2-vCPU VM, and has 1 s.
 PINNED_MODULES = (
     [(2, k, twist, where) for k in (1, 2, 3, 5, 8, 11)
      for twist, where in ((0, "a1"), (0, "gm"), (HALF, "gm"))]
     + [(3, k, 0, where) for k in range(1, 5) for where in ("a1", "gm")]
     + [(4, k, 0, where) for k in range(1, 4) for where in ("a1", "gm")]
 )
-PINNED_DIGEST = "e40fab51db03a8a274e942e3c9406083409164066e19384e0fda902576a745f9"
-WEIGHTED_DIGEST = "2e81f95a454849e57a5075484ebc1706685d58c80162d9904bf2d94df6a15664"
+PINNED_DIGESTS = {
+    "a1": "6eb17622d9e3622fce75efd05d2bf01fd9fdb65288bf13f69c4c3315f03521c6",
+    "gm": "33767a9381553ad69a5b92d41f11000e5adc719de75529eb8751ef6f360df486",
+}
+WEIGHTED_DIGESTS = {
+    "a1": "05c7f334fce1be0d1b5f00b0ee35bead6fb139caac6b8cf0362e6d24a1e6f863",
+    "gm": "a384ada58b0d9b0083477982c5d4b641aed1178e82b8cdc6f73a06aa088bb9c6",
+}
 
 
-def _rows_digest(build) -> str:
+def _rows_digest(build, space: str) -> str:
     digest = hashlib.sha256()
     for n, k, twist, where in PINNED_MODULES:
+        if where != space:
+            continue
         state = build(build_symk(n, k, twist), where)
         digest.update(repr((
             n, k, str(twist), where,
@@ -327,16 +380,18 @@ def _rows_digest(build) -> str:
 
 
 def test_stored_echelon_rows_are_pinned():
-    start = time.perf_counter()
-    assert _rows_digest(reference.build_image) == PINNED_DIGEST
-    assert time.perf_counter() - start < 1.0
+    for space, pinned in PINNED_DIGESTS.items():
+        start = time.perf_counter()
+        assert _rows_digest(reference.build_image, space) == pinned, space
+        assert time.perf_counter() - start < 1.0
 
 
 def test_weighted_echelon_rows_are_pinned(builds):
-    for build in (_build_stable_image, _stable_image):
-        start = time.perf_counter()
-        assert _rows_digest(build) == WEIGHTED_DIGEST
-        assert time.perf_counter() - start < 1.0
+    for space, pinned in WEIGHTED_DIGESTS.items():
+        for build in (_build_stable_image, _stable_image):
+            start = time.perf_counter()
+            assert _rows_digest(build, space) == pinned, space
+            assert time.perf_counter() - start < 1.0
     # Every image held was built here, none left by an earlier test.
     assert len(builds) == len(PINNED_MODULES)
 
@@ -401,7 +456,7 @@ def test_build_stores_the_rows_that_insert_would(module, where):
 # Budget: each build takes 0.03-0.07 s on a 2-vCPU VM, and has 1 s.
 DIRECT_STORE_COUNTS = [
     ((2, 40, 0, "a1"), (10199, 239, 19, 258)),
-    ((2, 36, HALF, "gm"), (8353, 217, 54, 234)),
+    ((2, 36, HALF, "gm"), (2655, 63, 54, 80)),
     ((4, 7, 0, "a1"), (6960, 1604, 30, 60)),
 ]
 
@@ -669,7 +724,7 @@ def test_weight_order_matches_the_degree_reference(data):
 
 # Every (dim, degree) that the certificate reports on this grid of 143
 # modules, against the degree-ordered reference.  Budget: both builds
-# of the grid take about 8 s under pytest on a 2-vCPU VM, more than
+# of the grid take about 1.7 s under pytest on a 2-vCPU VM, more than
 # half of it the reference.
 GRID_BUDGET_S = 30.0
 BRUTEFORCE_GRID = (
@@ -723,7 +778,9 @@ def test_reduce_refuses_another_order_before_building(builds):
     with pytest.raises(DomainError, match="untwisted"):
         h1_dim_bruteforce(build_symk(2, 9, HALF), "a1")
     with pytest.raises(SizeLimitError, match="cap"):
-        h1_dim_bruteforce(build_symk(2, 680), "gm")
+        h1_dim_bruteforce(build_symk(2, 680), "a1")
+    with pytest.raises(SizeLimitError, match="cap"):
+        h1_dim_bruteforce(build_symk(2, 2045), "gm")
     assert builds == [(held, "a1")]
     assert list(connection._STABLE_CACHE) == [(held, "a1")]
 
