@@ -43,8 +43,8 @@ MAX_K = 10_000
 #: k = 8200 on a coefficient has more digits than Python prints.
 MAX_MID_K = 4_000
 #: Largest accepted k for ``basis --space gm``: its brute-force
-#: certificate takes about 0.04 s per twist at k = 120, 0.05 s at 140
-#: and 0.17 s at 240 (2-vCPU VM), and grows about as k^3 from there.
+#: certificate takes about 0.035 s per twist at k = 120, 0.05 s at 140
+#: and 0.15 s at 240 (2-vCPU VM), and grows about as k^3 from there.
 MAX_GM_K = 120
 #: Longest accepted k literal, checked before ``int()``, which refuses
 #: literals from 4300 digits on.
@@ -392,9 +392,9 @@ COMMANDS = {
             "a1": (_linear, MAX_K, 180_300),
             "mid": (_linear, MAX_MID_K, 180_300),
             # Each k costs a brute-force build, which grows about as
-            # k^3: k = MAX_GM_K alone takes 0.04 s per twist and --k
-            # 2..72 0.35 to 0.4 s, where --k 2..120 takes 1.4 s.  k^3
-            # overstates small k (--k 2..90 takes 0.6 s at 2.4 times the
+            # k^3: k = MAX_GM_K alone takes 0.035 s per twist and --k
+            # 2..72 0.28 s, where 2..120 would take 1.1 s.  k^3
+            # overstates small k (2..90 takes 0.5 s at 2.4 times the
             # sum of 2..72), so the cap errs on the side of refusing.
             # Since the punctured line starts its certificate at k + 4,
             # this cap sits well below the 2 s the others aim at.

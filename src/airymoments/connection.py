@@ -21,9 +21,16 @@ model of the true cokernel once the dimension stabilises.
 
 The elimination is fraction-free, in the style of Bareiss (1968).  Each
 image row is built once, primitive with a positive lead, and stored as
-it is when its lead has no pivot yet, which holds for most rows; only
-the others are eliminated, with the working row scaled lazily and its
-leads taken off a heap (see ``_Echelon``).
+it is when its lead has no pivot yet, which holds for most rows.  Most
+of the others collide only at their top weight, where the derivation
+acts by its C[z]-linear top part, so in a module whose columns are
+homogeneous that elimination repeats every n weights: it is planned
+once per residue layer and replayed, each colliding row stored as the
+planned combination of its batch's rows (see ``_layer_plan``).  Only
+rows whose top cancels, collisions below a layer's first complete
+weight and the collisions of other modules are eliminated, with the
+working row scaled lazily and its leads taken off a heap (see
+``_Echelon``).
 
 One image is held at a time, with its class solvers; building another
 drops it first.  Every certified (dimension, degree) is kept in a small
@@ -68,6 +75,15 @@ Column = tuple[tuple[int, int, int], ...]
 #: weight loop of ``_build_stable_image`` makes every row from these.
 IdColumn = tuple[list[tuple[int, int]], int, int | None, int]
 
+#: One source's step of a layer plan (see ``_layer_plan``): its top part
+#: eliminated against the tops before it, as (id, coeff) pairs, the lead
+#: of that (None when it cancelled), the gcd of its coeffs, and the
+#: combination of sources it is, as (diagonal id, degree, integer
+#: coefficient) triples, all at the weight the plan was made at.
+PlanStep = tuple[
+    list[tuple[int, int]], int | None, int, list[tuple[int, int, int]]
+]
+
 
 @dataclass(frozen=True)
 class ConnectionModule:
@@ -81,7 +97,10 @@ class ConnectionModule:
     ``weights`` grades the monomials: z^d times generator i has weight
     n * d + weights[i].  For a symmetric power, every term of column j
     has weight weights[j] + 1, so the top-weight part of a derivation
-    row is the column itself.
+    row is the column itself.  The brute force checks this of every
+    module: where it holds, the top-weight elimination of a weight
+    repeats every n weights and is replayed from one plan per residue
+    layer (see ``_layer_plan``); elsewhere each row is eliminated.
     """
 
     n: int
@@ -235,6 +254,17 @@ class CohomologyBasis:
 # ---------------------------------------------------------------------------
 
 
+def _primitive(row: dict[int, int], lead: int) -> dict[int, int]:
+    """``row`` divided by its content, signed so that its entry at
+    ``lead`` is positive."""
+    g = math.gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    if g != 1:
+        row = {pos: value // g for pos, value in row.items()}
+    return row
+
+
 class _Echelon:
     """Incremental integer row echelon keyed by leading coordinate.
 
@@ -249,10 +279,13 @@ class _Echelon:
     positive rational, so skipping the division in between meets the
     same pivots and stores the same rows.  Vectors are carried as
     (scale, integer vector), standing for the integer vector divided by
-    the positive integer scale.  A primitive row whose positive lead
-    has no pivot is the row ``insert`` would store, so a caller holding
-    one may put it into ``rows`` directly, as ``_build_stable_image``
-    does with most image rows.
+    the positive integer scale.  What ``insert`` stores under lead L is
+    the one primitive vector with a positive entry at L, zero below L,
+    in the row plus the span of the rows led below L.  So a caller
+    holding that vector may put it into ``rows`` directly: a primitive
+    row whose positive lead has no pivot, or a combination of it with
+    rows led below its lead, as ``_build_stable_image`` does with most
+    image rows and every replayed one.
 
     A reduction scales its working row lazily: an entry is held as a
     pair (v, p) standing for v * scale / p, where scale is the product
@@ -335,12 +368,7 @@ class _Echelon:
         lead, _ = self._reduce(row)
         if lead is None:
             return False
-        g = math.gcd(*row.values())
-        if row[lead] < 0:
-            g = -g
-        if g != 1:
-            row = {pos: value // g for pos, value in row.items()}
-        self.rows[lead] = row
+        self.rows[lead] = _primitive(row, lead)
         return True
 
     def normal_form(
@@ -469,6 +497,52 @@ def _stable_image(module: ConnectionModule, where: str) -> _StableImage:
     return state
 
 
+def _layer_plan(
+    columns: list[IdColumn],
+    sources: list[tuple[int, int]],
+    stride: int,
+    tag: int,
+) -> list[PlanStep | None]:
+    """The elimination inside the top block of one weight: one step per
+    source z^d * g_j of ``sources``, (d, j) in build order, None where
+    the source's lead has no pivot, so that its plain row is stored.
+
+    Only the column terms, the row's top part, lie at the top weight,
+    and only the rows of these sources are led there.  So eliminating a
+    row at the top weight is eliminating its top part against the tops
+    before it.  Each top goes through a scratch ``_Echelon`` with
+    source t tagged by 1 at ``tag + t``, as ``_class_solver`` tags
+    classes, and the tags of what is left give the combination.  A top
+    that cancels keeps no row here, so no later one is reduced against
+    a combination whose top is zero."""
+    scratch = _Echelon()
+    held = scratch.rows
+    steps: list[PlanStep | None] = []
+    for t, (d, j) in enumerate(sources):
+        terms, _, lead, _ = columns[j]
+        shift = d * stride
+        free = lead - shift not in held
+        row = {pos - shift: c for pos, c in terms}
+        row[tag + t] = 1
+        lead, _ = scratch._reduce(row)
+        combined = _primitive(row, lead)
+        if lead < tag:
+            held[lead] = combined
+        else:
+            lead = None
+        if free:
+            steps.append(None)
+            continue
+        top = [(pos, c) for pos, c in combined.items() if pos < tag]
+        combination = []
+        for pos, u in combined.items():
+            if pos >= tag:
+                e, i = sources[pos - tag]
+                combination.append((columns[i][1] - e * stride, e, u))
+        steps.append((top, lead, math.gcd(*(c for _, c in top)), combination))
+    return steps
+
+
 def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
     """The stabilised image, uncached.
 
@@ -477,8 +551,21 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
     degree D // 2.  Each row is built in integers inside the weight
     loop, from its generator's ``IdColumn``, primitive with a positive
     lead.  A row whose lead has no pivot yet, which is most of them, is
-    stored as it is: that is the row insertion would store.  Only the
-    others go through ``_Echelon.insert``.
+    stored as it is: that is the row insertion would store.
+
+    When every column is homogeneous, a residue layer of weights mod n
+    is planned at its first complete weight W0, the first at which every
+    generator of the layer has a source (``_layer_plan``).  From there,
+    at W0 + m * n, a source whose top collides is built as the plan's
+    combination of the batch's rows: the planned top moved m strides,
+    plus each source's diagonal at its degree d + m.  Its top lead has
+    no pivot, since only this batch's rows are led at the top weight,
+    and it differs from the source's own row by rows led below that
+    lead, so it is the row insertion would store, and is stored
+    directly.  A combination whose top cancels, a kernel row of the top
+    part, goes through ``_Echelon.insert`` as the plain rows that
+    collide do; so does a replayed row whose lead is taken, which is
+    exact either way.
 
     The request is checked by ``_stable_image``: an affine-line image
     needs an untwisted module.
@@ -497,6 +584,17 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
         sorted((w, j) for j, w in enumerate(weights) if w % n == r)
         for r in range(n)
     ]
+    # A layer is complete at W >= its largest w_j.  When every column
+    # is homogeneous, its plan is made there (see ``_layer_plan``) and
+    # replayed at each complete weight after; elsewhere every step is
+    # None, the plain build.
+    homogeneous = all(
+        column
+        and all(n * m + weights[i] == weights[j] + 1 for m, i, _ in column)
+        for j, column in enumerate(module.partial)
+    )
+    plain = [[None] * len(layer) for layer in layers]
+    plans: list[tuple[int, list[PlanStep | None]] | None] = [None] * n
     echelon = _Echelon()
     rows, insert, gcd = echelon.rows, echelon.insert, math.gcd
     processed = -1
@@ -508,32 +606,61 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
                 f"{TRUNCATION_CEILING}"
             )
         for weight in range(processed + 1, n * degree + 1):
-            for w, j in layers[weight % n]:
+            layer = layers[weight % n]
+            steps = plain[weight % n]
+            if homogeneous and layer and weight >= layer[-1][0]:
+                plan = plans[weight % n]
+                if plan is None:
+                    sources = [((weight - w) // n, j) for w, j in layer]
+                    plan = plans[weight % n] = weight, _layer_plan(
+                        columns, sources, stride, (anchor + 1) * gens
+                    )
+                start, steps = plan
+                m = (weight - start) // n
+            for (w, j), step in zip(layer, steps):
                 if w > weight:
                     break
-                # scale * (z^up d/dz + twist) on z^d * g_j: the column's
-                # ids lowered by d * stride, and the diagonal one degree
-                # below z^(d+up), where no column term lands; divided by
-                # its content and signed so that its lead is positive.
-                terms, diagonal_at, lead, content = columns[j]
-                d = (weight - w) // n
-                shift = d * stride
-                diagonal = d * scale + twist
-                g = gcd(content, diagonal)
-                sign = content
-                if diagonal and (lead is None or diagonal_at < lead):
-                    lead, sign = diagonal_at, diagonal
-                if sign < 0:
-                    g = -g
-                row = {}
-                if g == 1:
-                    for pos, c in terms:
-                        row[pos - shift] = c
-                else:
-                    for pos, c in terms:
+                if step is not None:
+                    # The plan's combination, m strides on: its top is the
+                    # plan's, and its tail the diagonals of its sources.
+                    top, lead, g, combination = step
+                    shift = m * stride
+                    tail = []
+                    for at, d, u in combination:
+                        c = u * ((d + m) * scale + twist)
+                        if c:
+                            tail.append((at - shift, c))
+                            g = gcd(g, c)
+                    row = {}
+                    for pos, c in top:
                         row[pos - shift] = c // g
-                if diagonal:
-                    row[diagonal_at - shift] = diagonal // g
+                    for pos, c in tail:
+                        row[pos] = c // g
+                else:
+                    # scale * (z^up d/dz + twist) on z^d * g_j: the
+                    # column's ids lowered by d * stride, and the diagonal
+                    # one degree below z^(d+up), where no column term
+                    # lands; divided by its content and signed so that its
+                    # lead is positive.
+                    terms, diagonal_at, lead, content = columns[j]
+                    d = (weight - w) // n
+                    shift = d * stride
+                    diagonal = d * scale + twist
+                    g = gcd(content, diagonal)
+                    sign = content
+                    if diagonal and (lead is None or diagonal_at < lead):
+                        lead, sign = diagonal_at, diagonal
+                    if sign < 0:
+                        g = -g
+                    row = {}
+                    if g == 1:
+                        for pos, c in terms:
+                            row[pos - shift] = c
+                    else:
+                        for pos, c in terms:
+                            row[pos - shift] = c // g
+                    if diagonal:
+                        row[diagonal_at - shift] = diagonal // g
                 if lead is not None:
                     lead -= shift
                     if lead not in rows:
