@@ -18,7 +18,13 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .asymptotics import gamma, mid_basis
-from .connection import SPACES, gm_cokernel_basis, h1_a1_basis
+from .connection import (
+    MAX_ROWS,
+    SPACES,
+    certificate_rows,
+    gm_cokernel_basis,
+    h1_a1_basis,
+)
 from .errors import (
     DomainError,
     InconsistencyError,
@@ -42,10 +48,6 @@ MAX_K = 10_000
 #: about 0.7 s at k = 4000 and 7 s at 8000 (2-vCPU VM), and from about
 #: k = 8200 on a coefficient has more digits than Python prints.
 MAX_MID_K = 4_000
-#: Largest accepted k for ``basis --space gm``: its brute-force
-#: certificate takes about 0.035 s per twist at k = 120, 0.05 s at 140
-#: and 0.15 s at 240 (2-vCPU VM), and grows about as k^3 from there.
-MAX_GM_K = 120
 #: Longest accepted k literal, checked before ``int()``, which refuses
 #: literals from 4300 digits on.
 MAX_K_DIGITS = 100
@@ -391,14 +393,16 @@ COMMANDS = {
             # Uncapped, --k 2..10000 had not returned after 150 s.
             "a1": (_linear, MAX_K, 180_300),
             "mid": (_linear, MAX_MID_K, 180_300),
-            # Each k costs a brute-force build, which grows about as
-            # k^3: k = MAX_GM_K alone takes 0.035 s per twist and --k
-            # 2..72 0.28 s, where 2..120 would take 1.1 s.  k^3
-            # overstates small k (2..90 takes 0.5 s at 2.4 times the
-            # sum of 2..72), so the cap errs on the side of refusing.
-            # Since the punctured line starts its certificate at k + 4,
-            # this cap sits well below the 2 s the others aim at.
-            "gm": (lambda k: k**3, MAX_GM_K**3, 4 * MAX_GM_K**3),
+            # Each k costs a brute-force build, bounded by the rows its
+            # certificate holds, which the library caps at MAX_ROWS: k =
+            # 497 alone takes 0.35 s and 230 MB.  Rows summed: --k 2..140
+            # (1.96M rows) takes 1.7 to 1.8 s and 36 MB, where 2..160
+            # (2.90M) took 2.5 s.
+            "gm": (
+                lambda k: certificate_rows(k + 1, k, "gm"),
+                MAX_ROWS,
+                2_000_000,
+            ),
         }[config.space],
     ),
     "gamma": Command(

@@ -17,7 +17,8 @@ class SizeLimitError(DomainError):
 
 
 class StabilityError(RuntimeError):
-    """A truncated computation failed to stabilise below the fixed ceiling."""
+    """A truncated computation failed to stabilise within the fixed row cap,
+    or was asked about degrees above its stabilised window."""
 
 
 class InconsistencyError(RuntimeError):

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from airymoments.connection import (
-    TRUNCATION_CEILING,
     CohomologyBasis,
     ConnectionModule,
     ModuleElement,
@@ -29,6 +28,10 @@ from airymoments.errors import (
     InconsistencyError,
     StabilityError,
 )
+
+#: Largest truncation degree this reference tries; ids are counted down
+#: from just above it.
+CEILING = 4096
 
 
 @dataclass
@@ -76,7 +79,7 @@ def build_image(module: ConnectionModule, where: str) -> DegreeImage:
         raise DomainError("affine-line cohomology requires an untwisted module")
     degree = _first_truncation(module.k, where)
     gens = module.rank
-    anchor = TRUNCATION_CEILING + 2
+    anchor = CEILING + 2
     up = int(where == "gm")
     scale, twist = module.twist.denominator, module.twist.numerator
     terms = [
@@ -87,10 +90,10 @@ def build_image(module: ConnectionModule, where: str) -> DegreeImage:
     processed = -1
     previous = None
     while True:
-        if degree > TRUNCATION_CEILING:
+        if degree > CEILING:
             raise StabilityError(
                 "dimension did not stabilise below truncation degree "
-                f"{TRUNCATION_CEILING}"
+                f"{CEILING}"
             )
         for d in range(processed + 1, degree + 1):
             for j in range(gens):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from airymoments.errors import DomainError, InconsistencyError, SizeLimitError
 from airymoments.cli import main, parse_k_range
 from airymoments.hodge import hodge_numbers, tilde_mid_hodge
-from airymoments import cli, moments
+from airymoments import cli, connection, moments
 
 
 def run_cli(capsys, *argv):
@@ -394,6 +394,13 @@ def test_work_beyond_the_fixed_bounds_is_refused_fast(capsys, argv):
 
 
 TOP = str(cli.MAX_K)
+#: The largest ``basis --space gm`` k whose certificate's row bound is
+#: under the cap, and the first refused.
+GM_TOP = max(
+    k for k in range(1, cli.MAX_K + 1)
+    if connection.certificate_rows(k + 1, k, "gm") <= connection.MAX_ROWS
+)
+GM_REFUSED = str(GM_TOP + 1)
 
 # Every per-k command at the largest accepted k, and the widest dims range
 # and the widest range under each k-sum cap, with a budget in seconds for
@@ -408,7 +415,11 @@ TOP_OF_BOUNDS_RETURNS = [
     (("dims", "--n", "8", "--k", "60"), 10),
     (("basis", "--k", TOP), 3),  # 0.2 s
     (("basis", "--space", "mid", "--k", str(cli.MAX_MID_K)), 6),  # 0.9 s
-    (("basis", "--space", "gm", "--k", str(cli.MAX_GM_K)), 6),  # 0.04 s
+    # 0.35-0.45 s and 230 MB: the row cap on one k, at k = 497
+    (("basis", "--space", "gm", "--k", str(GM_TOP)), 4),
+    # The gm bounds before the row cap, well inside it now
+    (("basis", "--space", "gm", "--k", "120"), 2),  # 0.04 s
+    (("basis", "--space", "gm", "--k", "2..72"), 3),  # 0.3 s
     (("gamma", "--k", TOP), 2),  # under 0.01 s
     (("hodge", "--k", TOP), 2),  # 0.03 s
     (("tilde", "--k", TOP), 2),  # 0.08 s
@@ -421,7 +432,8 @@ TOP_OF_BOUNDS_RETURNS = [
     # 1.8-2.6 s each: the gamma work cap at both ends of the length
     (("gamma", "--k", f"2..{TOP}", "--parity", "even"), 12),
     (("gamma", "--k", "2..4", "--parity", "even", "--series-terms", "400"), 10),
-    (("basis", "--space", "gm", "--k", "2..72"), 10),  # 0.35 s: k^3 cap
+    # 1.7-1.8 s: 1,958,788 rows, the row-sum cap
+    (("basis", "--space", "gm", "--k", "2..140"), 10),
     (("dims", "--n", "8", "--k", "2..34"), 10),  # 1.2 s: the same cap
 ]
 
@@ -430,8 +442,8 @@ TOP_OF_BOUNDS_REFUSALS = [
     ("basis", "--space", "gm", "--k", TOP),
     ("basis", "--space", "gm", "--rho", "1/2", "--k", TOP),
     ("basis", "--space", "gm", "--k", "680"),
-    ("basis", "--space", "gm", "--k", str(cli.MAX_GM_K + 1)),
-    ("basis", "--space", "gm", "--rho", "1/2", "--k", str(cli.MAX_GM_K + 1)),
+    ("basis", "--space", "gm", "--k", GM_REFUSED),
+    ("basis", "--space", "gm", "--rho", "1/2", "--k", GM_REFUSED),
     ("basis", "--space", "mid", "--k", TOP),
     ("basis", "--space", "mid", "--k", "8400"),
     ("basis", "--space", "mid", "--k", str(cli.MAX_MID_K + 1)),
@@ -455,8 +467,8 @@ TOP_OF_BOUNDS_REFUSALS = [
     ("gamma", "--k", "2..6", "--parity", "even", "--series-terms", "400"),
     ("gamma", "--k", "2..20", "--parity", "even", "--series-terms", "400"),
     ("gamma", "--k", f"2..{TOP}"),
-    ("basis", "--space", "gm", "--k", "2..73"),
-    ("basis", "--space", "gm", "--k", "2..120"),
+    ("basis", "--space", "gm", "--k", "2..141"),
+    ("basis", "--space", "gm", "--k", "2..160"),
 ]
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import math
@@ -92,7 +93,7 @@ def test_symmetric_square_derivation():
     assert _entry(m.partial, 0, 0).is_zero()
 
 
-def _reference_row(module, where, anchor, j, d):
+def _reference_row(module, where, j, d):
     """(lead, row): the image row of z^d * g_j under the twist's
     denominator times z^up d/dz + twist (up = 1 over "gm", 0 over
     "a1"), in echelon ids, divided by its content and signed so that
@@ -105,7 +106,7 @@ def _reference_row(module, where, anchor, j, d):
     scale = module.twist.denominator
 
     def at(degree, i):
-        return _monomial_id(n * degree + weights[i], i, anchor, gens)
+        return _monomial_id(n * degree + weights[i], i, gens)
 
     row = {}
     for m, i, c in module.partial[j]:
@@ -129,30 +130,30 @@ def test_symmetric_power_half_twist_shifts_diagonal():
     m = build_symk(2, 2, HALF)
     assert m.partial == build_symk(2, 2).partial
     assert m.weights == (0, 1, 2)
-    anchor, gens = 20, m.rank
+    gens = m.rank
 
     def at(d, i):
         """Id of z^d * u_i, of weight 2d + i."""
-        return _monomial_id(2 * d + i, i, anchor, gens)
+        return _monomial_id(2 * d + i, i, gens)
 
     # Over G_m the row of z^d g_j is 2 (z d/dz + 1/2) z^d g_j: the
     # columns move one degree up and double, the diagonal is 2d + 1,
     # and d/dz u0 = 2 u1 becomes 4 z^(d+1) u1.
     for d in range(3):
         for j in range(gens):
-            lead, row = _reference_row(m, "gm", anchor, j, d)
+            lead, row = _reference_row(m, "gm", j, d)
             assert row[at(d, j)] == 2 * d + 1
             assert lead == min(row)
-        lead, row = _reference_row(m, "gm", anchor, 0, d)
+        lead, row = _reference_row(m, "gm", 0, d)
         assert row == {at(d, 0): 2 * d + 1, at(d + 1, 1): 4}
     # Over A^1 the same formula with up = 0 and no twist is d/dz: the
     # diagonal d sits one degree down, and vanishes at d = 0.
     plain = build_symk(2, 2)
-    lead, row = _reference_row(plain, "a1", anchor, 1, 0)
+    lead, row = _reference_row(plain, "a1", 1, 0)
     assert row == {at(0, 2): 1, at(1, 0): 1}
     # u2 and z u0 both have weight 2: the highest generator leads.
     assert lead == min(row) == at(0, 2)
-    assert _reference_row(plain, "a1", anchor, 1, 3)[1][at(2, 1)] == 3
+    assert _reference_row(plain, "a1", 1, 3)[1][at(2, 1)] == 3
 
 
 def test_build_symk_validation():
@@ -215,18 +216,26 @@ def test_gm_certificate_stops_after_one_doubling(builds):
 # ``gm_cokernel_basis`` certifies its classes (count against the brute
 # force, and independence) from the first truncation k + 4, across the
 # k the CLI accepts; it raises if either check fails.  Budget: the 36
-# certificates take about 0.45 s on a 2-vCPU VM, and have 8 s.
+# certificates up to k = 120 take about 0.45 s on a 2-vCPU VM, and have
+# 8 s; the top k, 497, takes about 0.35 s and 230 MB, and has 4 s.
 GM_BASIS_BUDGET_S = 8.0
+GM_TOP_BUDGET_S = 4.0
 
 
 def test_gm_basis_certifies_up_to_the_cli_bound(builds):
     start = time.perf_counter()
-    ks = [*range(1, cli.MAX_GM_K, 7), cli.MAX_GM_K]
+    ks = [*range(1, 120, 7), 120]
     for k in ks:
         for twist in (0, HALF):
             assert gm_cokernel_basis(k, twist).k == k
-    assert len(builds) == 2 * len(ks)
     assert time.perf_counter() - start < GM_BASIS_BUDGET_S
+    top, rows = 497, connection.certificate_rows
+    assert rows(top + 1, top, "gm") <= connection.MAX_ROWS
+    assert rows(top + 2, top + 1, "gm") > connection.MAX_ROWS
+    start = time.perf_counter()
+    assert gm_cokernel_basis(top).k == top
+    assert time.perf_counter() - start < GM_TOP_BUDGET_S
+    assert len(builds) == 2 * len(ks) + 1
 
 
 def test_bruteforce_twist_invariance():
@@ -275,32 +284,108 @@ def test_twisted_module_is_refused_over_the_affine_line():
         reduce_to_basis(omega_class(1), basis, twisted)
 
 
-def test_bruteforce_ceiling_failure():
-    # The second truncation is above the ceiling 4096 from k = 680 on
-    # over the affine line, 2 * (3(k+1) + 6), and from k = 2045 on over
-    # the punctured line, 2 * (k + 4): no run can certify, so the k is
-    # refused before any row.  The k below it is not refused there.
-    for where, k in (("a1", 680), ("gm", 2045)):
-        ceiling = connection.TRUNCATION_CEILING
-        assert 2 * connection._first_truncation(k - 1, where) <= ceiling
-        with pytest.raises(SizeLimitError, match="cap"):
-            h1_dim_bruteforce(build_symk(2, k), where)
+# The bound on the rows of the second truncation, (k + 1)(2D + 1) at
+# order 2, passes MAX_ROWS from k = 287 on over the affine line, D =
+# 3(k+1) + 6, and from k = 498 on over the punctured line, D = k + 4:
+# the k is refused before any row, and ``gm_cokernel_basis`` refuses it
+# before its module, so the refusal allocates nothing and the image held
+# before it stays held.  The k below it is under the cap, which the
+# bound shows without a build.  Budget: each refusal takes under 0.001 s
+# and traces about 1 KB (its message) on a 2-vCPU VM, and has 0.1 s and
+# 4 KB.
+REFUSAL_BUDGET_BYTES = 4096
+
+
+def test_bruteforce_ceiling_failure(builds):
+    held = build_symk(2, 9)
+    h1_dim_bruteforce(held, "a1")
+    refusals = [
+        ("a1", 287, functools.partial(h1_dim_bruteforce, build_symk(2, 287), "a1")),
+        ("gm", 498, functools.partial(h1_dim_bruteforce, build_symk(2, 498), "gm")),
+        ("gm", 498, functools.partial(gm_cokernel_basis, 498)),
+    ]
+    for where, k, refused in refusals:
+        assert connection.certificate_rows(k, k - 1, where) <= connection.MAX_ROWS
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="cap"):
+                refused()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 0.1
+        assert peak < REFUSAL_BUDGET_BYTES, (refused, peak)
+    assert builds == [(held, "a1")]
+    assert list(connection._STABLE_CACHE) == [(held, "a1")]
+
+
+def _monomial_power(power: int, k: int) -> ConnectionModule:
+    """d/dz v = z^power v, whose cokernel over the affine line has
+    dimension ``power``; ``k`` sets its first truncation, 3(k+1) + 6."""
+    return ConnectionModule(
+        n=1,
+        k=k,
+        twist=Fraction(0),
+        labels=("v",),
+        partial=(((power, 0, 1),),),
+        weights=(0,),
+    )
+
+
+# d/dz v = z^1000 v has a 1000-dimensional cokernel: windows of degree
+# 513, 1026 and 2052 see 514, 1000 and 1000 classes, so it certifies at
+# the third truncation, 4104.  Under z^(10^6) the window holds no pivot
+# at any truncation the cap allows, so its dimension grows at every
+# doubling, and the truncation after 262,656 would hold 525,313 rows,
+# above MAX_ROWS.  Budget: the eight truncations take about 0.2 s and
+# 115 MB on a 2-vCPU VM, and have 3 s.
+UNSTABLE_BUDGET_S = 3.0
 
 
 def test_bruteforce_unstable_dimension_raises():
-    # d/dz v = z^1000 v has a 1000-dimensional cokernel, but windows
-    # of degree 513 and 1026 see 514 and 1000 classes; the next
-    # doubling passes the ceiling.
-    module = ConnectionModule(
-        n=1,
-        k=339,
-        twist=Fraction(0),
-        labels=("v",),
-        partial=(((1000, 0, 1),),),
-        weights=(0,),
-    )
+    assert h1_dim_bruteforce(_monomial_power(1000, 339), "a1") == (1000, 4104)
+    start = time.perf_counter()
     with pytest.raises(StabilityError, match="did not stabilise"):
-        h1_dim_bruteforce(module, "a1")
+        h1_dim_bruteforce(_monomial_power(10**6, 339), "a1")
+    assert time.perf_counter() - start < UNSTABLE_BUDGET_S
+
+
+# With the cap at 4,104 rows, z^1000 v may build its first two
+# truncations (1,027 and 2,053 rows at most) but not the third (4,105):
+# the refusal comes before any row of it, so the traced peak is that of
+# two truncations, about half the 1.6 MB of the certified build.
+# Budget: both builds take about 0.01 s on a 2-vCPU VM, and have 1 s.
+def test_bruteforce_refuses_a_doubling_before_building_it(builds, monkeypatch):
+    module = _monomial_power(1000, 339)
+    truncations = []
+    count = _Echelon.pivots_at_or_above
+
+    def counted(self, threshold):
+        truncations.append(len(self.rows))
+        return count(self, threshold)
+
+    monkeypatch.setattr(_Echelon, "pivots_at_or_above", counted)
+    monkeypatch.setattr(connection, "MAX_ROWS", 4105)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        assert h1_dim_bruteforce(module, "a1") == (1000, 4104)
+        _, certified = tracemalloc.get_traced_memory()
+        connection._CERTIFIED.clear()
+        connection._STABLE_CACHE.clear()
+        monkeypatch.setattr(connection, "MAX_ROWS", 4104)
+        tracemalloc.reset_peak()
+        with pytest.raises(StabilityError, match="did not stabilise"):
+            h1_dim_bruteforce(module, "a1")
+        _, refused = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert truncations == [1027, 2053, 4105, 1027, 2053]
+    assert len(builds) == 2
+    assert connection._STABLE_CACHE == {}
+    assert refused < 0.6 * certified, (refused, certified)
 
 
 def test_echelon_cache_tells_derivations_apart():
@@ -336,16 +421,17 @@ def test_derivation_killing_a_generator_is_refused(where):
         h1_dim_bruteforce(module, where)
 
 
-# Every echelon row of the full build, with the anchor, window, degree
-# and dimension, of these modules, digested per space.  PINNED_DIGESTS
-# hash the degree-ordered reference build, pinned when the kernel still
-# divided out the content after every elimination step; WEIGHTED_DIGESTS
-# hash the package's weight-ordered build, and the image held for
-# queries, which is that build as it is.  A cheaper kernel must build
-# the same rows, so no digest may move.  The "a1" digests date from
-# before the punctured line got its own first truncation, k + 4, which
-# moved only the "gm" ones.  Budget: each digest takes about 0.05 s on
-# a 2-vCPU VM, and has 1 s.
+# Every echelon row of the full build, with the window, degree and
+# dimension, of these modules, digested per space.  PINNED_DIGESTS hash
+# the degree-ordered reference build, with its anchor, pinned when the
+# kernel still divided out the content after every elimination step;
+# WEIGHTED_DIGESTS hash the package's weight-ordered build, and the
+# image held for queries, which is that build as it is.  A cheaper
+# kernel must build the same rows, so no digest may move.
+# WEIGHTED_DIGESTS were taken again when the ids lost their anchor,
+# from the rows of the build before with each id moved down by anchor
+# times gens: the same rows, keyed by the new ids.  Budget: each digest
+# takes about 0.05 s on a 2-vCPU VM, and has 1 s.
 PINNED_MODULES = (
     [(2, k, twist, where) for k in (1, 2, 3, 5, 8, 11)
      for twist, where in ((0, "a1"), (0, "gm"), (HALF, "gm"))]
@@ -357,20 +443,21 @@ PINNED_DIGESTS = {
     "gm": "33767a9381553ad69a5b92d41f11000e5adc719de75529eb8751ef6f360df486",
 }
 WEIGHTED_DIGESTS = {
-    "a1": "05c7f334fce1be0d1b5f00b0ee35bead6fb139caac6b8cf0362e6d24a1e6f863",
-    "gm": "a384ada58b0d9b0083477982c5d4b641aed1178e82b8cdc6f73a06aa088bb9c6",
+    "a1": "d73552d830c3632aecd3dddae710454c2e91d6b1b587849065ca6c40eb97b690",
+    "gm": "9b3085e422297721d1c3dd4037e66f782ed21cd47318e8b8b1f97b9c36f43d5c",
 }
 
 
-def _rows_digest(build, space: str) -> str:
+def _rows_digest(build, space: str, anchored: bool = False) -> str:
     digest = hashlib.sha256()
     for n, k, twist, where in PINNED_MODULES:
         if where != space:
             continue
         state = build(build_symk(n, k, twist), where)
+        anchor = (state.anchor,) if anchored else ()
         digest.update(repr((
             n, k, str(twist), where,
-            state.anchor, state.window, state.degree, state.dim,
+            *anchor, state.window, state.degree, state.dim,
         )).encode())
         digest.update(repr(sorted(
             (lead, sorted(row.items()))
@@ -382,7 +469,7 @@ def _rows_digest(build, space: str) -> str:
 def test_stored_echelon_rows_are_pinned():
     for space, pinned in PINNED_DIGESTS.items():
         start = time.perf_counter()
-        assert _rows_digest(reference.build_image, space) == pinned, space
+        assert _rows_digest(reference.build_image, space, True) == pinned, space
         assert time.perf_counter() - start < 1.0
 
 
@@ -408,7 +495,7 @@ def _inserted_image(module, where, state) -> _Echelon:
     )
     echelon = _Echelon()
     for _, _, j, d in sources:
-        lead, row = _reference_row(module, where, state.anchor, j, d)
+        lead, row = _reference_row(module, where, j, d)
         assert lead == min(row) and row[lead] > 0
         assert math.gcd(*row.values()) == 1
         assert echelon.insert(row)
@@ -551,7 +638,7 @@ def test_cached_image_keeps_the_window_rows_of_the_full_build(
     first = _window_start(state, n)
     for i in range(module.rank):
         for weight in (bound - 1, bound, bound + 1):
-            at = _monomial_id(weight, i, state.anchor, state.gens)
+            at = _monomial_id(weight, i, state.gens)
             assert (at >= first) == (weight <= bound)
     monomials = sum((bound - w) // n + 1 for w in module.weights if w <= bound)
     assert monomials - state.echelon.pivots_at_or_above(first) == state.dim
@@ -688,7 +775,7 @@ WINDOW_MODULES = (
 def _window_start(state, n: int) -> int:
     """First id of the window: the top generator at the window's
     weight, n times its weighted degree."""
-    return _monomial_id(n * state.window, state.gens - 1, state.anchor, state.gens)
+    return _monomial_id(n * state.window, state.gens - 1, state.gens)
 
 
 def _draw_entries(data, module, top) -> dict[tuple[int, int], Fraction]:
@@ -823,17 +910,18 @@ def test_reduce_refuses_another_order_before_building(builds):
     # No basis lives in an order-3 module: the refusal comes before its
     # image is built, so the image held before it stays held.  So do
     # the brute force's own refusals, of a twisted module over the
-    # affine line and of a k whose truncation is above the ceiling.
+    # affine line and of a k whose row bound is above MAX_ROWS; the k
+    # below it is under the cap, from the bound alone.
     held = build_symk(2, 9)
     h1_dim_bruteforce(held, "a1")
     with pytest.raises(DomainError, match="order-2"):
         reduce_to_basis(omega_class(1), h1_a1_basis(9), build_symk(3, 9))
     with pytest.raises(DomainError, match="untwisted"):
         h1_dim_bruteforce(build_symk(2, 9, HALF), "a1")
-    with pytest.raises(SizeLimitError, match="cap"):
-        h1_dim_bruteforce(build_symk(2, 680), "a1")
-    with pytest.raises(SizeLimitError, match="cap"):
-        h1_dim_bruteforce(build_symk(2, 2045), "gm")
+    for where, k in (("a1", 287), ("gm", 498)):
+        assert connection.certificate_rows(k, k - 1, where) <= connection.MAX_ROWS
+        with pytest.raises(SizeLimitError, match="cap"):
+            h1_dim_bruteforce(build_symk(2, k), where)
     assert builds == [(held, "a1")]
     assert list(connection._STABLE_CACHE) == [(held, "a1")]
 
@@ -1076,6 +1164,10 @@ def test_module_element_str_sorts_its_labels():
 # Orders 3 and 4 against the closed form over both lines: H^1 over the
 # punctured line has rank more classes than over the affine line, the
 # exact sequence ``test_exact_sequence_of_dimensions`` checks at order 2.
+# Each certifies at twice its first truncation, but for order-4 Sym^7
+# over the punctured line, which the weight order certifies a doubling
+# later, at 44, than the degree reference does: a wasted doubling, kept,
+# that runs the row check before a third truncation on a real module.
 # Budget: the 34 builds take about 0.07 s on a 2-vCPU VM, and have 3 s.
 GENERAL_ORDER_GRID = (
     [(3, k) for k in range(1, 11)] + [(4, k) for k in range(1, 8)]
@@ -1087,10 +1179,12 @@ def test_general_order_bruteforce_matches_closed_form(builds):
     for n, k in GENERAL_ORDER_GRID:
         module = build_symk(n, k)
         closed = h1_dims(n, k).all
-        assert h1_dim_bruteforce(module, "a1")[0] == closed, (n, k)
-        assert h1_dim_bruteforce(module, "gm")[0] == closed + module.rank, (
-            n, k
-        )
+        a1, gm = (connection._first_truncation(k, w) for w in ("a1", "gm"))
+        doublings = 2 if (n, k) == (4, 7) else 1
+        assert h1_dim_bruteforce(module, "a1") == (closed, 2 * a1), (n, k)
+        assert h1_dim_bruteforce(module, "gm") == (
+            closed + module.rank, gm << doublings
+        ), (n, k)
     assert time.perf_counter() - start < 3.0
     assert len(builds) == 2 * len(GENERAL_ORDER_GRID)
 
