@@ -22,17 +22,15 @@ leave the window.  That is what makes the truncated quotient an exact
 model of the true cokernel once the dimension stabilises.
 
 The elimination is fraction-free, in the style of Bareiss (1968).  Each
-image row is built once, primitive with a positive lead, and stored as
-it is when its lead has no pivot yet, which holds for most rows.  Most
-of the others collide only at their top weight, where the derivation
-acts by its C[z]-linear top part, so in a module whose columns are
-homogeneous that elimination repeats every n weights: it is planned
-once per residue layer and replayed, each colliding row stored as the
-planned combination of its batch's rows (see ``_layer_plan``).  Only
-rows whose top cancels, collisions below a layer's first complete
-weight and the collisions of other modules are eliminated, with the
-working row scaled lazily and its leads taken off a heap (see
-``_Echelon``).
+image row is built once, primitive with a positive lead.  A row collides
+only at its top weight, where the derivation acts by its C[z]-linear top
+part, so in a module whose columns are homogeneous that elimination
+repeats every n weights: it is planned once per residue layer, and every
+row is built as its step of the plan, a source with no collision as its
+own row (see ``_layer_plan``), and stored as it is.  Only a step whose
+top cancels, and every row of a module whose columns are not
+homogeneous, is eliminated, with the working row scaled lazily and its
+leads taken off a heap (see ``_Echelon``).
 
 One image is held at a time, with its class solvers; building another
 drops it first.  Every certified (dimension, degree) is kept in a small
@@ -74,17 +72,15 @@ SPACES = ("a1", "gm", "mid")
 Column = tuple[tuple[int, int, int], ...]
 
 #: A column as echelon coordinates: the (id, coeff) terms of the image
-#: row of the generator itself, the id its diagonal takes there, the
-#: least id of the terms (None when there are none), and the gcd of the
-#: coeffs, signed as the coeff at that id (0 when there are none).  The
-#: weight loop of ``_build_stable_image`` makes every row from these.
-IdColumn = tuple[list[tuple[int, int]], int, int | None, int]
+#: row of the generator itself, and the id its diagonal takes there.
+IdColumn = tuple[list[tuple[int, int]], int]
 
 #: One source's step of a layer plan (see ``_layer_plan``): its top part
 #: eliminated against the tops before it, as (id, coeff) pairs, the lead
-#: of that (None when it cancelled), the gcd of its coeffs, and the
-#: combination of sources it is, as (diagonal id, degree, integer
-#: coefficient) triples, all at the weight the plan was made at.
+#: of that (None when it cancelled, or when the module is not
+#: homogeneous), the gcd of its coeffs, and the combination of sources
+#: it is, as (diagonal id, degree, integer coefficient) triples, all at
+#: the weight the plan was made at.
 PlanStep = tuple[
     list[tuple[int, int]], int | None, int, list[tuple[int, int, int]]
 ]
@@ -103,9 +99,9 @@ class ConnectionModule:
     n * d + weights[i].  For a symmetric power, every term of column j
     has weight weights[j] + 1, so the top-weight part of a derivation
     row is the column itself.  The brute force checks this of every
-    module: where it holds, the top-weight elimination of a weight
-    repeats every n weights and is replayed from one plan per residue
-    layer (see ``_layer_plan``); elsewhere each row is eliminated.
+    module: where it holds, every row is replayed from one plan per
+    residue layer of the top-weight elimination (see ``_layer_plan``);
+    elsewhere each row is eliminated.
     """
 
     n: int
@@ -290,8 +286,8 @@ class _Echelon:
     in the row plus the span of the rows led below L.  So a caller
     holding that vector may put it into ``rows`` directly: a primitive
     row whose positive lead has no pivot, or a combination of it with
-    rows led below its lead, as ``_build_stable_image`` does with most
-    image rows and every replayed one.
+    rows led below its lead, as ``_build_stable_image`` does with every
+    image row whose planned top does not cancel.
 
     A reduction scales its working row lazily: an entry is held as a
     pair (v, p) standing for v * scale / p, where scale is the product
@@ -438,17 +434,10 @@ def _image_columns(module: ConnectionModule, where: str) -> list[IdColumn]:
         weight = module.n * degree + module.weights[i]
         return _monomial_id(weight, i, module.rank)
 
-    columns: list[IdColumn] = []
-    for j, column in enumerate(module.partial):
-        terms = [(at(m + up, i), c * scale) for m, i, c in column]
-        lead, content = None, 0
-        if terms:
-            lead, first = min(terms)
-            content = math.gcd(*(c for _, c in terms))
-            if first < 0:
-                content = -content
-        columns.append((terms, at(up - 1, j), lead, content))
-    return columns
+    return [
+        ([(at(m + up, i), c * scale) for m, i, c in column], at(up - 1, j))
+        for j, column in enumerate(module.partial)
+    ]
 
 
 def _first_truncation(k: int, where: str) -> int:
@@ -521,37 +510,38 @@ def _layer_plan(
     sources: list[tuple[int, int]],
     stride: int,
     tag: int,
-) -> list[PlanStep | None]:
+    homogeneous: bool,
+) -> list[PlanStep]:
     """The elimination inside the top block of one weight: one step per
-    source z^d * g_j of ``sources``, (d, j) in build order, None where
-    the source's lead has no pivot, so that its plain row is stored.
+    source z^d * g_j of ``sources``, (d, j) in build order.
 
     Only the column terms, the row's top part, lie at the top weight,
     and only the rows of these sources are led there.  So eliminating a
     row at the top weight is eliminating its top part against the tops
     before it.  Each top goes through a scratch ``_Echelon`` with
     source t tagged by 1 at ``tag + t``, as ``_class_solver`` tags
-    classes, and the tags of what is left give the combination.  A top
-    that cancels keeps no row here, so no later one is reduced against
-    a combination whose top is zero."""
+    classes, and the tags of what is left give the combination; a
+    source whose lead has no pivot is its own row.  A top that cancels
+    keeps no row here, so no later one is reduced against a combination
+    whose top is zero.  Step t depends on sources 0..t only, so the
+    steps of a prefix of ``sources`` are the first steps of the plan.
+
+    When the module is not ``homogeneous`` the top part is not the
+    column, so each source is planned alone, as its own row, with no
+    lead: every row of such a module goes through ``_Echelon.insert``."""
     scratch = _Echelon()
     held = scratch.rows
-    steps: list[PlanStep | None] = []
+    steps: list[PlanStep] = []
     for t, (d, j) in enumerate(sources):
-        terms, _, lead, _ = columns[j]
         shift = d * stride
-        free = lead - shift not in held
-        row = {pos - shift: c for pos, c in terms}
+        row = {pos - shift: c for pos, c in columns[j][0]}
         row[tag + t] = 1
         lead, _ = scratch._reduce(row)
         combined = _primitive(row, lead)
-        if lead < tag:
+        if lead < tag and homogeneous:
             held[lead] = combined
         else:
             lead = None
-        if free:
-            steps.append(None)
-            continue
         top = [(pos, c) for pos, c in combined.items() if pos < tag]
         combination = []
         for pos, u in combined.items():
@@ -566,25 +556,23 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
     """The stabilised image, uncached.
 
     Truncation degree D takes the sources z^d * g_j of weight at most
-    n * D, inserted in increasing weight, and the window is the weighted
-    degree D // 2.  Each row is built in integers inside the weight
-    loop, from its generator's ``IdColumn``, primitive with a positive
-    lead.  A row whose lead has no pivot yet, which is most of them, is
-    stored as it is: that is the row insertion would store.
+    n * D, built in increasing weight, and the window is the weighted
+    degree D // 2.  Each residue layer of weights mod n is planned once,
+    before any row, at its largest w_j, the first weight at which every
+    generator of the layer has a source (``_layer_plan``).  At weight
+    start + m * n, m < 0 below that weight, the sources present are a
+    prefix of the layer, and each row is built in integers as its step
+    of the plan: the planned top moved m strides, plus each source's
+    diagonal at its degree d + m, divided by the content.
 
-    When every column is homogeneous, a residue layer of weights mod n
-    is planned at its first complete weight W0, the first at which every
-    generator of the layer has a source (``_layer_plan``).  From there,
-    at W0 + m * n, a source whose top collides is built as the plan's
-    combination of the batch's rows: the planned top moved m strides,
-    plus each source's diagonal at its degree d + m.  Its top lead has
-    no pivot, since only this batch's rows are led at the top weight,
-    and it differs from the source's own row by rows led below that
-    lead, so it is the row insertion would store, and is stored
-    directly.  A combination whose top cancels, a kernel row of the top
-    part, goes through ``_Echelon.insert`` as the plain rows that
-    collide do; so does a replayed row whose lead is taken, which is
-    exact either way.
+    When every column is homogeneous, that row's top lead has no pivot,
+    since only this batch's rows are led at the top weight, and it
+    differs from the source's own row by rows led below that lead, so it
+    is the row insertion would store, and is stored directly.  A step
+    whose top cancels, a kernel row of the top part, goes through
+    ``_Echelon.insert``, as does every row of a module that is not
+    homogeneous, and a replayed row whose lead is taken, which is exact
+    either way.
 
     The request is checked by ``_stable_image``: an affine-line image
     needs an untwisted module, and the first two truncations must be
@@ -595,23 +583,21 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
     columns = _image_columns(module, where)
     scale, twist = module.twist.denominator, module.twist.numerator
     stride = n * gens
-    # The sources of weight W are the z^d * g_j with w_j = W - n * d,
-    # w_j in W's residue class mod n, listed by increasing w_j.
-    layers = [
-        sorted((w, j) for j, w in enumerate(weights) if w % n == r)
-        for r in range(n)
-    ]
-    # A layer is complete at W >= its largest w_j.  When every column
-    # is homogeneous, its plan is made there (see ``_layer_plan``) and
-    # replayed at each complete weight after; elsewhere every step is
-    # None, the plain build.
     homogeneous = all(
         column
         and all(n * m + weights[i] == weights[j] + 1 for m, i, _ in column)
         for j, column in enumerate(module.partial)
     )
-    plain = [[None] * len(layer) for layer in layers]
-    plans: list[tuple[int, list[PlanStep | None]] | None] = [None] * n
+    # The sources of weight W are the z^d * g_j with w_j = W - n * d,
+    # w_j in W's residue class mod n, listed by increasing w_j; each
+    # layer's plan is made at its largest w_j.
+    plans = []
+    for r in range(n):
+        layer = sorted((w, j) for j, w in enumerate(weights) if w % n == r)
+        start = layer[-1][0] if layer else r
+        sources = [((start - w) // n, j) for w, j in layer]
+        steps = _layer_plan(columns, sources, stride, gens, homogeneous)
+        plans.append((start, [w for w, _ in layer], steps))
     echelon = _Echelon()
     rows, insert, gcd = echelon.rows, echelon.insert, math.gcd
     processed = -1
@@ -621,66 +607,34 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
     while True:
         degree = first << doublings
         for weight in range(processed + 1, n * degree + 1):
-            layer = layers[weight % n]
-            steps = plain[weight % n]
-            if homogeneous and layer and weight >= layer[-1][0]:
-                plan = plans[weight % n]
-                if plan is None:
-                    sources = [((weight - w) // n, j) for w, j in layer]
-                    plan = plans[weight % n] = weight, _layer_plan(
-                        columns, sources, stride, gens
-                    )
-                start, steps = plan
-                m = (weight - start) // n
-            for (w, j), step in zip(layer, steps):
+            start, ws, steps = plans[weight % n]
+            m = (weight - start) // n
+            shift = m * stride
+            for w, (top, lead, g, combination) in zip(ws, steps):
                 if w > weight:
                     break
-                if step is not None:
-                    # The plan's combination, m strides on: its top is the
-                    # plan's, and its tail the diagonals of its sources.
-                    top, lead, g, combination = step
-                    shift = m * stride
-                    tail = []
-                    for at, d, u in combination:
-                        c = u * ((d + m) * scale + twist)
-                        if c:
-                            tail.append((at - shift, c))
-                            g = gcd(g, c)
-                    row = {}
+                # The step's combination, m strides on: its top is the
+                # plan's, and its tail the diagonal of each source
+                # z^(d+m) * g_i, whose coeff in scale * (z^up d/dz +
+                # twist) is (d + m) * scale + twist; divided by the
+                # content g.
+                row = {}
+                for at, d, u in combination:
+                    c = u * ((d + m) * scale + twist)
+                    if c:
+                        row[at - shift] = c
+                        g = gcd(g, c)
+                if g == 1:
+                    for pos, c in top:
+                        row[pos - shift] = c
+                else:
+                    for pos, c in row.items():
+                        row[pos] = c // g
                     for pos, c in top:
                         row[pos - shift] = c // g
-                    for pos, c in tail:
-                        row[pos] = c // g
-                else:
-                    # scale * (z^up d/dz + twist) on z^d * g_j: the
-                    # column's ids lowered by d * stride, and the diagonal
-                    # one degree below z^(d+up), where no column term
-                    # lands; divided by its content and signed so that its
-                    # lead is positive.
-                    terms, diagonal_at, lead, content = columns[j]
-                    d = (weight - w) // n
-                    shift = d * stride
-                    diagonal = d * scale + twist
-                    g = gcd(content, diagonal)
-                    sign = content
-                    if diagonal and (lead is None or diagonal_at < lead):
-                        lead, sign = diagonal_at, diagonal
-                    if sign < 0:
-                        g = -g
-                    row = {}
-                    if g == 1:
-                        for pos, c in terms:
-                            row[pos - shift] = c
-                    else:
-                        for pos, c in terms:
-                            row[pos - shift] = c // g
-                    if diagonal:
-                        row[diagonal_at - shift] = diagonal // g
-                if lead is not None:
-                    lead -= shift
-                    if lead not in rows:
-                        rows[lead] = row
-                        continue
+                if lead is not None and lead - shift not in rows:
+                    rows[lead - shift] = row
+                    continue
                 if not insert(row):
                     raise InconsistencyError(
                         "derivation row reduced to zero: the derivation "

@@ -21,7 +21,7 @@ from airymoments.errors import (
     StabilityError,
 )
 from airymoments.asymptotics import mid_basis
-from airymoments.moments import h1_dims
+from airymoments.moments import h1_dims, s_nk
 from airymoments.exact import Polynomial
 from airymoments import cli, connection
 from airymoments.connection import (
@@ -338,8 +338,9 @@ def _monomial_power(power: int, k: int) -> ConnectionModule:
 # the third truncation, 4104.  Under z^(10^6) the window holds no pivot
 # at any truncation the cap allows, so its dimension grows at every
 # doubling, and the truncation after 262,656 would hold 525,313 rows,
-# above MAX_ROWS.  Budget: the eight truncations take about 0.2 s and
-# 115 MB on a 2-vCPU VM, and have 3 s.
+# above MAX_ROWS.  Its column is not homogeneous, so every row goes
+# through ``insert``.  Budget: the eight truncations take about 0.5 s
+# and 140 MB on a 2-vCPU VM, and have 3 s.
 UNSTABLE_BUDGET_S = 3.0
 
 
@@ -515,13 +516,15 @@ NEGATIVE_AIRY = ConnectionModule(
 )
 
 
-# From Sym^2 on, the complete layers of a symmetric power have rows
-# whose top collides, which the build replays from its layer plans: one
-# source of the plans collides at order 2, 5 at Sym^5 of order 3 and 28
-# at Sym^7 of order 4.  At Sym^2, Sym^4 and Sym^10 of order 2 and Sym^6
-# of order 4, some of those tops cancel: kernel rows, whose tails go to
-# ``insert``.  Budget: the largest, Sym^7 at order 4 over A^1, takes
-# about 0.1 s with its all-insert reference on a 2-vCPU VM, and has 1 s.
+# From Sym^2 on, a symmetric power has rows whose top collides, which
+# the build replays from its layer plans: one source of the plans
+# collides at order 2, 5 at Sym^5 of order 3 and 28 at Sym^7 of order 4.
+# At Sym^2, Sym^4 and Sym^10 of order 2 and Sym^6 of order 4, some of
+# those tops cancel: kernel rows, whose tails go to ``insert``.  Sym^4
+# of order 5 and Sym^3 of order 6 have the longest runs of weights below
+# their layers' largest w_j, where the plans are replayed m < 0 strides
+# on.  Budget: the largest, Sym^7 at order 4 over A^1, takes about 0.1 s
+# with its all-insert reference on a 2-vCPU VM, and has 1 s.
 @pytest.mark.parametrize(
     "module, where",
     [
@@ -543,12 +546,18 @@ NEGATIVE_AIRY = ConnectionModule(
         (build_symk(4, 6), "gm"),
         (build_symk(4, 7), "a1"),
         (build_symk(4, 7), "gm"),
+        (build_symk(5, 4), "a1"),
+        (build_symk(5, 4), "gm"),
+        (build_symk(6, 3), "a1"),
+        (build_symk(6, 3), "gm"),
     ],
     ids=["negative-a1", "negative-gm", "negative-gm-half",
          "sym2-gm-half", "sym2-a1", "sym4-a1", "sym4-gm", "sym4-gm-half",
          "sym9-a1", "sym9-gm", "sym9-gm-half", "sym10-a1",
          "order3-sym5-a1", "order3-sym5-gm", "order4-sym6-a1",
-         "order4-sym6-gm", "order4-sym7-a1", "order4-sym7-gm"],
+         "order4-sym6-gm", "order4-sym7-a1", "order4-sym7-gm",
+         "order5-sym4-a1", "order5-sym4-gm", "order6-sym3-a1",
+         "order6-sym3-gm"],
 )
 def test_build_stores_the_rows_that_insert_would(module, where):
     start = time.perf_counter()
@@ -560,53 +569,13 @@ def test_build_stores_the_rows_that_insert_would(module, where):
 
 
 # Column 0 of this module has weight 0 where its generator has weight 0
-# too, not 0 + 1: its top-weight rows are not its columns, so no layer
-# of it may be replayed from a plan.
+# too, not 0 + 1: its top-weight rows are not its columns, so no row of
+# it may be stored from a plan.
 UNGRADED_AIRY = dataclasses.replace(NEGATIVE_AIRY, weights=(0, 0))
 
 
-@pytest.mark.parametrize("where", ["a1", "gm"])
-def test_ungraded_columns_build_every_row_plainly(monkeypatch, where):
-    plans = []
-    plan = connection._layer_plan
-
-    def counted(*args):
-        plans.append(1)
-        return plan(*args)
-
-    monkeypatch.setattr(connection, "_layer_plan", counted)
-    state = _build_stable_image(UNGRADED_AIRY, where)
-    reference = _inserted_image(UNGRADED_AIRY, where, state)
-    assert list(state.echelon.rows.items()) == list(reference.rows.items())
-    assert plans == []
-    # The same columns under their own weights are planned, once per
-    # residue layer.
-    _build_stable_image(NEGATIVE_AIRY, where)
-    assert len(plans) == 2
-
-
-# (rows stored, rows sent through ``_Echelon.insert``, dim, degree): a
-# row whose lead has no pivot is stored directly, without ``insert``,
-# and so is a row replayed from its layer's plan whose top does not
-# cancel.  That is all but 2-3% of the order-2 rows, whose inserts are
-# all kernel rows of even k, and all but 0.6% of the order-4 ones, whose
-# inserts all collide below their layer's first complete weight (77%
-# were stored directly before the plans).  The plans' own scratch
-# elimination is not counted.
-# Budget: each build takes 0.01-0.03 s on a 2-vCPU VM, and has 1 s.
-DIRECT_STORE_COUNTS = [
-    ((2, 40, 0, "a1"), (10199, 239, 19, 258)),
-    ((2, 36, HALF, "gm"), (2655, 63, 54, 80)),
-    ((4, 7, 0, "a1"), (6960, 44, 30, 60)),
-]
-
-
-@pytest.mark.parametrize(
-    "case, counts", DIRECT_STORE_COUNTS,
-    ids=["sym40-a1", "sym36-gm-half", "order4-sym7-a1"],
-)
-def test_build_stores_most_rows_without_insert(monkeypatch, case, counts):
-    n, k, twist, where = case
+def _counting_inserts(monkeypatch) -> list[int]:
+    """Record a 1 for every ``_Echelon.insert`` call from here on."""
     inserted = []
     insert = _Echelon.insert
 
@@ -615,12 +584,82 @@ def test_build_stores_most_rows_without_insert(monkeypatch, case, counts):
         return insert(self, row)
 
     monkeypatch.setattr(_Echelon, "insert", counted)
+    return inserted
+
+
+@pytest.mark.parametrize("where", ["a1", "gm"])
+def test_ungraded_columns_insert_every_row(monkeypatch, where):
+    inserted = _counting_inserts(monkeypatch)
+    state = _build_stable_image(UNGRADED_AIRY, where)
+    # Both generators have weight 0, so truncation D has D + 1 sources
+    # of each, and none of their rows is stored directly.
+    assert len(inserted) == 2 * (state.degree + 1)
+    reference = _inserted_image(UNGRADED_AIRY, where, state)
+    assert list(state.echelon.rows.items()) == list(reference.rows.items())
+    # The same columns under their own weights store every row directly.
+    inserted.clear()
+    _build_stable_image(NEGATIVE_AIRY, where)
+    assert inserted == []
+
+
+# (rows stored, rows sent through ``_Echelon.insert``, dim, degree):
+# every row is built as its step of its layer's plan, and stored
+# directly unless its top cancels.  Of these, only the even-k order-2
+# modules have such kernel rows, 2-3% of their rows; the order-3 and
+# order-4 modules store every row directly, below their layers' largest
+# w_j too.  The plans' own scratch elimination is not counted.
+# Budget: each build takes 0.01-0.03 s on a 2-vCPU VM, and has 1 s.
+DIRECT_STORE_COUNTS = [
+    ((2, 40, 0, "a1"), (10199, 239, 19, 258)),
+    ((2, 36, HALF, "gm"), (2655, 63, 54, 80)),
+    ((3, 10, 0, "a1"), (4972, 0, 22, 78)),
+    ((4, 7, 0, "a1"), (6960, 0, 30, 60)),
+    ((4, 7, 0, "gm"), (5040, 0, 150, 44)),
+]
+
+
+@pytest.mark.parametrize(
+    "case, counts", DIRECT_STORE_COUNTS,
+    ids=["sym40-a1", "sym36-gm-half", "order3-sym10-a1", "order4-sym7-a1",
+         "order4-sym7-gm"],
+)
+def test_build_stores_most_rows_without_insert(monkeypatch, case, counts):
+    n, k, twist, where = case
+    inserted = _counting_inserts(monkeypatch)
     start = time.perf_counter()
     state = _build_stable_image(build_symk(n, k, twist), where)
     assert time.perf_counter() - start < 1.0
     assert (
         len(state.echelon.rows), len(inserted), state.dim, state.degree
     ) == counts
+
+
+# Every module of this grid, 172 in all: order 2 over A^1 and over G_m
+# at both twists, the other orders over both lines.  A build sends a row
+# through ``insert`` only where a step's top cancels, and on this grid
+# it does so exactly where ``s_nk`` is positive.  That is agreement on
+# these modules, not a theorem about the kernel of the top part.
+# Budget: the sweep takes about 0.4 s on a 2-vCPU VM, and has 5 s.
+INSERT_GRID = (
+    [(2, k, twist, where) for k in range(1, 41)
+     for twist, where in ((0, "a1"), (0, "gm"), (HALF, "gm"))]
+    + [(n, k, 0, where) for n, top in ((3, 10), (4, 7), (5, 5), (6, 4))
+       for k in range(1, top + 1) for where in ("a1", "gm")]
+)
+
+
+def test_build_inserts_exactly_where_s_nk_is_positive(monkeypatch):
+    inserted = _counting_inserts(monkeypatch)
+    start = time.perf_counter()
+    wrong = []
+    for n, k, twist, where in INSERT_GRID:
+        inserted.clear()
+        _build_stable_image(build_symk(n, k, twist), where)
+        if bool(inserted) != (s_nk(n, k) > 0):
+            wrong.append((n, k, str(twist), where, len(inserted)))
+    assert time.perf_counter() - start < 5.0
+    assert len(INSERT_GRID) == 172
+    assert wrong == []
 
 
 @pytest.mark.parametrize(
