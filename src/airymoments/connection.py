@@ -26,11 +26,13 @@ image row is built once, primitive with a positive lead.  A row collides
 only at its top weight, where the derivation acts by its C[z]-linear top
 part, so in a module whose columns are homogeneous that elimination
 repeats every n weights: it is planned once per residue layer, and every
-row is built as its step of the plan, a source with no collision as its
-own row (see ``_layer_plan``), and stored as it is.  Only a step whose
-top cancels, and every row of a module whose columns are not
-homogeneous, is eliminated, with the working row scaled lazily and its
-leads taken off a heap (see ``_Echelon``).
+row is its step of the plan, a source with no collision as its own row
+(see ``_layer_plan``), moved to its weight.  It is stored as that
+recipe, step and shift, and written out only when a reduction first
+reads it as a pivot; most rows never are.  Only a step whose top
+cancels, and every row of a module whose columns are not homogeneous,
+is built at once and eliminated, with the working row scaled lazily and
+its leads taken off a heap (see ``_Echelon``).
 
 One image is held at a time, with its class solvers; building another
 drops it first.  Every certified (dimension, degree) is kept in a small
@@ -60,8 +62,8 @@ SIZE_CAP = 100_000
 
 #: Refuse a brute-force truncation whose row bound, ``certificate_rows``,
 #: is above this.  At the largest k it accepts, G_m at k = 497 (bound
-#: 499,494) takes about 0.35 s and 228 MB per twist, and A^1 at k = 286
-#: (bound 497,945) about 0.75 s and 237 MB (2-vCPU VM).
+#: 499,494) takes about 0.2 s and 78 MB per twist, and A^1 at k = 286
+#: (bound 497,945) about 1.3 s and 171 MB (2-vCPU VM).
 MAX_ROWS = 500_000
 
 #: The cohomology spaces a basis can live in; see ``CohomologyBasis``.
@@ -82,8 +84,18 @@ IdColumn = tuple[list[tuple[int, int]], int]
 #: it is, as (diagonal id, degree, integer coefficient) triples, all at
 #: the weight the plan was made at.
 PlanStep = tuple[
-    list[tuple[int, int]], int | None, int, list[tuple[int, int, int]]
+    tuple[tuple[int, int], ...], int | None, int,
+    tuple[tuple[int, int, int], ...],
 ]
+
+#: A planned image row not yet written out: its plan step, the number
+#: m of strides it is moved, and the build's (stride, scale, twist),
+#: shared by every recipe of one build.  ``_replay`` writes it out.
+#: Keep plan steps free of lists: a recipe of tuples and ints is no
+#: longer tracked by the garbage collector after its first collection,
+#: and a build holds up to half a million of them, which every full
+#: collection would walk otherwise (about 5% of the largest A^1 build).
+Recipe = tuple[PlanStep, int, tuple[int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -252,7 +264,9 @@ class CohomologyBasis:
 # >= -n * E * gens.  A row's lead, its least id, is its top-weight part
 # and, within a weight, the highest generator index.  Echelon rows whose
 # leading id lies in the suffix have their entire support in it, which
-# keeps window computations exact.
+# keeps window computations exact.  An image row may be held as a recipe
+# (``Recipe``) under its lead until a reduction reads it: its lead, and
+# so every pivot count, is known before the row is written out.
 # ---------------------------------------------------------------------------
 
 
@@ -286,8 +300,12 @@ class _Echelon:
     in the row plus the span of the rows led below L.  So a caller
     holding that vector may put it into ``rows`` directly: a primitive
     row whose positive lead has no pivot, or a combination of it with
-    rows led below its lead, as ``_build_stable_image`` does with every
-    image row whose planned top does not cancel.
+    rows led below its lead.  ``_build_stable_image`` does so with every
+    image row whose planned top does not cancel, and puts it in as its
+    ``Recipe``: the first reduction that meets a recipe as a pivot
+    writes it out with ``_replay`` and stores the row in its place,
+    so the keys and their order never change, and a row no reduction
+    reads is never written out.
 
     A reduction scales its working row lazily: an entry is held as a
     pair (v, p) standing for v * scale / p, where scale is the product
@@ -299,7 +317,7 @@ class _Echelon:
     """
 
     def __init__(self):
-        self.rows: dict[int, dict[int, int]] = {}
+        self.rows: dict[int, dict[int, int] | Recipe] = {}
 
     def _reduce(
         self, row: dict[int, int], full: bool = False
@@ -312,8 +330,10 @@ class _Echelon:
         with no pivot or, when ``full``, passes over it and goes on to
         the normal form.  Returns the lead it stopped at, or None when
         it ran out of leads, and the product of the factors, which
-        ``row`` comes back multiplied by, with no zero entry."""
-        pivot_at, gcd, pop, push = self.rows.get, math.gcd, heappop, heappush
+        ``row`` comes back multiplied by, with no zero entry.  A pivot
+        held as a recipe is written out and stored when it is met."""
+        rows = self.rows
+        pivot_at, gcd, pop, push = rows.get, math.gcd, heappop, heappush
         work = {}
         for pos, value in row.items():
             if value:
@@ -334,6 +354,8 @@ class _Echelon:
                     continue
                 lead = at
                 break
+            if pivot.__class__ is tuple:
+                pivot = rows[at] = _replay(*pivot)
             del work[at]
             b, p = entry
             if p != scale:
@@ -390,7 +412,9 @@ class _Echelon:
 @dataclass
 class _StableImage:
     """Certificate-bearing echelon of the derivation's image, with the
-    class solvers built against it, keyed by their class tuple."""
+    class solvers built against it, keyed by their class tuple.  Most
+    image rows are held as recipes until a normal form reads them (see
+    ``_Echelon``)."""
 
     gens: int
     window: int
@@ -411,11 +435,12 @@ class _StableImage:
 #: The one image held, keyed by (module, space): at most one entry.
 _STABLE_CACHE: dict[tuple, _StableImage] = {}
 
-#: Every certified (dimension, degree), keyed as the image is.  It
-#: spares the rebuild of an image dropped between two dimension queries
-#: of one module.  An entry keeps its module alive, which is small
-#: beside any image.
-_CERTIFIED: dict[tuple, tuple[int, int]] = {}
+#: Every certified (dimension, degree), keyed by the module's repr and
+#: the line.  It spares the rebuild of an image dropped between two
+#: dimension queries of one module.  The repr tells modules apart as
+#: the module does, without keeping it alive: the modules of a range's
+#: every k would outweigh its held image, whose rows are mostly recipes.
+_CERTIFIED: dict[tuple[str, str], tuple[int, int]] = {}
 
 
 def _monomial_id(weight: int, i: int, gens: int) -> int:
@@ -501,7 +526,7 @@ def _stable_image(module: ConnectionModule, where: str) -> _StableImage:
         _STABLE_CACHE.clear()
         state = _build_stable_image(module, where)
         _STABLE_CACHE[key] = state
-        _CERTIFIED[key] = state.dim, state.degree
+        _CERTIFIED[repr(module), where] = state.dim, state.degree
     return state
 
 
@@ -542,14 +567,46 @@ def _layer_plan(
             held[lead] = combined
         else:
             lead = None
-        top = [(pos, c) for pos, c in combined.items() if pos < tag]
+        top = tuple((pos, c) for pos, c in combined.items() if pos < tag)
         combination = []
         for pos, u in combined.items():
             if pos >= tag:
                 e, i = sources[pos - tag]
                 combination.append((columns[i][1] - e * stride, e, u))
-        steps.append((top, lead, math.gcd(*(c for _, c in top)), combination))
+        steps.append(
+            (top, lead, math.gcd(*(c for _, c in top)), tuple(combination))
+        )
     return steps
+
+
+def _replay(
+    step: PlanStep, m: int, build: tuple[int, int, int]
+) -> dict[int, int]:
+    """The image row of ``step`` moved m strides, in integers.
+
+    Its top is the plan's, and its tail the diagonal of each source
+    z^(d+m) * g_i, whose coeff in scale * (z^up d/dz + twist) is
+    (d + m) * scale + twist; all divided by the content, which the
+    planned top's gcd g starts.  ``build`` is (stride, scale, twist)."""
+    top, _, g, combination = step
+    stride, scale, twist = build
+    shift = m * stride
+    gcd = math.gcd
+    row = {}
+    for at, d, u in combination:
+        c = u * ((d + m) * scale + twist)
+        if c:
+            row[at - shift] = c
+            g = gcd(g, c)
+    if g == 1:
+        for pos, c in top:
+            row[pos - shift] = c
+    else:
+        for pos, c in row.items():
+            row[pos] = c // g
+        for pos, c in top:
+            row[pos - shift] = c // g
+    return row
 
 
 def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
@@ -561,18 +618,19 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
     before any row, at its largest w_j, the first weight at which every
     generator of the layer has a source (``_layer_plan``).  At weight
     start + m * n, m < 0 below that weight, the sources present are a
-    prefix of the layer, and each row is built in integers as its step
-    of the plan: the planned top moved m strides, plus each source's
-    diagonal at its degree d + m, divided by the content.
+    prefix of the layer, and each row is its step of the plan moved m
+    strides (``_replay``): the planned top, plus each source's diagonal
+    at its degree d + m, divided by the content.
 
     When every column is homogeneous, that row's top lead has no pivot,
     since only this batch's rows are led at the top weight, and it
     differs from the source's own row by rows led below that lead, so it
-    is the row insertion would store, and is stored directly.  A step
-    whose top cancels, a kernel row of the top part, goes through
-    ``_Echelon.insert``, as does every row of a module that is not
-    homogeneous, and a replayed row whose lead is taken, which is exact
-    either way.
+    is the row insertion would store.  It is stored directly, as its
+    recipe (step, m), and written out only if a reduction reads it.  A
+    step whose top cancels, a kernel row of the top part, is written
+    out and goes through ``_Echelon.insert``, as does every row of a
+    module that is not homogeneous, and a replayed row whose lead is
+    taken, which is exact either way.
 
     The request is checked by ``_stable_image``: an affine-line image
     needs an untwisted module, and the first two truncations must be
@@ -581,8 +639,8 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
     """
     n, gens, weights = module.n, module.rank, module.weights
     columns = _image_columns(module, where)
-    scale, twist = module.twist.denominator, module.twist.numerator
     stride = n * gens
+    build = stride, module.twist.denominator, module.twist.numerator
     homogeneous = all(
         column
         and all(n * m + weights[i] == weights[j] + 1 for m, i, _ in column)
@@ -599,7 +657,7 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
         steps = _layer_plan(columns, sources, stride, gens, homogeneous)
         plans.append((start, [w for w, _ in layer], steps))
     echelon = _Echelon()
-    rows, insert, gcd = echelon.rows, echelon.insert, math.gcd
+    rows, insert = echelon.rows, echelon.insert
     processed = -1
     previous = None
     first = _first_truncation(module.k, where)
@@ -610,32 +668,14 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
             start, ws, steps = plans[weight % n]
             m = (weight - start) // n
             shift = m * stride
-            for w, (top, lead, g, combination) in zip(ws, steps):
+            for w, step in zip(ws, steps):
                 if w > weight:
                     break
-                # The step's combination, m strides on: its top is the
-                # plan's, and its tail the diagonal of each source
-                # z^(d+m) * g_i, whose coeff in scale * (z^up d/dz +
-                # twist) is (d + m) * scale + twist; divided by the
-                # content g.
-                row = {}
-                for at, d, u in combination:
-                    c = u * ((d + m) * scale + twist)
-                    if c:
-                        row[at - shift] = c
-                        g = gcd(g, c)
-                if g == 1:
-                    for pos, c in top:
-                        row[pos - shift] = c
-                else:
-                    for pos, c in row.items():
-                        row[pos] = c // g
-                    for pos, c in top:
-                        row[pos - shift] = c // g
+                lead = step[1]
                 if lead is not None and lead - shift not in rows:
-                    rows[lead - shift] = row
+                    rows[lead - shift] = step, m, build
                     continue
-                if not insert(row):
+                if not insert(_replay(step, m, build)):
                     raise InconsistencyError(
                         "derivation row reduced to zero: the derivation "
                         "has a kernel at truncation degree "
@@ -688,7 +728,8 @@ def h1_dim_bruteforce(module: ConnectionModule, where: str) -> tuple[int, int]:
     """
     if where not in ("a1", "gm"):
         raise DomainError(f"unknown cohomology space {where!r}")
-    key = (module, where)
+    _check_rows(module.rank, module.k, where)  # before the key's repr
+    key = repr(module), where
     if key not in _CERTIFIED:
         _stable_image(module, where)
     return _CERTIFIED[key]

@@ -3,11 +3,13 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import gc
 import hashlib
 import io
 import math
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -217,7 +219,7 @@ def test_gm_certificate_stops_after_one_doubling(builds):
 # force, and independence) from the first truncation k + 4, across the
 # k the CLI accepts; it raises if either check fails.  Budget: the 36
 # certificates up to k = 120 take about 0.45 s on a 2-vCPU VM, and have
-# 8 s; the top k, 497, takes about 0.35 s and 230 MB, and has 4 s.
+# 8 s; the top k, 497, takes about 0.2 s and 80 MB, and has 4 s.
 GM_BASIS_BUDGET_S = 8.0
 GM_TOP_BUDGET_S = 4.0
 
@@ -422,6 +424,16 @@ def test_derivation_killing_a_generator_is_refused(where):
         h1_dim_bruteforce(module, where)
 
 
+def _written_out(echelon: _Echelon) -> list[tuple[int, dict[int, int]]]:
+    """The (lead, row) pairs of ``echelon`` in its order, with each
+    recipe written out by the package's own ``_replay``; the echelon
+    keeps holding the recipe."""
+    return [
+        (lead, row if isinstance(row, dict) else connection._replay(*row))
+        for lead, row in echelon.rows.items()
+    ]
+
+
 # Every echelon row of the full build, with the window, degree and
 # dimension, of these modules, digested per space.  PINNED_DIGESTS hash
 # the degree-ordered reference build, with its anchor, pinned when the
@@ -462,7 +474,7 @@ def _rows_digest(build, space: str, anchored: bool = False) -> str:
         )).encode())
         digest.update(repr(sorted(
             (lead, sorted(row.items()))
-            for lead, row in state.echelon.rows.items()
+            for lead, row in _written_out(state.echelon)
         )).encode())
     return digest.hexdigest()
 
@@ -564,8 +576,9 @@ def test_build_stores_the_rows_that_insert_would(module, where):
     state = _build_stable_image(module, where)
     reference = _inserted_image(module, where, state)
     assert time.perf_counter() - start < 1.0
-    assert list(state.echelon.rows.items()) == list(reference.rows.items())
-    assert all(row[lead] > 0 for lead, row in state.echelon.rows.items())
+    written = _written_out(state.echelon)
+    assert written == list(reference.rows.items())
+    assert all(row[lead] > 0 for lead, row in written)
 
 
 # Column 0 of this module has weight 0 where its generator has weight 0
@@ -595,7 +608,7 @@ def test_ungraded_columns_insert_every_row(monkeypatch, where):
     # of each, and none of their rows is stored directly.
     assert len(inserted) == 2 * (state.degree + 1)
     reference = _inserted_image(UNGRADED_AIRY, where, state)
-    assert list(state.echelon.rows.items()) == list(reference.rows.items())
+    assert _written_out(state.echelon) == list(reference.rows.items())
     # The same columns under their own weights store every row directly.
     inserted.clear()
     _build_stable_image(NEGATIVE_AIRY, where)
@@ -660,6 +673,52 @@ def test_build_inserts_exactly_where_s_nk_is_positive(monkeypatch):
     assert time.perf_counter() - start < 5.0
     assert len(INSERT_GRID) == 172
     assert wrong == []
+
+
+def _written(echelon: _Echelon) -> int:
+    """How many of ``echelon``'s rows are written out, not recipes."""
+    return sum(isinstance(row, dict) for row in echelon.rows.values())
+
+
+# A symmetric power's build holds every row whose planned top does not
+# cancel as its recipe, and a reduction writes a row out only when it
+# meets it as a pivot.  Where s_nk = 0 no top cancels, so a dimension
+# query writes out no row at all.  A class normal form writes out only
+# the rows it reads, each the row the all-insert reference holds under
+# the same lead.  Budget: the five builds and both references take about
+# 0.1 s on a 2-vCPU VM, and have 3 s.
+LAZY_BUDGET_S = 3.0
+
+
+def test_rows_are_written_out_only_when_read(builds):
+    start = time.perf_counter()
+    for n, k, where, held in (
+        (4, 7, "a1", 6960), (3, 10, "a1", 4972), (2, 33, "gm", 2261),
+    ):
+        assert s_nk(n, k) == 0
+        module = build_symk(n, k)
+        h1_dim_bruteforce(module, where)
+        echelon = connection._STABLE_CACHE[(module, where)].echelon
+        assert (len(echelon.rows), _written(echelon)) == (held, 0)
+
+    def check(module, where):
+        state = connection._STABLE_CACHE[(module, where)]
+        reference = _inserted_image(module, where, state).rows
+        assert list(state.echelon.rows) == list(reference)
+        assert all(
+            isinstance(row, tuple) or row == reference[lead]
+            for lead, row in state.echelon.rows.items()
+        )
+        assert 0 < _written(state.echelon) < len(state.echelon.rows)
+
+    gm_cokernel_basis(26)
+    check(build_symk(2, 26), "gm")
+    middle, module = mid_basis(24), build_symk(2, 24)
+    for element in middle.classes:
+        reduce_to_basis(element, middle, module)
+    check(module, "a1")
+    assert len(builds) == 5
+    assert time.perf_counter() - start < LAZY_BUDGET_S
 
 
 @pytest.mark.parametrize(
@@ -733,18 +792,41 @@ def test_gm_bases_hold_one_image_and_keep_every_dimension(builds):
     assert len(builds) == len(modules)
 
 
+def test_dims_table_keeps_no_module_alive(builds):
+    # A range certifies every k in the dims table, which must not keep
+    # each k's module alive: it is keyed by the module's repr.  An equal
+    # module, built again, is still answered from it.
+    module = build_symk(2, 9)
+    alive = weakref.ref(module)
+    certified = h1_dim_bruteforce(module, "gm")
+    h1_dim_bruteforce(build_symk(2, 10), "gm")
+    builds.clear()  # the fixture's record of each build holds its module
+    del module
+    assert alive() is None
+    assert h1_dim_bruteforce(build_symk(2, 9), "gm") == certified
+    assert builds == []
+
+
 # The held image is the whole last truncation, and one image is held at
 # a time, so the traced peak of a range of gm bases is that of its
-# largest build.  Budget: both commands take about 3 s traced on a
+# largest build.  Its images are held as recipes, small enough that two
+# things would blur that, and both are kept out of the count.  The
+# ``builds`` fixture keeps every module built, so this test counts the
+# builds by k instead.  And CPython keeps dead tuples, dicts and lists
+# in free lists for reuse, which tracemalloc still counts: a range's
+# dropped images left up to about 130 KB there, over an image of about
+# 600 KB.  A full collection empties those lists before the trace and
+# before each build.  Budget: both commands take about 1 s traced on a
 # 2-vCPU VM, and have 15 s.
 RANGE_BUDGET_S = 15.0
 
 
 def _traced_peak(argv) -> int:
-    """Traced peak of ``argv`` from no image held and an empty dims
-    table."""
+    """Traced peak of ``argv`` from no image held, an empty dims table
+    and empty free lists."""
     connection._STABLE_CACHE.clear()
     connection._CERTIFIED.clear()
+    gc.collect()
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -755,14 +837,26 @@ def _traced_peak(argv) -> int:
     return peak
 
 
-def test_gm_range_peaks_at_its_largest_build(builds, monkeypatch):
+def test_gm_range_peaks_at_its_largest_build(monkeypatch):
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    monkeypatch.setattr(connection, "_STABLE_CACHE", {})
+    monkeypatch.setattr(connection, "_CERTIFIED", {})
+    built = []
+    build = connection._build_stable_image
+
+    def counted(module, where):
+        assert not connection._STABLE_CACHE, "an image is held during a build"
+        built.append(module.k)
+        gc.collect()
+        return build(module, where)
+
+    monkeypatch.setattr(connection, "_build_stable_image", counted)
     start = time.perf_counter()
     alone = _traced_peak(["basis", "--space", "gm", "--k", "32"])
     ranged = _traced_peak(["basis", "--space", "gm", "--k", "24..32"])
     assert time.perf_counter() - start < RANGE_BUDGET_S
-    assert len(builds) == 1 + 9
-    assert ranged <= 1.1 * alone
+    assert built == [32, *range(24, 33)]
+    assert ranged <= 1.1 * alone, (ranged, alone)
 
 
 def test_reduce_rebuilds_an_image_dropped_for_another(builds):
