@@ -21,17 +21,15 @@ with every such window, and normal forms of low-weight vectors never
 leave the window.  That is what makes the truncated quotient an exact
 model of the true cokernel once the dimension stabilises.
 
-The elimination is fraction-free, in the style of Bareiss (1968).  Each
-image row is built once, primitive with a positive lead.  A row collides
-only at its top weight, where the derivation acts by its C[z]-linear top
-part, so in a module whose columns are homogeneous that elimination
-repeats every n weights: it is planned once per residue layer, and every
-row is its step of the plan, a source with no collision as its own row
-(see ``_layer_plan``), moved to its weight.  It is stored as that
-recipe, step and shift, and written out only when a reduction first
-reads it as a pivot; most rows never are.  Only a step whose top
-cancels, and every row of a module whose columns are not homogeneous,
-is built at once and eliminated, with the working row scaled lazily and
+The elimination is fraction-free, in the style of Bareiss (1968).  A
+row collides only at its top weight, where the derivation acts by its
+C[z]-linear top part, so in a module whose columns are homogeneous that
+elimination repeats every n weights: it is planned once per residue
+layer (see ``_layer_plan``), and each image row is its step of the plan
+moved to its weight.  Such a row is found from its lead by arithmetic,
+and written out only while a reduction reads it (see ``_Plans``).  Only
+a step whose top cancels, and every row of a module whose columns are
+not homogeneous, is eliminated, with the working row scaled lazily and
 its leads taken off a heap (see ``_Echelon``).
 
 One image is held at a time, with its class solvers; building another
@@ -61,9 +59,9 @@ HALF = Fraction(1, 2)
 SIZE_CAP = 100_000
 
 #: Refuse a brute-force truncation whose row bound, ``certificate_rows``,
-#: is above this.  At the largest k it accepts, G_m at k = 497 (bound
-#: 499,494) takes about 0.2 s and 78 MB per twist, and A^1 at k = 286
-#: (bound 497,945) about 1.3 s and 171 MB (2-vCPU VM).
+#: is above this.  Kernel-row builds set its cost: A^1 at k = 286 (bound
+#: 497,945) and G_m at k = 496 take 0.9-1.4 s and 55 MB, and G_m at
+#: k = 497, which inserts no row, about 0.01 s and 16 MB (2-vCPU VM).
 MAX_ROWS = 500_000
 
 #: The cohomology spaces a basis can live in; see ``CohomologyBasis``.
@@ -82,20 +80,12 @@ IdColumn = tuple[list[tuple[int, int]], int]
 #: of that (None when it cancelled, or when the module is not
 #: homogeneous), the gcd of its coeffs, and the combination of sources
 #: it is, as (diagonal id, degree, integer coefficient) triples, all at
-#: the weight the plan was made at.
+#: the weight the plan was made at.  A step with a lead, moved m
+#: strides, is an image row that its lead names (see ``_Plans``).
 PlanStep = tuple[
     tuple[tuple[int, int], ...], int | None, int,
     tuple[tuple[int, int, int], ...],
 ]
-
-#: A planned image row not yet written out: its plan step, the number
-#: m of strides it is moved, and the build's (stride, scale, twist),
-#: shared by every recipe of one build.  ``_replay`` writes it out.
-#: Keep plan steps free of lists: a recipe of tuples and ints is no
-#: longer tracked by the garbage collector after its first collection,
-#: and a build holds up to half a million of them, which every full
-#: collection would walk otherwise (about 5% of the largest A^1 build).
-Recipe = tuple[PlanStep, int, tuple[int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -264,9 +254,7 @@ class CohomologyBasis:
 # >= -n * E * gens.  A row's lead, its least id, is its top-weight part
 # and, within a weight, the highest generator index.  Echelon rows whose
 # leading id lies in the suffix have their entire support in it, which
-# keeps window computations exact.  An image row may be held as a recipe
-# (``Recipe``) under its lead until a reduction reads it: its lead, and
-# so every pivot count, is known before the row is written out.
+# keeps window computations exact.
 # ---------------------------------------------------------------------------
 
 
@@ -279,6 +267,71 @@ def _primitive(row: dict[int, int], lead: int) -> dict[int, int]:
     if g != 1:
         row = {pos: value // g for pos, value in row.items()}
     return row
+
+
+@dataclass
+class _Plans:
+    """A build's layer plans, as a table of planned leads.
+
+    A step moved m strides is led at its lead minus m strides.  No two
+    planned leads agree mod the stride, n * gens, as a residue names a
+    generator and a weight mod n, and a layer's leads share one weight.
+    So ``table`` maps a lead's residue to (lead, step, first, start),
+    the least m whose source exists and the weight the layer was planned
+    at.  This truncation's sources weigh at most ``top``."""
+
+    table: dict[int, tuple[int, PlanStep, int, int]]
+    n: int
+    stride: int
+    scale: int
+    twist: int
+    top: int = -1
+
+    def row(self, at: int, any_truncation: bool = False) -> dict[int, int] | None:
+        """The planned row of this truncation, or of any, led at ``at``,
+        written out; None when there is none."""
+        entry = self.table.get(at % self.stride)
+        if entry:
+            lead, step, first, start = entry
+            m = (lead - at) // self.stride
+            if first <= m and (any_truncation or start + m * self.n <= self.top):
+                return self.replay(step, m)
+        return None
+
+    def count(self, threshold: int) -> int:
+        """How many planned rows of this truncation are led at or above
+        ``threshold``: a range of m per step."""
+        n, stride, top = self.n, self.stride, self.top
+        return sum(
+            max(0, min((top - start) // n, (lead - threshold) // stride) - first + 1)
+            for lead, _, first, start in self.table.values()
+        )
+
+    def replay(self, step: PlanStep, m: int) -> dict[int, int]:
+        """The image row of ``step`` moved m strides, in integers.
+
+        Its top is the plan's, and its tail the diagonal of each source
+        z^(d+m) * g_i, whose coeff in scale * (z^up d/dz + twist) is
+        (d + m) * scale + twist; all divided by the content, which the
+        planned top's gcd g starts."""
+        top, _, g, combination = step
+        shift, scale, twist = m * self.stride, self.scale, self.twist
+        gcd = math.gcd
+        row = {}
+        for at, d, u in combination:
+            c = u * ((d + m) * scale + twist)
+            if c:
+                row[at - shift] = c
+                g = gcd(g, c)
+        if g == 1:
+            for pos, c in top:
+                row[pos - shift] = c
+        else:
+            for pos, c in row.items():
+                row[pos] = c // g
+            for pos, c in top:
+                row[pos - shift] = c // g
+        return row
 
 
 class _Echelon:
@@ -297,15 +350,9 @@ class _Echelon:
     (scale, integer vector), standing for the integer vector divided by
     the positive integer scale.  What ``insert`` stores under lead L is
     the one primitive vector with a positive entry at L, zero below L,
-    in the row plus the span of the rows led below L.  So a caller
-    holding that vector may put it into ``rows`` directly: a primitive
-    row whose positive lead has no pivot, or a combination of it with
-    rows led below its lead.  ``_build_stable_image`` does so with every
-    image row whose planned top does not cancel, and puts it in as its
-    ``Recipe``: the first reduction that meets a recipe as a pivot
-    writes it out with ``_replay`` and stores the row in its place,
-    so the keys and their order never change, and a row no reduction
-    reads is never written out.
+    in the row plus the span of the rows led below L.  A planned image
+    row is that vector already, so the image's echelon holds none: at a
+    lead with no row in ``rows`` it asks the build's ``_Plans``.
 
     A reduction scales its working row lazily: an entry is held as a
     pair (v, p) standing for v * scale / p, where scale is the product
@@ -316,8 +363,9 @@ class _Echelon:
     id whose entry has cancelled is skipped when it comes off.
     """
 
-    def __init__(self):
-        self.rows: dict[int, dict[int, int] | Recipe] = {}
+    def __init__(self, plans: _Plans | None = None):
+        self.rows: dict[int, dict[int, int]] = {}
+        self.plans = plans
 
     def _reduce(
         self, row: dict[int, int], full: bool = False
@@ -330,10 +378,10 @@ class _Echelon:
         with no pivot or, when ``full``, passes over it and goes on to
         the normal form.  Returns the lead it stopped at, or None when
         it ran out of leads, and the product of the factors, which
-        ``row`` comes back multiplied by, with no zero entry.  A pivot
-        held as a recipe is written out and stored when it is met."""
-        rows = self.rows
-        pivot_at, gcd, pop, push = rows.get, math.gcd, heappop, heappush
+        ``row`` comes back multiplied by, with no zero entry.  A lead
+        with no row in ``rows`` is asked of the plans, if any."""
+        pivot_at, gcd, pop, push = self.rows.get, math.gcd, heappop, heappush
+        planned = self.plans and self.plans.row
         work = {}
         for pos, value in row.items():
             if value:
@@ -348,14 +396,12 @@ class _Echelon:
             entry = entry_at(at)
             if entry is None:
                 continue
-            pivot = pivot_at(at)
+            pivot = pivot_at(at) or (planned and planned(at))
             if pivot is None:
                 if full:
                     continue
                 lead = at
                 break
-            if pivot.__class__ is tuple:
-                pivot = rows[at] = _replay(*pivot)
             del work[at]
             b, p = entry
             if p != scale:
@@ -388,10 +434,15 @@ class _Echelon:
 
     def insert(self, row: dict[int, int]) -> bool:
         """Reduce ``row`` against the current rows and store what is
-        left; returns False when the row reduced to zero."""
+        left; returns False when the row reduced to zero.  Raises
+        InconsistencyError at a lead some truncation's plans give."""
         lead, _ = self._reduce(row)
         if lead is None:
             return False
+        if self.plans and self.plans.row(lead, any_truncation=True):
+            raise InconsistencyError(
+                f"an inserted image row takes the planned lead {lead}"
+            )
         self.rows[lead] = _primitive(row, lead)
         return True
 
@@ -406,15 +457,14 @@ class _Echelon:
         return vector[0] * factor, out
 
     def pivots_at_or_above(self, threshold: int) -> int:
-        return sum(map(threshold.__le__, self.rows))
+        held = sum(map(threshold.__le__, self.rows))
+        return held + self.plans.count(threshold) if self.plans else held
 
 
 @dataclass
 class _StableImage:
     """Certificate-bearing echelon of the derivation's image, with the
-    class solvers built against it, keyed by their class tuple.  Most
-    image rows are held as recipes until a normal form reads them (see
-    ``_Echelon``)."""
+    class solvers built against it, keyed by their class tuple."""
 
     gens: int
     window: int
@@ -439,7 +489,7 @@ _STABLE_CACHE: dict[tuple, _StableImage] = {}
 #: the line.  It spares the rebuild of an image dropped between two
 #: dimension queries of one module.  The repr tells modules apart as
 #: the module does, without keeping it alive: the modules of a range's
-#: every k would outweigh its held image, whose rows are mostly recipes.
+#: every k would outweigh its held image.
 _CERTIFIED: dict[tuple[str, str], tuple[int, int]] = {}
 
 
@@ -533,104 +583,77 @@ def _stable_image(module: ConnectionModule, where: str) -> _StableImage:
 def _layer_plan(
     columns: list[IdColumn],
     sources: list[tuple[int, int]],
-    stride: int,
-    tag: int,
+    start: int,
+    plans: _Plans,
     homogeneous: bool,
-) -> list[PlanStep]:
-    """The elimination inside the top block of one weight: one step per
-    source z^d * g_j of ``sources``, (d, j) in build order.
+) -> list[tuple[int, PlanStep]]:
+    """The elimination inside the top block of weight ``start``: one
+    step per source z^d * g_j of ``sources``, (d, j) in build order.
 
-    Only the column terms, the row's top part, lie at the top weight,
-    and only the rows of these sources are led there.  So eliminating a
-    row at the top weight is eliminating its top part against the tops
-    before it.  Each top goes through a scratch ``_Echelon`` with
-    source t tagged by 1 at ``tag + t``, as ``_class_solver`` tags
-    classes, and the tags of what is left give the combination; a
-    source whose lead has no pivot is its own row.  A top that cancels
-    keeps no row here, so no later one is reduced against a combination
-    whose top is zero.  Step t depends on sources 0..t only, so the
-    steps of a prefix of ``sources`` are the first steps of the plan.
+    Only these sources' rows are led at the top weight, where each is
+    its top part, its column.  So each top is eliminated against the
+    tops before it, in a scratch ``_Echelon`` with source t tagged by 1
+    at gens + t, and the tags of what is left give the combination.  A
+    top that cancels keeps no row, and step t depends on sources 0..t
+    only, so a prefix of ``sources`` has the first steps of the plan.
 
-    When the module is not ``homogeneous`` the top part is not the
-    column, so each source is planned alone, as its own row, with no
-    lead: every row of such a module goes through ``_Echelon.insert``."""
+    A step with a lead goes into ``plans``' table; the kernel steps are
+    returned, each with the least m at which its source exists.  When
+    the module is not ``homogeneous`` the top part is not the column, so
+    no step gets a lead and every row goes through ``_Echelon.insert``."""
     scratch = _Echelon()
     held = scratch.rows
-    steps: list[PlanStep] = []
+    stride = plans.stride
+    tag = stride // plans.n
+    kernel = []
     for t, (d, j) in enumerate(sources):
         shift = d * stride
         row = {pos - shift: c for pos, c in columns[j][0]}
         row[tag + t] = 1
         lead, _ = scratch._reduce(row)
         combined = _primitive(row, lead)
-        if lead < tag and homogeneous:
-            held[lead] = combined
-        else:
-            lead = None
         top = tuple((pos, c) for pos, c in combined.items() if pos < tag)
         combination = []
         for pos, u in combined.items():
             if pos >= tag:
                 e, i = sources[pos - tag]
                 combination.append((columns[i][1] - e * stride, e, u))
-        steps.append(
-            (top, lead, math.gcd(*(c for _, c in top)), tuple(combination))
-        )
-    return steps
-
-
-def _replay(
-    step: PlanStep, m: int, build: tuple[int, int, int]
-) -> dict[int, int]:
-    """The image row of ``step`` moved m strides, in integers.
-
-    Its top is the plan's, and its tail the diagonal of each source
-    z^(d+m) * g_i, whose coeff in scale * (z^up d/dz + twist) is
-    (d + m) * scale + twist; all divided by the content, which the
-    planned top's gcd g starts.  ``build`` is (stride, scale, twist)."""
-    top, _, g, combination = step
-    stride, scale, twist = build
-    shift = m * stride
-    gcd = math.gcd
-    row = {}
-    for at, d, u in combination:
-        c = u * ((d + m) * scale + twist)
-        if c:
-            row[at - shift] = c
-            g = gcd(g, c)
-    if g == 1:
-        for pos, c in top:
-            row[pos - shift] = c
-    else:
-        for pos, c in row.items():
-            row[pos] = c // g
-        for pos, c in top:
-            row[pos - shift] = c // g
-    return row
+        if lead < tag and homogeneous:
+            held[lead] = combined
+        else:
+            lead = None
+        step = top, lead, math.gcd(*(c for _, c in top)), tuple(combination)
+        if lead is None:
+            kernel.append((-d, step))
+        else:
+            plans.table[lead % stride] = lead, step, -d, start
+    return kernel
 
 
 def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
     """The stabilised image, uncached.
 
     Truncation degree D takes the sources z^d * g_j of weight at most
-    n * D, built in increasing weight, and the window is the weighted
-    degree D // 2.  Each residue layer of weights mod n is planned once,
-    before any row, at its largest w_j, the first weight at which every
-    generator of the layer has a source (``_layer_plan``).  At weight
-    start + m * n, m < 0 below that weight, the sources present are a
-    prefix of the layer, and each row is its step of the plan moved m
-    strides (``_replay``): the planned top, plus each source's diagonal
-    at its degree d + m, divided by the content.
+    n * D, in increasing weight, and the window is the weighted degree
+    D // 2.  Each residue layer of weights mod n is planned once, at its
+    largest w_j, where every generator of the layer first has a source
+    (``_layer_plan``).  At weight start + m * n the sources are a prefix
+    of the layer, and each row is its step moved m strides.
 
-    When every column is homogeneous, that row's top lead has no pivot,
-    since only this batch's rows are led at the top weight, and it
-    differs from the source's own row by rows led below that lead, so it
-    is the row insertion would store.  It is stored directly, as its
-    recipe (step, m), and written out only if a reduction reads it.  A
-    step whose top cancels, a kernel row of the top part, is written
-    out and goes through ``_Echelon.insert``, as does every row of a
-    module that is not homogeneous, and a replayed row whose lead is
-    taken, which is exact either way.
+    When every column is homogeneous, such a row's top lead has no
+    pivot, as only this batch's rows are led at the top weight, and it
+    differs from the source's own row by rows led below that lead: it is
+    the row insertion would store.  The echelon finds it from its lead
+    in the ``_Plans``, so the weight loop inserts only the kernel steps,
+    whose tops σ kills, and every row of a module that is not
+    homogeneous.
+
+    No inserted row takes a planned lead.  A row from source weight W
+    has its support at weight at most W + s, s = 1 over the affine line
+    and n + 1 over the punctured one, and a planned lead lies at exactly
+    W + s.  A kernel row's top cancels, so its lead lies below W + s,
+    where the planned rows come from sources below W, whose leads its
+    reduction eliminates.  ``insert`` still checks each lead it stores.
 
     The request is checked by ``_stable_image``: an affine-line image
     needs an untwisted module, and the first two truncations must be
@@ -640,7 +663,6 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
     n, gens, weights = module.n, module.rank, module.weights
     columns = _image_columns(module, where)
     stride = n * gens
-    build = stride, module.twist.denominator, module.twist.numerator
     homogeneous = all(
         column
         and all(n * m + weights[i] == weights[j] + 1 for m, i, _ in column)
@@ -649,33 +671,29 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
     # The sources of weight W are the z^d * g_j with w_j = W - n * d,
     # w_j in W's residue class mod n, listed by increasing w_j; each
     # layer's plan is made at its largest w_j.
-    plans = []
+    plans = _Plans({}, n, stride, module.twist.denominator, module.twist.numerator)
+    layers = []
     for r in range(n):
         layer = sorted((w, j) for j, w in enumerate(weights) if w % n == r)
         start = layer[-1][0] if layer else r
         sources = [((start - w) // n, j) for w, j in layer]
-        steps = _layer_plan(columns, sources, stride, gens, homogeneous)
-        plans.append((start, [w for w, _ in layer], steps))
-    echelon = _Echelon()
-    rows, insert = echelon.rows, echelon.insert
-    processed = -1
-    previous = None
+        layers.append(
+            (start, _layer_plan(columns, sources, start, plans, homogeneous))
+        )
+    echelon = _Echelon(plans)
+    insert = echelon.insert
+    processed, previous, doublings = -1, None, 0
     first = _first_truncation(module.k, where)
-    doublings = 0
     while True:
         degree = first << doublings
+        plans.top = n * degree
         for weight in range(processed + 1, n * degree + 1):
-            start, ws, steps = plans[weight % n]
+            start, kernel = layers[weight % n]
             m = (weight - start) // n
-            shift = m * stride
-            for w, step in zip(ws, steps):
-                if w > weight:
+            for least, step in kernel:
+                if m < least:
                     break
-                lead = step[1]
-                if lead is not None and lead - shift not in rows:
-                    rows[lead - shift] = step, m, build
-                    continue
-                if not insert(_replay(step, m, build)):
+                if not insert(plans.replay(step, m)):
                     raise InconsistencyError(
                         "derivation row reduced to zero: the derivation "
                         "has a kernel at truncation degree "
@@ -689,13 +707,7 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
         threshold = _monomial_id(bound, gens - 1, gens)
         dim = monomials - echelon.pivots_at_or_above(threshold)
         if previous == dim:
-            return _StableImage(
-                gens=gens,
-                window=window,
-                degree=degree,
-                dim=dim,
-                echelon=echelon,
-            )
+            return _StableImage(gens, window, degree, dim, echelon)
         previous = dim
         doublings += 1
         held = certificate_rows(gens, module.k, where, doublings)
@@ -815,13 +827,7 @@ def gm_cokernel_basis(k: int, twist: Fraction | int = 0) -> CohomologyBasis:
             f"closed-form classes are dependent in cohomology (k={k}, "
             f"twist={module.twist})"
         )
-    return CohomologyBasis(
-        space="gm",
-        k=k,
-        twist=module.twist,
-        classes=tuple(classes),
-        g_levels=None,
-    )
+    return CohomologyBasis("gm", k, module.twist, tuple(classes))
 
 
 def omega_count(k: int) -> int:
@@ -858,13 +864,7 @@ def h1_a1_basis(k: int) -> CohomologyBasis:
     top = omega_count(k)
     classes = tuple(omega_class(i) for i in range(1, top + 1))
     levels = tuple(omega_level(k, i) for i in range(1, top + 1))
-    return CohomologyBasis(
-        space="a1",
-        k=k,
-        twist=Fraction(0),
-        classes=classes,
-        g_levels=levels,
-    )
+    return CohomologyBasis("a1", k, Fraction(0), classes, levels)
 
 
 def reduce_to_basis(

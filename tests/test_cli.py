@@ -415,7 +415,7 @@ TOP_OF_BOUNDS_RETURNS = [
     (("dims", "--n", "8", "--k", "60"), 10),
     (("basis", "--k", TOP), 3),  # 0.2 s
     (("basis", "--space", "mid", "--k", str(cli.MAX_MID_K)), 6),  # 0.9 s
-    # 0.2-0.3 s and 80 MB: the row cap on one k, at k = 497
+    # 0.06-0.08 s and 19 MB: the row cap on one k, at k = 497
     (("basis", "--space", "gm", "--k", str(GM_TOP)), 4),
     # The gm bounds before the row cap, well inside it now
     (("basis", "--space", "gm", "--k", "120"), 2),  # 0.04 s
@@ -432,8 +432,8 @@ TOP_OF_BOUNDS_RETURNS = [
     # 1.8-2.6 s each: the gamma work cap at both ends of the length
     (("gamma", "--k", f"2..{TOP}", "--parity", "even"), 12),
     (("gamma", "--k", "2..4", "--parity", "even", "--series-terms", "400"), 10),
-    # 1,958,788 rows, the row-sum cap: 1.7-1.8 s when it was set, about
-    # 20% less since image rows are held as recipes
+    # 1,958,788 rows, the row-sum cap: 2.0-2.3 s, where holding every
+    # planned row took 2.5-3.2 s on the same VM
     (("basis", "--space", "gm", "--k", "2..140"), 10),
     (("dims", "--n", "8", "--k", "2..34"), 10),  # 1.2 s: the same cap
 ]

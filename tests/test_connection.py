@@ -219,7 +219,7 @@ def test_gm_certificate_stops_after_one_doubling(builds):
 # force, and independence) from the first truncation k + 4, across the
 # k the CLI accepts; it raises if either check fails.  Budget: the 36
 # certificates up to k = 120 take about 0.45 s on a 2-vCPU VM, and have
-# 8 s; the top k, 497, takes about 0.2 s and 80 MB, and has 4 s.
+# 8 s; the top k, 497, takes about 0.05 s and 19 MB, and has 4 s.
 GM_BASIS_BUDGET_S = 8.0
 GM_TOP_BUDGET_S = 4.0
 
@@ -238,6 +238,33 @@ def test_gm_basis_certifies_up_to_the_cli_bound(builds):
     assert gm_cokernel_basis(top).k == top
     assert time.perf_counter() - start < GM_TOP_BUDGET_S
     assert len(builds) == 2 * len(ks) + 1
+
+
+# Where s_nk = 0 no planned top cancels, so a dimension query holds no
+# image row at all: every row is found from its lead when a reduction
+# reads it.  At the top G_m k, 497, whose certificate is bounded by
+# 499,494 rows, the build traces about 0.9 MB, its plans and scratch
+# echelons; one stored object per row would pass the budget many times
+# over.  Budget: the traced build takes about 0.1 s on a 2-vCPU VM, and
+# has 4 s and 5 MB.
+TOP_GM_PEAK_BYTES = 5_000_000
+
+
+def test_top_gm_dimension_query_holds_no_row(builds):
+    module = build_symk(2, 497)
+    assert s_nk(2, 497) == 0
+    gc.collect()
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        assert h1_dim_bruteforce(module, "gm")[1] == 2 * (497 + 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < GM_TOP_BUDGET_S
+    assert len(connection._STABLE_CACHE[(module, "gm")].echelon.rows) == 0
+    assert peak < TOP_GM_PEAK_BYTES, peak
+    assert builds == [(module, "gm")]
 
 
 def test_bruteforce_twist_invariance():
@@ -424,14 +451,46 @@ def test_derivation_killing_a_generator_is_refused(where):
         h1_dim_bruteforce(module, where)
 
 
-def _written_out(echelon: _Echelon) -> list[tuple[int, dict[int, int]]]:
-    """The (lead, row) pairs of ``echelon`` in its order, with each
-    recipe written out by the package's own ``_replay``; the echelon
-    keeps holding the recipe."""
-    return [
-        (lead, row if isinstance(row, dict) else connection._replay(*row))
-        for lead, row in echelon.rows.items()
-    ]
+def _pivot(echelon: _Echelon, at: int) -> dict[int, int] | None:
+    """The row of ``echelon`` led at ``at``, looked up as
+    ``_Echelon._reduce`` looks it up: the held row, else the row of the
+    build's plans, written out afresh."""
+    row = echelon.rows.get(at)
+    if row is None and echelon.plans:
+        row = echelon.plans.row(at)
+    return row
+
+
+def _image(echelon: _Echelon) -> dict[int, dict[int, int]]:
+    """Every row of ``echelon`` by its lead, through ``_pivot``: the
+    held leads, and every id a planned row may lead, up to n + 1
+    weights above the truncation's top source weight."""
+    ids = set(echelon.rows)
+    plans = echelon.plans
+    if plans:
+        n, gens = plans.n, plans.stride // plans.n
+        ids.update(range(_monomial_id(plans.top + n + 1, gens - 1, gens), gens))
+    image = {}
+    for at in sorted(ids):
+        row = _pivot(echelon, at)
+        if row is not None:
+            image[at] = row
+    return image
+
+
+def _assert_same_image(echelon: _Echelon, reference: _Echelon) -> None:
+    """``echelon`` holds the rows of ``reference`` under the same leads,
+    and the rows ``insert`` stored in the reference's order; planned
+    rows have no order, so only the lead-to-row maps are compared, and
+    so are the pivot counts at every seventh lead."""
+    assert _image(echelon) == reference.rows
+    held = list(echelon.rows)
+    assert held == [lead for lead in reference.rows if lead in echelon.rows]
+    leads = sorted(reference.rows)
+    for threshold in leads[::7]:
+        assert echelon.pivots_at_or_above(threshold) == (
+            reference.pivots_at_or_above(threshold)
+        )
 
 
 # Every echelon row of the full build, with the window, degree and
@@ -474,7 +533,7 @@ def _rows_digest(build, space: str, anchored: bool = False) -> str:
         )).encode())
         digest.update(repr(sorted(
             (lead, sorted(row.items()))
-            for lead, row in _written_out(state.echelon)
+            for lead, row in _image(state.echelon).items()
         )).encode())
     return digest.hexdigest()
 
@@ -576,9 +635,8 @@ def test_build_stores_the_rows_that_insert_would(module, where):
     state = _build_stable_image(module, where)
     reference = _inserted_image(module, where, state)
     assert time.perf_counter() - start < 1.0
-    written = _written_out(state.echelon)
-    assert written == list(reference.rows.items())
-    assert all(row[lead] > 0 for lead, row in written)
+    _assert_same_image(state.echelon, reference)
+    assert all(row[lead] > 0 for lead, row in _image(state.echelon).items())
 
 
 # Column 0 of this module has weight 0 where its generator has weight 0
@@ -608,19 +666,36 @@ def test_ungraded_columns_insert_every_row(monkeypatch, where):
     # of each, and none of their rows is stored directly.
     assert len(inserted) == 2 * (state.degree + 1)
     reference = _inserted_image(UNGRADED_AIRY, where, state)
-    assert _written_out(state.echelon) == list(reference.rows.items())
-    # The same columns under their own weights store every row directly.
+    assert list(state.echelon.rows.items()) == list(reference.rows.items())
+    _assert_same_image(state.echelon, reference)
+    # The same columns under their own weights find every row by its lead.
     inserted.clear()
     _build_stable_image(NEGATIVE_AIRY, where)
     assert inserted == []
 
 
-# (rows stored, rows sent through ``_Echelon.insert``, dim, degree):
-# every row is built as its step of its layer's plan, and stored
-# directly unless its top cancels.  Of these, only the even-k order-2
+def test_insert_refuses_a_lead_a_later_truncation_plans():
+    # A kernel row stored where a later truncation plans a row would
+    # hide that row from every reduction, so ``insert`` refuses it.  No
+    # build meets this (see ``_build_stable_image``); here it is forced.
+    state = _build_stable_image(build_symk(2, 4), "a1")
+    echelon, plans = state.echelon, state.echelon.plans
+    lead, _, _, start = next(iter(plans.table.values()))
+    m = (plans.top - start) // plans.n + 1
+    at = lead - m * plans.stride
+    assert _pivot(echelon, at) is None
+    assert plans.row(at, any_truncation=True)
+    held = dict(echelon.rows)
+    with pytest.raises(InconsistencyError, match="planned lead"):
+        echelon.insert({at: 1})
+    assert echelon.rows == held
+
+
+# (image rows, rows sent through ``_Echelon.insert``, dim, degree):
+# every row is its step of its layer's plan, found from its lead unless
+# its top cancels.  Of these, only the even-k order-2
 # modules have such kernel rows, 2-3% of their rows; the order-3 and
-# order-4 modules store every row directly, below their layers' largest
-# w_j too.  The plans' own scratch elimination is not counted.
+# order-4 modules insert no row, below their layers' largest w_j too.  The plans' own scratch elimination is not counted.
 # Budget: each build takes 0.01-0.03 s on a 2-vCPU VM, and has 1 s.
 DIRECT_STORE_COUNTS = [
     ((2, 40, 0, "a1"), (10199, 239, 19, 258)),
@@ -642,8 +717,9 @@ def test_build_stores_most_rows_without_insert(monkeypatch, case, counts):
     start = time.perf_counter()
     state = _build_stable_image(build_symk(n, k, twist), where)
     assert time.perf_counter() - start < 1.0
+    assert len(state.echelon.rows) == len(inserted)
     assert (
-        len(state.echelon.rows), len(inserted), state.dim, state.degree
+        len(_image(state.echelon)), len(inserted), state.dim, state.degree
     ) == counts
 
 
@@ -675,22 +751,32 @@ def test_build_inserts_exactly_where_s_nk_is_positive(monkeypatch):
     assert wrong == []
 
 
-def _written(echelon: _Echelon) -> int:
-    """How many of ``echelon``'s rows are written out, not recipes."""
-    return sum(isinstance(row, dict) for row in echelon.rows.values())
+def _counting_replays(monkeypatch) -> list[int]:
+    """Record a 1 for every row ``_Plans.replay`` writes out from here
+    on."""
+    replayed = []
+    replay = connection._Plans.replay
+
+    def counted(self, step, m):
+        replayed.append(1)
+        return replay(self, step, m)
+
+    monkeypatch.setattr(connection._Plans, "replay", counted)
+    return replayed
 
 
-# A symmetric power's build holds every row whose planned top does not
-# cancel as its recipe, and a reduction writes a row out only when it
-# meets it as a pivot.  Where s_nk = 0 no top cancels, so a dimension
-# query writes out no row at all.  A class normal form writes out only
+# A symmetric power's build holds no row whose planned top does not
+# cancel: a reduction finds it from its lead and writes it out each
+# time it reads it.  Where s_nk = 0 no top cancels, so a dimension query
+# holds no row and writes none out.  A class normal form writes out only
 # the rows it reads, each the row the all-insert reference holds under
-# the same lead.  Budget: the five builds and both references take about
-# 0.1 s on a 2-vCPU VM, and have 3 s.
+# the same lead, and keeps none of them.  Budget: the five builds and
+# both references take about 0.1 s on a 2-vCPU VM, and have 3 s.
 LAZY_BUDGET_S = 3.0
 
 
-def test_rows_are_written_out_only_when_read(builds):
+def test_rows_are_written_out_only_when_read(builds, monkeypatch):
+    replayed = _counting_replays(monkeypatch)
     start = time.perf_counter()
     for n, k, where, held in (
         (4, 7, "a1", 6960), (3, 10, "a1", 4972), (2, 33, "gm", 2261),
@@ -698,21 +784,23 @@ def test_rows_are_written_out_only_when_read(builds):
         assert s_nk(n, k) == 0
         module = build_symk(n, k)
         h1_dim_bruteforce(module, where)
+        assert replayed == []
         echelon = connection._STABLE_CACHE[(module, where)].echelon
-        assert (len(echelon.rows), _written(echelon)) == (held, 0)
+        assert len(echelon.rows) == 0
+        assert len(_image(echelon)) == held
+        replayed.clear()
 
     def check(module, where):
         state = connection._STABLE_CACHE[(module, where)]
-        reference = _inserted_image(module, where, state).rows
-        assert list(state.echelon.rows) == list(reference)
-        assert all(
-            isinstance(row, tuple) or row == reference[lead]
-            for lead, row in state.echelon.rows.items()
+        written = len(replayed)
+        assert 0 < written < len(_image(state.echelon))
+        _assert_same_image(
+            state.echelon, _inserted_image(module, where, state)
         )
-        assert 0 < _written(state.echelon) < len(state.echelon.rows)
 
     gm_cokernel_basis(26)
     check(build_symk(2, 26), "gm")
+    replayed.clear()
     middle, module = mid_basis(24), build_symk(2, 24)
     for element in middle.classes:
         reduce_to_basis(element, middle, module)
@@ -809,13 +897,13 @@ def test_dims_table_keeps_no_module_alive(builds):
 
 # The held image is the whole last truncation, and one image is held at
 # a time, so the traced peak of a range of gm bases is that of its
-# largest build.  Its images are held as recipes, small enough that two
-# things would blur that, and both are kept out of the count.  The
+# largest build.  Its images hold only their kernel rows, small enough
+# that two things would blur that, and both are kept out of the count.  The
 # ``builds`` fixture keeps every module built, so this test counts the
 # builds by k instead.  And CPython keeps dead tuples, dicts and lists
 # in free lists for reuse, which tracemalloc still counts: a range's
-# dropped images left up to about 130 KB there, over an image of about
-# 600 KB.  A full collection empties those lists before the trace and
+# dropped images left about 90 KB there, over a traced peak of about
+# 200 KB.  A full collection empties those lists before the trace and
 # before each build.  Budget: both commands take about 1 s traced on a
 # 2-vCPU VM, and have 15 s.
 RANGE_BUDGET_S = 15.0
@@ -950,7 +1038,9 @@ def _window_normal_form_stays_in_the_window(data):
     vector = _element_ids(_element(module, entries), module, state)
     _, form = state.echelon.normal_form(vector)
     first = _window_start(state, n)
-    assert all(pos >= first and pos not in state.echelon.rows for pos in form)
+    assert all(
+        pos >= first and _pivot(state.echelon, pos) is None for pos in form
+    )
 
 
 def test_window_normal_forms_stay_in_the_window():
