@@ -395,11 +395,11 @@ COMMANDS = {
             "mid": (_linear, MAX_MID_K, 180_300),
             # Each k costs a brute-force build, bounded by the rows its
             # certificate holds, which the library caps at MAX_ROWS: k =
-            # 497 alone takes about 0.13 s and 18 MB one-shot.  Rows
+            # 497 alone takes about 0.1 s and 19 MB one-shot.  Rows
             # summed: --k 2..140 (1.96M rows) took 1.7 to 1.8 s and 36 MB
             # when this cap was set, where 2..160 (2.90M) took 2.5 s; it
-            # takes 1.7 to 2.8 s and 20 MB now, with no planned image row
-            # held, on a slower phase of the same VM.
+            # takes 1.5 to 1.6 s and 20 MB one-shot now, with no planned
+            # image row held.
             "gm": (
                 lambda k: certificate_rows(k + 1, k, "gm"),
                 MAX_ROWS,

@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .errors import (
@@ -116,6 +117,10 @@ class ConnectionModule:
     @property
     def rank(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {label: i for i, label in enumerate(self.labels)}
 
 
 def _symk_labels(n: int, exponents: tuple[tuple[int, ...], ...]) -> tuple[str, ...]:
@@ -754,11 +759,10 @@ def _element_ids(
 ) -> tuple[int, dict[int, int]]:
     """(scale, ids): the element's coordinates times ``scale``, the lcm
     of their denominators."""
-    index = {label: i for i, label in enumerate(module.labels)}
     n, bound = module.n, module.n * state.window
     out: dict[int, Fraction] = {}
     for label, poly in element.coordinates:
-        i = index.get(label)
+        i = module._index.get(label)
         if i is None:
             raise DomainError(f"element uses unknown generator {label!r}")
         for d, c in poly.terms:
@@ -786,7 +790,8 @@ def _class_solver(
     ints_i plus s_i on the tag coordinate tag + i.  A vector in the
     span of the classes then reduces to minus its coordinates on the
     tags, and a solver row whose lead lies on a tag marks a class that
-    depends on the ones before it."""
+    depends on the ones before it: such classes are refused, before the
+    solver is kept."""
     state = _stable_image(module, where)
     solver = state.solvers.get(classes)
     if solver is None:
@@ -796,6 +801,8 @@ def _class_solver(
                 _element_ids(element, module, state)
             )
             solver.insert({**form, state.tag + i: scale})
+        if any(lead >= state.tag for lead in solver.rows):
+            raise InconsistencyError("basis classes are dependent in cohomology")
         state.solvers[classes] = solver
     return state, solver
 
@@ -812,8 +819,7 @@ def gm_cokernel_basis(k: int, twist: Fraction | int = 0) -> CohomologyBasis:
         raise DomainError("symmetric power must be at least 1")
     _check_rows(k + 1, k, "gm")  # refuse before building the module
     module = build_symk(2, k, twist)
-    top = omega_count(k)
-    classes = [monomial_element("u0", p) for p in range(top, 0, -1)]
+    classes = [monomial_element("u0", p) for p in range(omega_count(k), 0, -1)]
     classes += [monomial_element(f"u{j}") for j in range(k + 1)]
     dim, _ = h1_dim_bruteforce(module, "gm")
     if dim != len(classes):
@@ -821,12 +827,7 @@ def gm_cokernel_basis(k: int, twist: Fraction | int = 0) -> CohomologyBasis:
             f"closed-form basis has {len(classes)} classes but the "
             f"brute-force dimension is {dim} (k={k}, twist={module.twist})"
         )
-    state, solver = _class_solver(tuple(classes), module, "gm")
-    if any(lead >= state.tag for lead in solver.rows):
-        raise InconsistencyError(
-            f"closed-form classes are dependent in cohomology (k={k}, "
-            f"twist={module.twist})"
-        )
+    _class_solver(tuple(classes), module, "gm")
     return CohomologyBasis("gm", k, module.twist, tuple(classes))
 
 
@@ -901,8 +902,6 @@ def reduce_to_basis(
         raise InconsistencyError(
             "element does not lie in the span of the basis classes"
         )
-    if any(lead >= tag for lead in solver.rows):
-        raise InconsistencyError("basis classes are dependent in cohomology")
     return tuple(
         Fraction(-residual.get(tag + i, 0), scale)
         for i in range(len(basis))

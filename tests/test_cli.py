@@ -415,7 +415,7 @@ TOP_OF_BOUNDS_RETURNS = [
     (("dims", "--n", "8", "--k", "60"), 10),
     (("basis", "--k", TOP), 3),  # 0.2 s
     (("basis", "--space", "mid", "--k", str(cli.MAX_MID_K)), 6),  # 0.9 s
-    # 0.06-0.08 s and 19 MB: the row cap on one k, at k = 497
+    # 0.02-0.03 s and 19 MB: the row cap on one k, at k = 497
     (("basis", "--space", "gm", "--k", str(GM_TOP)), 4),
     # The gm bounds before the row cap, well inside it now
     (("basis", "--space", "gm", "--k", "120"), 2),  # 0.04 s

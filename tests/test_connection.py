@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import functools
@@ -11,6 +12,7 @@ import time
 import tracemalloc
 import weakref
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from airymoments.moments import h1_dims, s_nk
 from airymoments.exact import Polynomial
 from airymoments import cli, connection
 from airymoments.connection import (
+    MAX_ROWS,
     CohomologyBasis,
     ConnectionModule,
     ModuleElement,
@@ -187,41 +190,12 @@ def test_bruteforce_dimensions_order_two():
     assert h1_dim_bruteforce(build_symk(2, 1), "a1")[0] == 1
 
 
-def test_bruteforce_reports_truncation_degree():
-    dim, used = h1_dim_bruteforce(build_symk(2, 3), "a1")
-    assert dim == 2
-    assert used >= 3 * 4 + 6
-    # Over the punctured line the first truncation of Sym^3 is 3 + 4,
-    # and one doubling certifies its 6 classes.
-    assert h1_dim_bruteforce(build_symk(2, 3), "gm") == (6, 2 * (3 + 4))
-
-
-# Over the punctured line the certificate starts at k + 4 and stops
-# after one doubling, with a window that holds every class of
-# ``gm_cokernel_basis``: z^p * u0 has weighted degree p <= ceil(k/2),
-# and u_j has j/2 <= k/2.  Budget: the 80 builds take about 0.1 s on a
-# 2-vCPU VM, and have 3 s.
-GM_SCHEDULE_BUDGET_S = 3.0
-
-
-def test_gm_certificate_stops_after_one_doubling(builds):
-    start = time.perf_counter()
-    for k in range(1, 41):
-        for twist in (0, HALF):
-            state = _stable_image(build_symk(2, k, twist), "gm")
-            assert state.degree == 2 * (k + 4), (k, twist)
-            assert state.window >= -(-k // 2), (k, twist)
-    assert len(builds) == 80
-    assert time.perf_counter() - start < GM_SCHEDULE_BUDGET_S
-
-
 # ``gm_cokernel_basis`` certifies its classes (count against the brute
 # force, and independence) from the first truncation k + 4, across the
-# k the CLI accepts; it raises if either check fails.  Budget: the 36
-# certificates up to k = 120 take about 0.45 s on a 2-vCPU VM, and have
-# 8 s; the top k, 497, takes about 0.05 s and 19 MB, and has 4 s.
+# k the CLI accepts; it raises if either check fails.  The top k, 497,
+# is in ``TOP_OF_BOUNDS``.  Budget: the 36 certificates up to k = 120
+# take about 0.45 s on a 2-vCPU VM, and have 8 s.
 GM_BASIS_BUDGET_S = 8.0
-GM_TOP_BUDGET_S = 4.0
 
 
 def test_gm_basis_certifies_up_to_the_cli_bound(builds):
@@ -231,62 +205,7 @@ def test_gm_basis_certifies_up_to_the_cli_bound(builds):
         for twist in (0, HALF):
             assert gm_cokernel_basis(k, twist).k == k
     assert time.perf_counter() - start < GM_BASIS_BUDGET_S
-    top, rows = 497, connection.certificate_rows
-    assert rows(top + 1, top, "gm") <= connection.MAX_ROWS
-    assert rows(top + 2, top + 1, "gm") > connection.MAX_ROWS
-    start = time.perf_counter()
-    assert gm_cokernel_basis(top).k == top
-    assert time.perf_counter() - start < GM_TOP_BUDGET_S
-    assert len(builds) == 2 * len(ks) + 1
-
-
-# Where s_nk = 0 no planned top cancels, so a dimension query holds no
-# image row at all: every row is found from its lead when a reduction
-# reads it.  At the top G_m k, 497, whose certificate is bounded by
-# 499,494 rows, the build traces about 0.9 MB, its plans and scratch
-# echelons; one stored object per row would pass the budget many times
-# over.  Budget: the traced build takes about 0.1 s on a 2-vCPU VM, and
-# has 4 s and 5 MB.
-TOP_GM_PEAK_BYTES = 5_000_000
-
-
-def test_top_gm_dimension_query_holds_no_row(builds):
-    module = build_symk(2, 497)
-    assert s_nk(2, 497) == 0
-    gc.collect()
-    start = time.perf_counter()
-    tracemalloc.start()
-    try:
-        assert h1_dim_bruteforce(module, "gm")[1] == 2 * (497 + 4)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert time.perf_counter() - start < GM_TOP_BUDGET_S
-    assert len(connection._STABLE_CACHE[(module, "gm")].echelon.rows) == 0
-    assert peak < TOP_GM_PEAK_BYTES, peak
-    assert builds == [(module, "gm")]
-
-
-def test_bruteforce_twist_invariance():
-    for k in range(1, 7):
-        plain = h1_dim_bruteforce(build_symk(2, k), "gm")[0]
-        twisted = h1_dim_bruteforce(build_symk(2, k, HALF), "gm")[0]
-        assert plain == twisted
-
-
-def test_bruteforce_gm_matches_closed_count():
-    for k in range(1, 9):
-        kp = (k - 1) // 2
-        expected = 3 * (kp + 1) if k % 2 else k + kp + 1
-        assert h1_dim_bruteforce(build_symk(2, k), "gm")[0] == expected
-
-
-def test_exact_sequence_of_dimensions():
-    # removing the origin adds exactly the k+1 residue classes
-    for k in range(1, 9):
-        a1 = h1_dim_bruteforce(build_symk(2, k), "a1")[0]
-        gm = h1_dim_bruteforce(build_symk(2, k), "gm")[0]
-        assert a1 + (k + 1) == gm
+    assert len(builds) == 2 * len(ks)
 
 
 def test_bruteforce_where_validation():
@@ -311,42 +230,6 @@ def test_twisted_module_is_refused_over_the_affine_line():
     )
     with pytest.raises(DomainError, match="untwisted"):
         reduce_to_basis(omega_class(1), basis, twisted)
-
-
-# The bound on the rows of the second truncation, (k + 1)(2D + 1) at
-# order 2, passes MAX_ROWS from k = 287 on over the affine line, D =
-# 3(k+1) + 6, and from k = 498 on over the punctured line, D = k + 4:
-# the k is refused before any row, and ``gm_cokernel_basis`` refuses it
-# before its module, so the refusal allocates nothing and the image held
-# before it stays held.  The k below it is under the cap, which the
-# bound shows without a build.  Budget: each refusal takes under 0.001 s
-# and traces about 1 KB (its message) on a 2-vCPU VM, and has 0.1 s and
-# 4 KB.
-REFUSAL_BUDGET_BYTES = 4096
-
-
-def test_bruteforce_ceiling_failure(builds):
-    held = build_symk(2, 9)
-    h1_dim_bruteforce(held, "a1")
-    refusals = [
-        ("a1", 287, functools.partial(h1_dim_bruteforce, build_symk(2, 287), "a1")),
-        ("gm", 498, functools.partial(h1_dim_bruteforce, build_symk(2, 498), "gm")),
-        ("gm", 498, functools.partial(gm_cokernel_basis, 498)),
-    ]
-    for where, k, refused in refusals:
-        assert connection.certificate_rows(k, k - 1, where) <= connection.MAX_ROWS
-        start = time.perf_counter()
-        tracemalloc.start()
-        try:
-            with pytest.raises(SizeLimitError, match="cap"):
-                refused()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert time.perf_counter() - start < 0.1
-        assert peak < REFUSAL_BUDGET_BYTES, (refused, peak)
-    assert builds == [(held, "a1")]
-    assert list(connection._STABLE_CACHE) == [(held, "a1")]
 
 
 def _monomial_power(power: int, k: int) -> ConnectionModule:
@@ -645,33 +528,19 @@ def test_build_stores_the_rows_that_insert_would(module, where):
 UNGRADED_AIRY = dataclasses.replace(NEGATIVE_AIRY, weights=(0, 0))
 
 
-def _counting_inserts(monkeypatch) -> list[int]:
-    """Record a 1 for every ``_Echelon.insert`` call from here on."""
-    inserted = []
-    insert = _Echelon.insert
-
-    def counted(self, row):
-        inserted.append(1)
-        return insert(self, row)
-
-    monkeypatch.setattr(_Echelon, "insert", counted)
-    return inserted
-
-
 @pytest.mark.parametrize("where", ["a1", "gm"])
-def test_ungraded_columns_insert_every_row(monkeypatch, where):
-    inserted = _counting_inserts(monkeypatch)
+def test_ungraded_columns_insert_every_row(counted, where):
     state = _build_stable_image(UNGRADED_AIRY, where)
     # Both generators have weight 0, so truncation D has D + 1 sources
     # of each, and none of their rows is stored directly.
-    assert len(inserted) == 2 * (state.degree + 1)
+    assert counted["insert"] == 2 * (state.degree + 1)
     reference = _inserted_image(UNGRADED_AIRY, where, state)
     assert list(state.echelon.rows.items()) == list(reference.rows.items())
     _assert_same_image(state.echelon, reference)
     # The same columns under their own weights find every row by its lead.
-    inserted.clear()
+    counted.clear()
     _build_stable_image(NEGATIVE_AIRY, where)
-    assert inserted == []
+    assert counted["insert"] == 0
 
 
 def test_insert_refuses_a_lead_a_later_truncation_plans():
@@ -691,121 +560,35 @@ def test_insert_refuses_a_lead_a_later_truncation_plans():
     assert echelon.rows == held
 
 
-# (image rows, rows sent through ``_Echelon.insert``, dim, degree):
-# every row is its step of its layer's plan, found from its lead unless
-# its top cancels.  Of these, only the even-k order-2
-# modules have such kernel rows, 2-3% of their rows; the order-3 and
-# order-4 modules insert no row, below their layers' largest w_j too.  The plans' own scratch elimination is not counted.
-# Budget: each build takes 0.01-0.03 s on a 2-vCPU VM, and has 1 s.
-DIRECT_STORE_COUNTS = [
-    ((2, 40, 0, "a1"), (10199, 239, 19, 258)),
-    ((2, 36, HALF, "gm"), (2655, 63, 54, 80)),
-    ((3, 10, 0, "a1"), (4972, 0, 22, 78)),
-    ((4, 7, 0, "a1"), (6960, 0, 30, 60)),
-    ((4, 7, 0, "gm"), (5040, 0, 150, 44)),
-]
-
-
-@pytest.mark.parametrize(
-    "case, counts", DIRECT_STORE_COUNTS,
-    ids=["sym40-a1", "sym36-gm-half", "order3-sym10-a1", "order4-sym7-a1",
-         "order4-sym7-gm"],
-)
-def test_build_stores_most_rows_without_insert(monkeypatch, case, counts):
-    n, k, twist, where = case
-    inserted = _counting_inserts(monkeypatch)
-    start = time.perf_counter()
-    state = _build_stable_image(build_symk(n, k, twist), where)
-    assert time.perf_counter() - start < 1.0
-    assert len(state.echelon.rows) == len(inserted)
-    assert (
-        len(_image(state.echelon)), len(inserted), state.dim, state.degree
-    ) == counts
-
-
-# Every module of this grid, 172 in all: order 2 over A^1 and over G_m
-# at both twists, the other orders over both lines.  A build sends a row
-# through ``insert`` only where a step's top cancels, and on this grid
-# it does so exactly where ``s_nk`` is positive.  That is agreement on
-# these modules, not a theorem about the kernel of the top part.
-# Budget: the sweep takes about 0.4 s on a 2-vCPU VM, and has 5 s.
-INSERT_GRID = (
-    [(2, k, twist, where) for k in range(1, 41)
-     for twist, where in ((0, "a1"), (0, "gm"), (HALF, "gm"))]
-    + [(n, k, 0, where) for n, top in ((3, 10), (4, 7), (5, 5), (6, 4))
-       for k in range(1, top + 1) for where in ("a1", "gm")]
-)
-
-
-def test_build_inserts_exactly_where_s_nk_is_positive(monkeypatch):
-    inserted = _counting_inserts(monkeypatch)
-    start = time.perf_counter()
-    wrong = []
-    for n, k, twist, where in INSERT_GRID:
-        inserted.clear()
-        _build_stable_image(build_symk(n, k, twist), where)
-        if bool(inserted) != (s_nk(n, k) > 0):
-            wrong.append((n, k, str(twist), where, len(inserted)))
-    assert time.perf_counter() - start < 5.0
-    assert len(INSERT_GRID) == 172
-    assert wrong == []
-
-
-def _counting_replays(monkeypatch) -> list[int]:
-    """Record a 1 for every row ``_Plans.replay`` writes out from here
-    on."""
-    replayed = []
-    replay = connection._Plans.replay
-
-    def counted(self, step, m):
-        replayed.append(1)
-        return replay(self, step, m)
-
-    monkeypatch.setattr(connection._Plans, "replay", counted)
-    return replayed
-
-
 # A symmetric power's build holds no row whose planned top does not
 # cancel: a reduction finds it from its lead and writes it out each
-# time it reads it.  Where s_nk = 0 no top cancels, so a dimension query
-# holds no row and writes none out.  A class normal form writes out only
-# the rows it reads, each the row the all-insert reference holds under
-# the same lead, and keeps none of them.  Budget: the five builds and
-# both references take about 0.1 s on a 2-vCPU VM, and have 3 s.
+# time it reads it (where s_nk = 0 no top cancels, and ``GRID`` checks
+# that a dimension query then writes no row out).  A class normal form
+# writes out only the rows it reads, each the row the all-insert
+# reference holds under the same lead, and keeps none of them.  Budget:
+# both builds and both references take about 0.1 s on a 2-vCPU VM, and
+# have 3 s.
 LAZY_BUDGET_S = 3.0
 
 
-def test_rows_are_written_out_only_when_read(builds, monkeypatch):
-    replayed = _counting_replays(monkeypatch)
+def test_rows_are_written_out_only_when_read(builds, counted):
     start = time.perf_counter()
-    for n, k, where, held in (
-        (4, 7, "a1", 6960), (3, 10, "a1", 4972), (2, 33, "gm", 2261),
-    ):
-        assert s_nk(n, k) == 0
-        module = build_symk(n, k)
-        h1_dim_bruteforce(module, where)
-        assert replayed == []
-        echelon = connection._STABLE_CACHE[(module, where)].echelon
-        assert len(echelon.rows) == 0
-        assert len(_image(echelon)) == held
-        replayed.clear()
 
     def check(module, where):
         state = connection._STABLE_CACHE[(module, where)]
-        written = len(replayed)
-        assert 0 < written < len(_image(state.echelon))
+        assert 0 < counted["replay"] < len(_image(state.echelon))
         _assert_same_image(
             state.echelon, _inserted_image(module, where, state)
         )
 
     gm_cokernel_basis(26)
     check(build_symk(2, 26), "gm")
-    replayed.clear()
+    counted.clear()
     middle, module = mid_basis(24), build_symk(2, 24)
     for element in middle.classes:
         reduce_to_basis(element, middle, module)
     check(module, "a1")
-    assert len(builds) == 5
+    assert len(builds) == 2
     assert time.perf_counter() - start < LAZY_BUDGET_S
 
 
@@ -830,13 +613,12 @@ def test_cached_image_keeps_the_window_rows_of_the_full_build(
     assert monomials - state.echelon.pivots_at_or_above(first) == state.dim
 
 
-@pytest.fixture
-def builds(monkeypatch):
+def _record_builds(patch) -> list[tuple]:
     """Empty the held image and the dims table, and record the
     (module, where) of every image built from here on.  Each build must
     start with no image held."""
-    monkeypatch.setattr(connection, "_STABLE_CACHE", {})
-    monkeypatch.setattr(connection, "_CERTIFIED", {})
+    patch.setattr(connection, "_STABLE_CACHE", {})
+    patch.setattr(connection, "_CERTIFIED", {})
     built = []
     build = connection._build_stable_image
 
@@ -845,8 +627,36 @@ def builds(monkeypatch):
         built.append((module, where))
         return build(module, where)
 
-    monkeypatch.setattr(connection, "_build_stable_image", counted)
+    patch.setattr(connection, "_build_stable_image", counted)
     return built
+
+
+def _count_calls(patch) -> collections.Counter:
+    """Count, from here on, the rows sent through ``_Echelon.insert``
+    (under "insert") and the planned rows ``_Plans.replay`` writes out
+    (under "replay")."""
+    counts = collections.Counter()
+
+    def counting(name, method):
+        def count(self, *args):
+            counts[name] += 1
+            return method(self, *args)
+
+        return count
+
+    for owner, name in ((_Echelon, "insert"), (connection._Plans, "replay")):
+        patch.setattr(owner, name, counting(name, getattr(owner, name)))
+    return counts
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    return _record_builds(monkeypatch)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    return _count_calls(monkeypatch)
 
 
 def test_middle_basis_reductions_build_no_image(builds):
@@ -1085,101 +895,296 @@ def test_weight_order_matches_the_degree_reference(data):
         assert reduce_to_basis(element, basis, module) == expected
 
 
-# Every (dim, degree) that the certificate reports on this grid of 143
-# modules, against the degree-ordered reference.  Budget: both builds
-# of the grid take about 1.7 s under pytest on a 2-vCPU VM, more than
-# half of it the reference.
-GRID_BUDGET_S = 30.0
-BRUTEFORCE_GRID = (
-    [(2, k, 0, "a1") for k in range(1, 41)]
-    + [(2, k, twist, "gm") for k in range(1, 41) for twist in (0, HALF)]
-    + [(3, k, 0, "a1") for k in range(1, 11)]
-    + [(3, k, 0, "gm") for k in range(1, 7)]
-    + [(4, k, 0, "a1") for k in range(1, 8)]
+# Every module of this grid, 172 in all: order 2 with k <= 40 over A^1
+# and over G_m at both twists, and orders 3 to 6 over both lines.  The
+# ``grid`` fixture builds each once, from empty caches, and each test
+# that reads it checks one claim of the brute force on every module.
+# Budget: the 172 builds take about 0.35 s on a 2-vCPU VM, and have 5 s;
+# the sweep takes about 3 s, most of it the degree reference, and has
+# 30 s.
+GRID = (
+    [(2, k, twist, where) for k in range(1, 41)
+     for twist, where in ((0, "a1"), (0, "gm"), (HALF, "gm"))]
+    + [(n, k, 0, where) for n, top in ((3, 10), (4, 7), (5, 5), (6, 4))
+       for k in range(1, top + 1) for where in ("a1", "gm")]
 )
+GRID_BUILDS_BUDGET_S = 5.0
+GRID_BUDGET_S = 30.0
+
+# The one exception to the degree claim: order-4 Sym^7 over G_m, which
+# the weight order certifies a doubling later, at 44, than the degree
+# reference does, at 22, with the same dimension.  A wasted doubling,
+# kept, that runs the row check before a third truncation on a real
+# module.
+LATE = {(4, 7, 0, "gm"): 44}
+
+# (image rows, rows sent through ``insert``) of some grid builds: every
+# row is its step of its layer's plan, found from its lead unless its
+# top cancels.  Of these, only the even-k order-2 modules have such
+# kernel rows, 2-3% of their rows; the order-3 and order-4 modules
+# insert no row, below their layers' largest w_j too.  The plans' own
+# scratch elimination is not counted.
+STORED = {
+    (2, 40, 0, "a1"): (10199, 239),
+    (2, 36, HALF, "gm"): (2655, 63),
+    (2, 33, 0, "gm"): (2261, 0),
+    (3, 10, 0, "a1"): (4972, 0),
+    (4, 7, 0, "a1"): (6960, 0),
+    (4, 7, 0, "gm"): (5040, 0),
+}
 
 
-def test_bruteforce_matches_the_degree_reference_on_the_grid(builds):
-    # From an empty dims table every module is certified by the engine,
-    # one held image at a time, not read from an earlier test's answers.
+class Built(NamedTuple):
+    """What the grid's claims read of one module's build: its answer,
+    window, inserts, replays and held rows, its image rows (for the
+    ``STORED`` cases only), and the degree reference's answer."""
+
+    dim: int
+    degree: int
+    window: int
+    inserted: int
+    replayed: int
+    held: int
+    image: int | None
+    reference: tuple[int, int]
+
+
+class Sweep(NamedTuple):
+    records: dict[tuple, Built]
+    built: list[tuple]
+    images_held: int
+    building_s: float
+    sweep_s: float
+
+
+@pytest.fixture(scope="module")
+def grid() -> Sweep:
+    """Each module of ``GRID`` built once, from empty caches, counting
+    its inserts and replays; the caches and the engine are restored
+    after the sweep."""
+    with pytest.MonkeyPatch.context() as patch:
+        built, counts = _record_builds(patch), _count_calls(patch)
+        start, building, records = time.perf_counter(), 0.0, {}
+        for case in GRID:
+            n, k, twist, where = case
+            module = build_symk(n, k, twist)
+            counts.clear()
+            began = time.perf_counter()
+            dim, degree = h1_dim_bruteforce(module, where)
+            building += time.perf_counter() - began
+            inserted, replayed = counts["insert"], counts["replay"]
+            state = connection._STABLE_CACHE[module, where]
+            echelon = state.echelon
+            image = len(_image(echelon)) if case in STORED else None
+            records[case] = Built(
+                dim, degree, state.window, inserted, replayed,
+                len(echelon.rows), image,
+                reference.h1_dim_bruteforce(module, where),
+            )
+        held = len(connection._STABLE_CACHE)
+        return Sweep(
+            records, built, held, building, time.perf_counter() - start
+        )
+
+
+def _failing(grid: Sweep, claim) -> list[tuple]:
+    """The cases whose build fails ``claim(n, k, twist, where, built)``."""
+    return [
+        case for case, built in grid.records.items()
+        if not claim(*case, built)
+    ]
+
+
+def _certified(k: int, where: str) -> int:
+    """The degree of a certificate that stops after one doubling."""
+    return 2 * connection._first_truncation(k, where)
+
+
+def test_grid_builds_each_module_once(grid):
+    assert len(grid.built) == len(set(grid.built)) == len(GRID) == 172
+    assert grid.images_held == 1
+    assert grid.building_s < GRID_BUILDS_BUDGET_S
+    assert grid.sweep_s < GRID_BUDGET_S
+
+
+def test_closed_form_dims_match_bruteforce(grid):
+    assert _failing(grid, lambda n, k, twist, where, built: (
+        where != "a1" or built.dim == h1_dims(n, k).all
+    )) == []
+
+
+def test_exact_sequence_of_dimensions(grid):
+    # Removing the origin adds one residue class per generator: over G_m
+    # H^1 has rank more classes than over A^1, at both twists.
+    a1 = {(n, k): built.dim for (n, k, _, where), built in
+          grid.records.items() if where == "a1"}
+    assert _failing(grid, lambda n, k, twist, where, built: (
+        where != "gm" or built.dim == a1[n, k] + math.comb(n - 1 + k, k)
+    )) == []
+
+
+def test_gm_dimension_formula_matches_bruteforce(grid):
+    # At order 2 over G_m: 3(k' + 1) for odd k and k + k' + 1 for even k,
+    # k' = (k - 1) // 2, at both twists.
+    def holds(n, k, twist, where, built):
+        kp = (k - 1) // 2
+        count = 3 * (kp + 1) if k % 2 else k + kp + 1
+        return (n, where) != (2, "gm") or built.dim == count
+
+    assert _failing(grid, holds) == []
+
+
+def test_bruteforce_reports_truncation_degree(grid):
+    assert _failing(grid, lambda n, k, twist, where, built: (
+        built.degree == LATE.get((n, k, twist, where), _certified(k, where))
+    )) == []
+
+
+def test_bruteforce_matches_the_degree_reference_on_the_grid(grid):
+    # The degree-ordered build certifies the same dimension, one doubling
+    # past its first truncation, on ``LATE``'s modules too.
+    assert _failing(grid, lambda n, k, twist, where, built: (
+        built.reference == (built.dim, _certified(k, where))
+    )) == []
+
+
+def test_gm_certificate_stops_after_one_doubling(grid):
+    # At order 2 it may: the window of the second truncation holds every
+    # class of ``gm_cokernel_basis``.  z^p * u0 has weighted degree
+    # p <= ceil(k/2), and u_j has j/2 <= k/2.
+    assert _failing(grid, lambda n, k, twist, where, built: (
+        (n, where) != (2, "gm") or built.window >= -(-k // 2)
+    )) == []
+
+
+def test_build_inserts_exactly_where_s_nk_is_positive(grid):
+    # A build sends a row through ``insert`` only where a step's top
+    # cancels, and on this grid it does so exactly where ``s_nk`` is
+    # positive.  That is agreement on these modules, not a theorem about
+    # the kernel of the top part.  The image holds exactly the rows
+    # inserted, and where none is, the build writes no planned row out.
+    assert _failing(grid, lambda n, k, twist, where, built: (
+        (built.inserted > 0) == (s_nk(n, k) > 0)
+        and built.held == built.inserted
+        and (built.inserted > 0 or built.replayed == 0)
+    )) == []
+
+
+@pytest.mark.parametrize(
+    "case", STORED,
+    ids=["sym40-a1", "sym36-gm-half", "sym33-gm", "order3-sym10-a1",
+         "order4-sym7-a1", "order4-sym7-gm"],
+)
+def test_build_stores_most_rows_without_insert(grid, case):
+    built = grid.records[case]
+    assert (built.image, built.inserted) == STORED[case]
+
+
+def _held_rows_after(module, where) -> tuple[int, int, int]:
+    """(dim, degree) of ``module`` over ``where``, and the rows its
+    held image holds."""
+    dim, degree = h1_dim_bruteforce(module, where)
+    held = connection._STABLE_CACHE[module, where].echelon.rows
+    return dim, degree, len(held)
+
+
+# Calls at the top of the bounds, each made with the image of Sym^9 over
+# A^1 held and an empty dims table: (call, what it returns or the error
+# it raises, budget in seconds, budget in traced bytes or None for a
+# call not traced).
+#
+# * G_m k = 497 is the top k under MAX_ROWS, and its certificate is
+#   bounded by 499,494 rows.  Where s_nk = 0 no planned top cancels, so
+#   a dimension query holds no image row at all: every row is found from
+#   its lead when a reduction reads it.  The query traces about 0.9 MB,
+#   its plans and scratch echelons; one stored object per row would pass
+#   the budget many times over.  Traced, it takes about 0.1 s on a 2-vCPU
+#   VM, and the basis about 0.05 s.
+# * The row bound of the second truncation, (k + 1)(2D + 1) at order 2,
+#   passes MAX_ROWS from k = 287 on over A^1, D = 3(k+1) + 6, and from
+#   k = 498 on over G_m, D = k + 4.  The k is refused before any row, and
+#   ``gm_cokernel_basis`` refuses it before its module, so a refusal
+#   allocates nothing and the held image stays held.  Each takes under
+#   0.001 s and traces about 1 KB, its message.  The k below is under
+#   the cap, which the bound shows without a build at A^1 k = 286, and
+#   the builds at G_m k = 497 show by building.
+# * The two largest brute-force builds of the cohomology benchmark take
+#   0.05-0.08 s together, about a fifth of their budget.
+TOP_OF_BOUNDS = {
+    "gm-497": (
+        functools.partial(_held_rows_after, build_symk(2, 497), "gm"),
+        (747, 1002, 0), 4.0, 5_000_000,
+    ),
+    "gm-basis-497": (lambda: gm_cokernel_basis(497).k, 497, 4.0, None),
+    "a1-286-bound": (
+        lambda: connection.certificate_rows(287, 286, "a1") <= MAX_ROWS,
+        True, 0.1, 4096,
+    ),
+    "a1-287": (
+        functools.partial(h1_dim_bruteforce, build_symk(2, 287), "a1"),
+        SizeLimitError, 0.1, 4096,
+    ),
+    "gm-498": (
+        functools.partial(h1_dim_bruteforce, build_symk(2, 498), "gm"),
+        SizeLimitError, 0.1, 4096,
+    ),
+    "gm-basis-498": (
+        functools.partial(gm_cokernel_basis, 498), SizeLimitError, 0.1, 4096
+    ),
+    "benchmark": (
+        lambda: (
+            len(gm_cokernel_basis(36, HALF)),
+            h1_dim_bruteforce(build_symk(2, 40), "a1"),
+        ),
+        (54, (19, 258)), 0.4, None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TOP_OF_BOUNDS)
+def test_top_of_bounds(builds, case):
+    call, outcome, seconds, budget = TOP_OF_BOUNDS[case]
+    held = (build_symk(2, 9), "a1")
+    h1_dim_bruteforce(*held)
+    builds.clear()
+    refused = isinstance(outcome, type)
+    gc.collect()
     start = time.perf_counter()
-    for n, k, twist, where in BRUTEFORCE_GRID:
-        module = build_symk(n, k, twist)
-        assert h1_dim_bruteforce(module, where) == (
-            reference.h1_dim_bruteforce(module, where)
-        ), (n, k, twist, where)
-    assert len(BRUTEFORCE_GRID) == len(builds) == 143
-    assert len(connection._STABLE_CACHE) == 1
-    assert time.perf_counter() - start < GRID_BUDGET_S
-
-
-# The two largest brute-force builds of the cohomology benchmark, from
-# an empty dims table.  Budget: about five times the 0.05-0.08 s they
-# take together on a 2-vCPU VM.
-ENGINE_BUDGET_S = 0.4
-
-
-def test_largest_builds_return_within_budget(builds):
-    start = time.perf_counter()
-    gm_cokernel_basis(36, HALF)
-    assert h1_dim_bruteforce(build_symk(2, 40), "a1") == (
-        h1_dims(2, 40).all, 258
-    )
-    assert time.perf_counter() - start < ENGINE_BUDGET_S
-    assert builds == [(build_symk(2, 36, HALF), "gm"), (build_symk(2, 40), "a1")]
+    if budget:
+        tracemalloc.start()
+    try:
+        if refused:
+            with pytest.raises(outcome, match="cap"):
+                call()
+        else:
+            assert call() == outcome
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < seconds
+    assert budget is None or peak < budget, peak
+    if refused:
+        assert builds == []
+    if not builds:
+        assert list(connection._STABLE_CACHE) == [held]
 
 
 def test_reduce_refuses_another_order_before_building(builds):
     # No basis lives in an order-3 module: the refusal comes before its
-    # image is built, so the image held before it stays held.  So do
-    # the brute force's own refusals, of a twisted module over the
-    # affine line and of a k whose row bound is above MAX_ROWS; the k
-    # below it is under the cap, from the bound alone.
+    # image is built, so the image held before it stays held.  So does
+    # the brute force's refusal of a twisted module over the affine line
+    # (its refusals of a k whose row bound is above MAX_ROWS are in
+    # ``TOP_OF_BOUNDS``).
     held = build_symk(2, 9)
     h1_dim_bruteforce(held, "a1")
     with pytest.raises(DomainError, match="order-2"):
         reduce_to_basis(omega_class(1), h1_a1_basis(9), build_symk(3, 9))
     with pytest.raises(DomainError, match="untwisted"):
         h1_dim_bruteforce(build_symk(2, 9, HALF), "a1")
-    for where, k in (("a1", 287), ("gm", 498)):
-        assert connection.certificate_rows(k, k - 1, where) <= connection.MAX_ROWS
-        with pytest.raises(SizeLimitError, match="cap"):
-            h1_dim_bruteforce(build_symk(2, k), where)
     assert builds == [(held, "a1")]
     assert list(connection._STABLE_CACHE) == [(held, "a1")]
 
 
-# Closed forms against the brute force over random (n, k).  Budget: an
-# uncached draw takes at most about 0.1 s on a 2-vCPU VM (n = 2 at
-# k = 40 in gm or a1, n = 4 at k = 7), so each draw must finish in 5 s.
-DRAW_BUDGET_S = 5.0
-
-symmetric_powers = st.one_of(
-    st.tuples(st.just(2), st.integers(1, 40)),
-    st.tuples(st.just(3), st.integers(1, 10)),
-    st.tuples(st.just(4), st.integers(1, 7)),
-)
-
-
-@given(symmetric_powers)
-@settings(max_examples=25, deadline=None)
-def test_closed_form_dims_match_bruteforce(power):
-    n, k = power
-    start = time.perf_counter()
-    dim, _ = h1_dim_bruteforce(build_symk(n, k), "a1")
-    assert dim == h1_dims(n, k).all
-    assert time.perf_counter() - start < DRAW_BUDGET_S
-
-
-@given(st.integers(1, 40), st.sampled_from((Fraction(0), HALF)))
-@settings(max_examples=20, deadline=None)
-def test_gm_dimension_formula_matches_bruteforce(k, twist):
-    kp = (k - 1) // 2
-    expected = 3 * (kp + 1) if k % 2 else k + kp + 1
-    start = time.perf_counter()
-    dim, _ = h1_dim_bruteforce(build_symk(2, k, twist), "gm")
-    assert dim == expected
-    assert time.perf_counter() - start < DRAW_BUDGET_S
 
 
 def test_gm_basis_shapes():
@@ -1321,10 +1326,11 @@ def test_reduce_rejects_dependent_basis():
         twist=Fraction(0),
         classes=(omega_class(1), omega_class(1)),
     )
-    with pytest.raises(InconsistencyError, match="span"):
-        reduce_to_basis(omega_class(2), degenerate, m)
-    with pytest.raises(InconsistencyError, match="dependent"):
-        reduce_to_basis(omega_class(1), degenerate, m)
+    # The class solver refuses its classes as soon as it is built, so
+    # any element, in their span or not, meets the refusal.
+    for element in (omega_class(2), omega_class(1)):
+        with pytest.raises(InconsistencyError, match="dependent"):
+            reduce_to_basis(element, degenerate, m)
 
 
 def test_reduce_builds_each_class_form_once(monkeypatch):
@@ -1382,32 +1388,3 @@ def test_reduce_refuses_a_module_of_another_power(space, k, other):
 def test_module_element_str_sorts_its_labels():
     assert str(ModuleElement((("u1", ONE), ("u0", Z)))) == "z*u0 + u1"
     assert str(ModuleElement()) == "0"
-
-
-# Orders 3 and 4 against the closed form over both lines: H^1 over the
-# punctured line has rank more classes than over the affine line, the
-# exact sequence ``test_exact_sequence_of_dimensions`` checks at order 2.
-# Each certifies at twice its first truncation, but for order-4 Sym^7
-# over the punctured line, which the weight order certifies a doubling
-# later, at 44, than the degree reference does: a wasted doubling, kept,
-# that runs the row check before a third truncation on a real module.
-# Budget: the 34 builds take about 0.07 s on a 2-vCPU VM, and have 3 s.
-GENERAL_ORDER_GRID = (
-    [(3, k) for k in range(1, 11)] + [(4, k) for k in range(1, 8)]
-)
-
-
-def test_general_order_bruteforce_matches_closed_form(builds):
-    start = time.perf_counter()
-    for n, k in GENERAL_ORDER_GRID:
-        module = build_symk(n, k)
-        closed = h1_dims(n, k).all
-        a1, gm = (connection._first_truncation(k, w) for w in ("a1", "gm"))
-        doublings = 2 if (n, k) == (4, 7) else 1
-        assert h1_dim_bruteforce(module, "a1") == (closed, 2 * a1), (n, k)
-        assert h1_dim_bruteforce(module, "gm") == (
-            closed + module.rank, gm << doublings
-        ), (n, k)
-    assert time.perf_counter() - start < 3.0
-    assert len(builds) == 2 * len(GENERAL_ORDER_GRID)
-

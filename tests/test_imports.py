@@ -10,7 +10,10 @@ non-dunder method of a public class, that nothing names outside its own
 definition, in the package, the benchmark or the acceptance tests.  A
 private module-level function, class or constant must be named in the
 package or the benchmark: a helper that only a test still calls is dead
-code.
+code.  The test files get the same scan, with one another as callers:
+a module-level helper or constant of a test file, public or private,
+that no test file names is left over, but for the test functions and
+fixtures that pytest finds by name.
 
 Every backticked ``module.NAME`` in the README or a package docstring
 must name an attribute of that package module, so the docs name no
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import functools
 import importlib
 import io
 import json
@@ -53,6 +57,8 @@ PACKAGE = ROOT / "src" / "airymoments"
 LIBRARY = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 #: Where a public name must be reached from.
 CALLERS = LIBRARY + [ROOT / "tests" / "test_acceptance.py"]
+#: Where a test helper is defined and must be reached from.
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -121,6 +127,15 @@ def _defined(node) -> set[str]:
     return {target.id for target in targets if isinstance(target, ast.Name)}
 
 
+@functools.cache
+def _statements(source: str) -> tuple[tuple[set[str], set[str]], ...]:
+    """(names read, names defined) of each module-level statement of
+    ``source``, parsed once however many scans read it."""
+    return tuple(
+        (_names(node), _defined(node)) for node in ast.parse(source).body
+    )
+
+
 def unreached_names(
     defining: str, callers: dict[str, str], private: bool = False
 ) -> list[str]:
@@ -131,18 +146,15 @@ def unreached_names(
     neither."""
     reached = set()
     for name, source in callers.items():
-        for node in ast.parse(source).body:
-            found = _names(node)
-            if name == defining:
-                found -= _defined(node)
-            reached |= found
+        for found, defined in _statements(source):
+            reached |= found - defined if name == defining else found
     return sorted(
-        defined
-        for node in ast.parse(callers[defining]).body
-        for defined in _defined(node)
-        if defined.startswith("_") == private
-        and not defined.startswith("__")
-        and defined not in reached
+        name
+        for _, defined in _statements(callers[defining])
+        for name in defined
+        if name.startswith("_") == private
+        and not name.startswith("__")
+        and name not in reached
     )
 
 
@@ -196,6 +208,45 @@ def test_every_private_name_is_reached(path):
         str(caller): caller.read_text(encoding="utf-8") for caller in LIBRARY
     }
     assert unreached_names(str(path), callers, private=True) == []
+
+
+def unreached_test_helpers(defining: str, callers: dict[str, str]) -> list[str]:
+    """Module-level functions, classes and constants of the test file
+    ``defining``, public or private, that no caller names outside their
+    own definition; test functions and fixtures are left out."""
+    fixtures = {
+        node.name
+        for node in ast.parse(callers[defining]).body
+        if isinstance(node, ast.FunctionDef)
+        and any("fixture" in _names(d) for d in node.decorator_list)
+    }
+    return sorted(
+        name
+        for private in (False, True)
+        for name in unreached_names(defining, callers, private)
+        if not name.startswith("test_") and name not in fixtures
+    )
+
+
+def test_scan_reports_unreached_test_helpers():
+    callers = {
+        "test_lib": "import pytest\n\n"
+        "BUDGET = 1\nSPARE = 2\n_LEFT = 3\n\n"
+        "def _helper():\n    return BUDGET\n\n"
+        "def _orphan():\n    pass\n\n"
+        "@pytest.fixture\ndef cache():\n    return {}\n\n"
+        "def test_uses(cache):\n    assert _helper()\n",
+        "test_other": "from test_lib import _LEFT\n",
+    }
+    assert unreached_test_helpers("test_lib", callers) == ["SPARE", "_orphan"]
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda path: path.name)
+def test_every_test_helper_is_reached(path):
+    callers = {
+        str(caller): caller.read_text(encoding="utf-8") for caller in TESTS
+    }
+    assert unreached_test_helpers(str(path), callers) == []
 
 
 def dotted_doc_names(text: str, modules: set[str]) -> list[tuple[str, str]]:
