@@ -1023,15 +1023,34 @@ def test_exact_sequence_of_dimensions(grid):
     )) == []
 
 
-def test_gm_dimension_formula_matches_bruteforce(grid):
-    # At order 2 over G_m: 3(k' + 1) for odd k and k + k' + 1 for even k,
-    # k' = (k - 1) // 2, at both twists.
-    def holds(n, k, twist, where, built):
-        kp = (k - 1) // 2
-        count = 3 * (kp + 1) if k % 2 else k + kp + 1
-        return (n, where) != (2, "gm") or built.dim == count
+def _gm_count(k: int) -> int:
+    """dim H^1 over G_m of Sym^k of the Airy connection: 3(k' + 1) for
+    odd k and k + k' + 1 for even k, k' = (k - 1) // 2."""
+    kp = (k - 1) // 2
+    return 3 * (kp + 1) if k % 2 else k + kp + 1
 
-    assert _failing(grid, holds) == []
+
+def test_bruteforce_gm_matches_closed_count(grid):
+    assert _failing(grid, lambda n, k, twist, where, built: (
+        (n, twist, where) != (2, 0, "gm") or built.dim == _gm_count(k)
+    )) == []
+
+
+def test_gm_dimension_formula_matches_bruteforce(grid):
+    # The same count holds for the half twist.
+    assert _failing(grid, lambda n, k, twist, where, built: (
+        (n, twist, where) != (2, HALF, "gm") or built.dim == _gm_count(k)
+    )) == []
+
+
+def test_bruteforce_twist_invariance(grid):
+    # Each order-2 module has the same dimension over G_m at both twists.
+    plain = {k: built.dim for (n, k, twist, where), built in
+             grid.records.items() if (n, twist, where) == (2, 0, "gm")}
+    assert _failing(grid, lambda n, k, twist, where, built: (
+        (n, twist, where) != (2, HALF, "gm") or built.dim == plain[k]
+    )) == []
+    assert len(plain) == 40
 
 
 def test_bruteforce_reports_truncation_degree(grid):
