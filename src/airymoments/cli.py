@@ -18,13 +18,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .asymptotics import gamma, mid_basis
-from .connection import (
-    MAX_ROWS,
-    SPACES,
-    certificate_rows,
-    gm_cokernel_basis,
-    h1_a1_basis,
-)
+from .connection import SPACES, gm_cokernel_basis, h1_a1_basis
 from .errors import (
     DomainError,
     InconsistencyError,
@@ -33,7 +27,8 @@ from .errors import (
 )
 from .exact import Polynomial, format_rational
 from .hodge import format_thirds, hodge_numbers, tilde_mid_hodge, verify
-from .moments import cyclotomic, formal_decomposition, h1_dims, s_nk_visits
+from .moments import cyclotomic, exponent_bound, formal_decomposition
+from .moments import h1_dims, s_nk_visits
 
 USAGE_EXIT = 64
 CACHE_ENV = "AIRYMOMENTS_CACHE_DIR"
@@ -150,14 +145,14 @@ class Command(NamedTuple):
     """One entry of ``COMMANDS``.  The handler maps a RunConfig to
     (exit code, document), the finished text of its format.  It looks
     library functions up in this module when called, so tests can
-    replace them.  ``limits``, if set, maps a RunConfig to (the cost of
-    one k, the cap on one k's cost, the cap on a range's summed cost):
-    ``run`` refuses a config past either cap before the handler runs."""
+    replace them.  ``limits`` maps a RunConfig to (the cost of one k,
+    the cap on one k's cost, the cap on a range's summed cost): ``run``
+    refuses a config past either cap before the handler runs."""
 
     help: str
     options: tuple[str, ...]
     handler: Callable[[RunConfig], tuple[int, str]]
-    limits: Callable[[RunConfig], tuple[Callable[[int], int], int, int]] | None
+    limits: Callable[[RunConfig], tuple[Callable[[int], int], int, int]]
 
 
 def _each_k(headers, one_k):
@@ -361,6 +356,12 @@ def _linear(k: int) -> int:
     return k
 
 
+def _decomp_cost(n: int, k: int) -> int:
+    """One ``decomp`` k: visits, and four per exponent and coefficient."""
+    visits, exponents = exponent_bound(n, k)
+    return visits + 4 * (cyclotomic(n).degree + 1) * exponents
+
+
 # Each range cap is set so that the widest range it accepts takes about
 # 2 s (2-vCPU VM); the times beside each are from there.
 COMMANDS = {
@@ -393,18 +394,12 @@ COMMANDS = {
             # Uncapped, --k 2..10000 had not returned after 150 s.
             "a1": (_linear, MAX_K, 180_300),
             "mid": (_linear, MAX_MID_K, 180_300),
-            # Each k costs a brute-force build, bounded by the rows its
-            # certificate holds, which the library caps at MAX_ROWS: k =
-            # 497 alone takes about 0.1 s and 19 MB one-shot.  Rows
-            # summed: --k 2..140 (1.96M rows) took 1.7 to 1.8 s and 36 MB
-            # when this cap was set, where 2..160 (2.90M) took 2.5 s; it
-            # takes 1.5 to 1.6 s and 20 MB one-shot now, with no planned
-            # image row held.
-            "gm": (
-                lambda k: certificate_rows(k + 1, k, "gm"),
-                MAX_ROWS,
-                2_000_000,
-            ),
+            # An odd k takes about 40 us * k, an even k, which inserts
+            # kernel rows, 4 us * k^2: --k 2..140, 2..144 --parity even
+            # and 1..417 --parity odd take 1.5 to 2.8 s.  A k the library
+            # accepts costs at most 512^2, so it refuses one k itself, up
+            # to the even k = 726 whose cost alone passes the cap.
+            "gm": (lambda k: 12 * k if k % 2 else k * k, 527_000, 527_000),
         }[config.space],
     ),
     "gamma": Command(
@@ -445,9 +440,13 @@ COMMANDS = {
         "formal exponents at infinity",
         ("--n",),
         _each_k(("n", "k", "exponent", "multiplicity"), _decomp),
-        # Its time follows its output, not the compositions it visits,
-        # which the enumeration cap of the moments module bounds.
-        limits=None,
+        # Its time follows its output more than its visits, so both
+        # count (see _decomp_cost): --n 4 --k 188, --n 5 --k 36, --n 7
+        # --k 15 and --n 2 --k 2..665 take 1.9 to 2.3 s, --n 3 --k 370
+        # and --n 8 --k 17 1.0 to 1.4 s; --n 8 --k 29 took 25.5 s.
+        limits=lambda config: (
+            lambda k: _decomp_cost(config.n, k), 2_000_000, 2_000_000
+        ),
     ),
     "verify": Command(
         "internal consistency checks",
@@ -581,19 +580,18 @@ def run(config: RunConfig) -> tuple[int, str]:
         raise SizeLimitError(f"k = {top} is above the cap {MAX_K}")
     if config.series_terms < 1:
         raise DomainError("series terms must be positive")
-    if command.limits is not None:
-        cost, one_k_cap, range_cap = command.limits(config)
-        costs = [cost(k) for k in config.k_values]
-        if max(costs) > one_k_cap:
-            raise SizeLimitError(
-                f"a {config.command} k costs {max(costs)}, above the cap "
-                f"{one_k_cap} on one k"
-            )
-        if sum(costs) > range_cap:
-            raise SizeLimitError(
-                f"the k of this {config.command} range cost {sum(costs)}, "
-                f"above the cap {range_cap} on a range"
-            )
+    cost, one_k_cap, range_cap = command.limits(config)
+    costs = [cost(k) for k in config.k_values]
+    if max(costs) > one_k_cap:
+        raise SizeLimitError(
+            f"a {config.command} k costs {max(costs)}, above the cap "
+            f"{one_k_cap} on one k"
+        )
+    if sum(costs) > range_cap:
+        raise SizeLimitError(
+            f"the k of this {config.command} range cost {sum(costs)}, "
+            f"above the cap {range_cap} on a range"
+        )
     cache_path = _cache_path(config)
     if cache_path and os.path.exists(cache_path):
         with open(cache_path, "r", encoding="utf-8") as handle:

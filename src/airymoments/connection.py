@@ -6,8 +6,8 @@ independent ways:
   with a stabilisation certificate (truncation degree is doubled until
   the computed dimension repeats, and every truncated row must land a
   new pivot, witnessing that the derivation has no kernel), which
-  refuses, before building it, a truncation whose row bound is above
-  ``MAX_ROWS``;
+  refuses, before any row of it, a truncation whose kernel rows times
+  generators, counted from its layer plans, pass ``MAX_WORK``;
 * closed form: explicit cohomology bases whose size and independence are
   checked against the brute-force answer.
 
@@ -56,14 +56,16 @@ from .exact import Polynomial, compositions
 
 HALF = Fraction(1, 2)
 
-#: Refuse to build symmetric powers with more generators than this.
-SIZE_CAP = 100_000
+#: Refuse to build symmetric powers with more generators than this.  It
+#: bounds the layer plans: at the largest size of each order 2 to 8 they
+#: take 0.03 to 1.2 s, at order-3 Sym^72, 2,701, 0.5 to 1.2 s, and at
+#: order-3 Sym^73, 2,775, 1.4 s (2-vCPU VM).
+SIZE_CAP = 2_701
 
-#: Refuse a brute-force truncation whose row bound, ``certificate_rows``,
-#: is above this.  Kernel-row builds set its cost: A^1 at k = 286 (bound
-#: 497,945) and G_m at k = 496 take 0.9-1.4 s and 55 MB, and G_m at
-#: k = 497, which inserts no row, about 0.01 s and 16 MB (2-vCPU VM).
-MAX_ROWS = 500_000
+#: Refuse a brute-force truncation whose kernel rows times generators,
+#: counted from the plans, pass this: about 2 us each at order 2 (A^1
+#: k = 266 and G_m k = 512 take 1 s), up to 13 us at order 3 (2-vCPU VM).
+MAX_WORK = 400_000
 
 #: The cohomology spaces a basis can live in; see ``CohomologyBasis``.
 SPACES = ("a1", "gm", "mid")
@@ -276,21 +278,33 @@ def _primitive(row: dict[int, int], lead: int) -> dict[int, int]:
 
 @dataclass
 class _Plans:
-    """A build's layer plans, as a table of planned leads.
+    """A build's layer plans: a table of planned leads, and kernel steps.
 
     A step moved m strides is led at its lead minus m strides.  No two
     planned leads agree mod the stride, n * gens, as a residue names a
     generator and a weight mod n, and a layer's leads share one weight.
     So ``table`` maps a lead's residue to (lead, step, first, start),
     the least m whose source exists and the weight the layer was planned
-    at.  This truncation's sources weigh at most ``top``."""
+    at.  ``layers`` holds per residue mod n (start, kernel steps as
+    (least m, step) by increasing m).  Sources weigh at most ``top``."""
 
     table: dict[int, tuple[int, PlanStep, int, int]]
     n: int
     stride: int
     scale: int
     twist: int
+    layers: list[tuple[int, list[tuple[int, PlanStep]]]]
     top: int = -1
+
+    def kernel_rows(self, degree: int) -> int:
+        """The rows truncation ``degree`` inserts: one per kernel step
+        and stride, from its least m up to the truncation's top weight."""
+        n, top = self.n, self.n * degree
+        return sum(
+            max(0, (top - start) // n - least + 1)
+            for start, kernel in self.layers
+            for least, _ in kernel
+        )
 
     def row(self, at: int, any_truncation: bool = False) -> dict[int, int] | None:
         """The planned row of this truncation, or of any, led at ``at``,
@@ -536,24 +550,13 @@ def _first_truncation(k: int, where: str) -> int:
     return k + 4 if where == "gm" else 3 * (k + 1) + 6
 
 
-def certificate_rows(rank: int, k: int, where: str, doublings: int = 1) -> int:
-    """Bound on the rows the certificate for Sym^k over ``where``
-    holds, for a module of ``rank`` generators, at its truncation
-    ``doublings`` doublings past the first: rank * (D + 1) at degree D,
-    one per source z^d * g_j with d <= D, of which truncation D keeps
-    those of weight at most n * D.  The certificate compares at least
-    two truncations, so by default this is the least it can hold."""
-    return rank * ((_first_truncation(k, where) << doublings) + 1)
-
-
-def _check_rows(rank: int, k: int, where: str) -> None:
-    """Refuse a certificate whose first two truncations' row bound is
-    above ``MAX_ROWS``, before anything of it is built."""
-    rows = certificate_rows(rank, k, where)
-    if rows > MAX_ROWS:
-        raise SizeLimitError(
-            f"certifying k = {k} holds up to {rows} rows, "
-            f"above the cap {MAX_ROWS}"
+def _check_work(plans: _Plans, degree: int, error: type, what: str) -> None:
+    """Refuse truncation ``degree`` past ``MAX_WORK``, with ``error``."""
+    rows, gens = plans.kernel_rows(degree), plans.stride // plans.n
+    if rows * gens > MAX_WORK:
+        raise error(
+            f"{what}: truncation degree {degree} inserts {rows} kernel "
+            f"rows of {gens} generators, above the cap {MAX_WORK}"
         )
 
 
@@ -566,7 +569,8 @@ def _stable_image(module: ConnectionModule, where: str) -> _StableImage:
     one before the build, so its rows and the new build's never
     coexist; asking again for a dropped one rebuilds it with the same
     engine and so the same rows.  Building records the image's
-    (dimension, degree) in ``_CERTIFIED``.
+    (dimension, degree) in ``_CERTIFIED``.  The plans come first: a
+    second truncation past ``MAX_WORK`` leaves the held image held.
     """
     # Keyed on the whole module: two modules with equal (n, k) but
     # different columns must not share an echelon, nor two with
@@ -577,9 +581,11 @@ def _stable_image(module: ConnectionModule, where: str) -> _StableImage:
         # Refuse before dropping the held image, not after.
         if where == "a1" and module.twist:
             raise DomainError("affine-line cohomology requires an untwisted module")
-        _check_rows(module.rank, module.k, where)
+        plans = _plan(module, where)
+        second = 2 * _first_truncation(module.k, where)
+        _check_work(plans, second, SizeLimitError, f"certifying k = {module.k}")
         _STABLE_CACHE.clear()
-        state = _build_stable_image(module, where)
+        state = _build_stable_image(module, where, plans)
         _STABLE_CACHE[key] = state
         _CERTIFIED[repr(module), where] = state.dim, state.degree
     return state
@@ -635,17 +641,41 @@ def _layer_plan(
     return kernel
 
 
-def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
-    """The stabilised image, uncached.
-
-    Truncation degree D takes the sources z^d * g_j of weight at most
-    n * D, in increasing weight, and the window is the weighted degree
-    D // 2.  Each residue layer of weights mod n is planned once, at its
+def _plan(module: ConnectionModule, where: str) -> _Plans:
+    """The layer plans of the image over ``where``.  Truncation degree D
+    takes the sources z^d * g_j of weight at most n * D, in increasing
+    weight.  Each residue layer of weights mod n is planned once, at its
     largest w_j, where every generator of the layer first has a source
     (``_layer_plan``).  At weight start + m * n the sources are a prefix
-    of the layer, and each row is its step moved m strides.
+    of the layer, and each row is its step moved m strides."""
+    n, weights = module.n, module.weights
+    columns = _image_columns(module, where)
+    homogeneous = all(
+        column
+        and all(n * m + weights[i] == weights[j] + 1 for m, i, _ in column)
+        for j, column in enumerate(module.partial)
+    )
+    scale, twist = module.twist.denominator, module.twist.numerator
+    plans = _Plans({}, n, n * module.rank, scale, twist, [])
+    # The sources of weight W are the z^d * g_j with w_j = W - n * d,
+    # w_j in W's residue class mod n, listed by increasing w_j.
+    for r in range(n):
+        layer = sorted((w, j) for j, w in enumerate(weights) if w % n == r)
+        start = layer[-1][0] if layer else r
+        sources = [((start - w) // n, j) for w, j in layer]
+        plans.layers.append(
+            (start, _layer_plan(columns, sources, start, plans, homogeneous))
+        )
+    return plans
 
-    When every column is homogeneous, such a row's top lead has no
+
+def _build_stable_image(
+    module: ConnectionModule, where: str, plans: _Plans
+) -> _StableImage:
+    """The stabilised image from its ``plans``, uncached; the window is
+    the weighted degree D // 2 of the last truncation D.
+
+    When every column is homogeneous, a planned row's top lead has no
     pivot, as only this batch's rows are led at the top weight, and it
     differs from the source's own row by rows led below that lead: it is
     the row insertion would store.  The echelon finds it from its lead
@@ -660,40 +690,18 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
     where the planned rows come from sources below W, whose leads its
     reduction eliminates.  ``insert`` still checks each lead it stores.
 
-    The request is checked by ``_stable_image``: an affine-line image
-    needs an untwisted module, and the first two truncations must be
-    under ``MAX_ROWS``.  Each further doubling is checked here, before
-    any of its rows is built.
+    ``_stable_image`` checks the request and the first two truncations;
+    each further doubling is checked here, before any of its rows.
     """
     n, gens, weights = module.n, module.rank, module.weights
-    columns = _image_columns(module, where)
-    stride = n * gens
-    homogeneous = all(
-        column
-        and all(n * m + weights[i] == weights[j] + 1 for m, i, _ in column)
-        for j, column in enumerate(module.partial)
-    )
-    # The sources of weight W are the z^d * g_j with w_j = W - n * d,
-    # w_j in W's residue class mod n, listed by increasing w_j; each
-    # layer's plan is made at its largest w_j.
-    plans = _Plans({}, n, stride, module.twist.denominator, module.twist.numerator)
-    layers = []
-    for r in range(n):
-        layer = sorted((w, j) for j, w in enumerate(weights) if w % n == r)
-        start = layer[-1][0] if layer else r
-        sources = [((start - w) // n, j) for w, j in layer]
-        layers.append(
-            (start, _layer_plan(columns, sources, start, plans, homogeneous))
-        )
     echelon = _Echelon(plans)
     insert = echelon.insert
-    processed, previous, doublings = -1, None, 0
-    first = _first_truncation(module.k, where)
+    processed, previous = -1, None
+    degree = _first_truncation(module.k, where)
     while True:
-        degree = first << doublings
         plans.top = n * degree
         for weight in range(processed + 1, n * degree + 1):
-            start, kernel = layers[weight % n]
+            start, kernel = plans.layers[weight % n]
             m = (weight - start) // n
             for least, step in kernel:
                 if m < least:
@@ -713,14 +721,11 @@ def _build_stable_image(module: ConnectionModule, where: str) -> _StableImage:
         dim = monomials - echelon.pivots_at_or_above(threshold)
         if previous == dim:
             return _StableImage(gens, window, degree, dim, echelon)
+        if previous is not None:
+            what = f"dimension did not stabilise by truncation degree {degree}"
+            _check_work(plans, 2 * degree, StabilityError, what)
         previous = dim
-        doublings += 1
-        held = certificate_rows(gens, module.k, where, doublings)
-        if held > MAX_ROWS:
-            raise StabilityError(
-                f"dimension did not stabilise by truncation degree {degree}: "
-                f"the next holds up to {held} rows, above the cap {MAX_ROWS}"
-            )
+        degree *= 2
 
 
 def h1_dim_bruteforce(module: ConnectionModule, where: str) -> tuple[int, int]:
@@ -733,19 +738,17 @@ def h1_dim_bruteforce(module: ConnectionModule, where: str) -> tuple[int, int]:
     d + w_i / n <= D, and the dimension is read off the window of
     weighted degree D // 2.  D starts at ``_first_truncation``, k + 4
     over the punctured line and 3(k+1) + 6 over the affine line, and
-    doubles until the dimension repeats.  No truncation whose bound
-    ``certificate_rows`` is above ``MAX_ROWS`` is built: a module whose
-    second truncation passes it is refused with SizeLimitError before
-    any row, and a further doubling that would pass it raises
-    StabilityError instead of being built.  The affine-line case is the
-    cokernel of d/dz and requires an untwisted module; the
+    doubles until the dimension repeats.  No truncation whose kernel
+    rows, counted from the layer plans, times the generators pass
+    ``MAX_WORK`` is built: past it a second truncation raises
+    SizeLimitError, and a further one StabilityError.  The affine-line
+    case is the cokernel of d/dz and requires an untwisted module; the
     punctured-line case is the cokernel of z d/dz + twist.  A module
     certified before is answered from ``_CERTIFIED``, with no image
     built.
     """
     if where not in ("a1", "gm"):
         raise DomainError(f"unknown cohomology space {where!r}")
-    _check_rows(module.rank, module.k, where)  # before the key's repr
     key = repr(module), where
     if key not in _CERTIFIED:
         _stable_image(module, where)
@@ -815,9 +818,6 @@ def gm_cokernel_basis(k: int, twist: Fraction | int = 0) -> CohomologyBasis:
     followed by u0..uk.  Their count and linear independence are
     verified against the brute-force cohomology before returning.
     """
-    if k < 1:
-        raise DomainError("symmetric power must be at least 1")
-    _check_rows(k + 1, k, "gm")  # refuse before building the module
     module = build_symk(2, k, twist)
     classes = [monomial_element("u0", p) for p in range(omega_count(k), 0, -1)]
     classes += [monomial_element(f"u{j}") for j in range(k + 1)]

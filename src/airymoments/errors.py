@@ -17,8 +17,8 @@ class SizeLimitError(DomainError):
 
 
 class StabilityError(RuntimeError):
-    """A truncated computation failed to stabilise within the fixed row cap,
-    or was asked about degrees above its stabilised window."""
+    """A truncated computation failed to stabilise within the fixed work
+    cap, or was asked about degrees above its stabilised window."""
 
 
 class InconsistencyError(RuntimeError):

@@ -196,12 +196,7 @@ def formal_decomposition(n: int, k: int) -> ExponentMultiset:
     reduced mod the n-th cyclotomic polynomial; the zero exponents are
     the regular part, of rank s_nk, which is counted a second way.
     """
-    if n < 2:
-        raise DomainError("connection order must be at least 2")
-    if k < 0:
-        raise DomainError("symmetric power must be nonnegative")
-    _check_order(n)
-    _check_visits(math.comb(n - 1 + k, k))
+    _check_visits(exponent_bound(n, k)[0])
     tally: dict[tuple[int, ...], int] = {}
     regular = 0
     for acc in _weighted_sums(*_power_residues(n), k):
@@ -223,6 +218,31 @@ def formal_decomposition(n: int, k: int) -> ExponentMultiset:
         )
     )
     return ExponentMultiset(n=n, k=k, regular_rank=regular, entries=entries)
+
+
+def exponent_bound(n: int, k: int) -> tuple[int, int]:
+    """(compositions visited, a bound on the exponents listed) of
+    ``formal_decomposition(n, k)``, which raises its refusals but the
+    cap on visits.
+
+    Each exponent listed is a distinct nonzero vector y = sum(a[i] *
+    r_i) in Z^phi, r_i the residue of x^i, so there is at most one per
+    composition; and |y|_1 <= k * max |r_i|_1 = R, so there are at most
+    the sum over j of 2^j binom(phi, j) binom(R, j) lattice points of
+    that ball.  At prime n the first bound is exact, less the regular
+    sum when n divides k."""
+    if n < 2:
+        raise DomainError("connection order must be at least 2")
+    if k < 0:
+        raise DomainError("symmetric power must be nonnegative")
+    _check_order(n)
+    rows, phi = _power_residues(n)
+    radius = k * max(sum(abs(c) for _, c in row) for row in rows)
+    ball = sum(
+        2**j * math.comb(phi, j) * math.comb(radius, j) for j in range(phi + 1)
+    )
+    visits = math.comb(n - 1 + k, k)
+    return visits, min(visits, ball)
 
 
 def _check_epsilon(epsilon: int) -> None:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from airymoments.errors import DomainError, InconsistencyError, SizeLimitError
 from airymoments.cli import main, parse_k_range
 from airymoments.hodge import hodge_numbers, tilde_mid_hodge
-from airymoments import cli, connection, moments
+from airymoments import cli, moments
 
 
 def run_cli(capsys, *argv):
@@ -394,13 +394,12 @@ def test_work_beyond_the_fixed_bounds_is_refused_fast(capsys, argv):
 
 
 TOP = str(cli.MAX_K)
-#: The largest ``basis --space gm`` k whose certificate's row bound is
-#: under the cap, and the first refused.
-GM_TOP = max(
-    k for k in range(1, cli.MAX_K + 1)
-    if connection.certificate_rows(k + 1, k, "gm") <= connection.MAX_ROWS
-)
-GM_REFUSED = str(GM_TOP + 1)
+#: The largest even ``basis --space gm`` k whose kernel rows times
+#: generators are under the library's work cap, and the first refused;
+#: the largest odd k, at the size cap, and the first refused.  Measured
+#: by building, at both twists.
+GM_TOP, GM_REFUSED = "512", "514"
+GM_ODD_TOP, GM_ODD_REFUSED = "2699", "2701"
 
 # Every per-k command at the largest accepted k, and the widest dims range
 # and the widest range under each k-sum cap, with a budget in seconds for
@@ -415,15 +414,24 @@ TOP_OF_BOUNDS_RETURNS = [
     (("dims", "--n", "8", "--k", "60"), 10),
     (("basis", "--k", TOP), 3),  # 0.2 s
     (("basis", "--space", "mid", "--k", str(cli.MAX_MID_K)), 6),  # 0.9 s
-    # 0.02-0.03 s and 19 MB: the row cap on one k, at k = 497
-    (("basis", "--space", "gm", "--k", str(GM_TOP)), 4),
-    # The gm bounds before the row cap, well inside it now
+    # 1.0-1.1 s and 60 MB: the library's work cap on one even k
+    (("basis", "--space", "gm", "--k", GM_TOP), 5),
+    (("basis", "--space", "gm", "--rho", "1/2", "--k", GM_TOP), 5),
+    # 0.23 s and 25 MB: the size cap on one odd k
+    (("basis", "--space", "gm", "--k", GM_ODD_TOP), 2),
+    # Odd k inserts no kernel row: 0.1 s
+    (("basis", "--space", "gm", "--k", "497"), 2),
+    # Earlier gm bounds, well inside the present ones
     (("basis", "--space", "gm", "--k", "120"), 2),  # 0.04 s
     (("basis", "--space", "gm", "--k", "2..72"), 3),  # 0.3 s
     (("gamma", "--k", TOP), 2),  # under 0.01 s
     (("hodge", "--k", TOP), 2),  # 0.03 s
     (("tilde", "--k", TOP), 2),  # 0.08 s
     (("decomp", "--k", TOP), 3),  # 0.25 s
+    # 1.9-2.3 s: the decomp cost cap at two orders and on a range
+    (("decomp", "--n", "4", "--k", "188"), 10),
+    (("decomp", "--n", "5", "--k", "36"), 10),
+    (("decomp", "--n", "2", "--k", "2..665"), 10),
     (("verify", "--k", TOP), 2),  # 0.1 s
     (("verify", "--k", "2..1000"), 10),  # 1.6-2.3 s: the k sum cap
     (("hodge", "--k", "2..1500"), 10),  # 1.2-2.4 s: the k sum cap
@@ -432,9 +440,10 @@ TOP_OF_BOUNDS_RETURNS = [
     # 1.8-2.6 s each: the gamma work cap at both ends of the length
     (("gamma", "--k", f"2..{TOP}", "--parity", "even"), 12),
     (("gamma", "--k", "2..4", "--parity", "even", "--series-terms", "400"), 10),
-    # 1,958,788 rows, the row-sum cap: 2.0-2.3 s, where holding every
-    # planned row took 2.5-3.2 s on the same VM
+    # 1.5-2.8 s each: the gm range cap, on every k, even k and odd k
     (("basis", "--space", "gm", "--k", "2..140"), 10),
+    (("basis", "--space", "gm", "--k", "2..144", "--parity", "even"), 10),
+    (("basis", "--space", "gm", "--k", "1..417", "--parity", "odd"), 10),
     (("dims", "--n", "8", "--k", "2..34"), 10),  # 1.2 s: the same cap
 ]
 
@@ -445,11 +454,17 @@ TOP_OF_BOUNDS_REFUSALS = [
     ("basis", "--space", "gm", "--k", "680"),
     ("basis", "--space", "gm", "--k", GM_REFUSED),
     ("basis", "--space", "gm", "--rho", "1/2", "--k", GM_REFUSED),
+    ("basis", "--space", "gm", "--k", GM_ODD_REFUSED),
+    ("basis", "--space", "gm", "--rho", "1/2", "--k", GM_ODD_REFUSED),
     ("basis", "--space", "mid", "--k", TOP),
     ("basis", "--space", "mid", "--k", "8400"),
     ("basis", "--space", "mid", "--k", str(cli.MAX_MID_K + 1)),
     ("basis", "--space", "mid", "--k", f"2..{TOP}"),
     ("decomp", "--n", "3", "--k", TOP),
+    ("decomp", "--n", "8", "--k", "29"),
+    ("decomp", "--n", "4", "--k", "189"),
+    ("decomp", "--n", "5", "--k", "37"),
+    ("decomp", "--n", "2", "--k", "2..666"),
     ("dims", "--n", "8", "--k", "400"),
     ("dims", "--n", "8", "--k", "61"),
     ("dims", "--n", "8", "--k", "80"),
@@ -469,6 +484,8 @@ TOP_OF_BOUNDS_REFUSALS = [
     ("gamma", "--k", "2..20", "--parity", "even", "--series-terms", "400"),
     ("gamma", "--k", f"2..{TOP}"),
     ("basis", "--space", "gm", "--k", "2..141"),
+    ("basis", "--space", "gm", "--k", "2..146", "--parity", "even"),
+    ("basis", "--space", "gm", "--k", "1..419", "--parity", "odd"),
     ("basis", "--space", "gm", "--k", "2..160"),
 ]
 
@@ -509,13 +526,13 @@ LIMITED = [
     cli.RunConfig("hodge", ()),
     cli.RunConfig("tilde", ()),
     cli.RunConfig("verify", ()),
+    cli.RunConfig("decomp", (), n=8),
+    cli.RunConfig("decomp", (), n=2),
 ]
 
 
 def test_limited_covers_every_command_with_limits():
-    assert {config.command for config in LIMITED} == {
-        name for name, command in cli.COMMANDS.items() if command.limits
-    }
+    assert {config.command for config in LIMITED} == set(cli.COMMANDS)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from math import comb
 
@@ -13,6 +14,7 @@ from airymoments.exact import Polynomial
 from airymoments.moments import (
     MAX_ORDER,
     cyclotomic,
+    exponent_bound,
     formal_decomposition,
     h1_dims,
     mk_invariants,
@@ -122,13 +124,41 @@ def test_s_nk_cap_enforced():
         formal_decomposition(8, 40)
 
 
-@pytest.mark.parametrize("fn", [s_nk, h1_dims, formal_decomposition])
+@pytest.mark.parametrize(
+    "fn", [s_nk, h1_dims, formal_decomposition, exponent_bound]
+)
 def test_order_is_capped_before_the_residue_table(fn):
     cyclotomic.cache_clear()
     with pytest.raises(SizeLimitError, match="order"):
         fn(MAX_ORDER + 1, 1)
     assert cyclotomic.cache_info().currsize == 0
     assert h1_dims(MAX_ORDER, 1).all >= 0
+
+
+# Every order up to 12 at each k up to 40 whose enumeration visits at
+# most 3,000 compositions.  Budget: the 168 decompositions take about
+# 0.3 s on a 2-vCPU VM, and have 5 s.
+def test_exponent_bound_bounds_the_exponents_listed():
+    start = time.perf_counter()
+    for n in range(2, 13):
+        k = 0
+        while k <= 40 and comb(n - 1 + k, k) <= 3000:
+            visits, bound = exponent_bound(n, k)
+            listed = len(formal_decomposition(n, k).entries)
+            assert visits == comb(n - 1 + k, k)
+            assert listed <= bound <= visits, (n, k)
+            if n in (2, 3, 5, 7, 11):
+                assert listed == bound - (k % n == 0)
+            k += 1
+    # The ball bound is the tighter one where most sums coincide: at
+    # n = 4 the 80,401 points of |y|_1 <= 200 in Z^2, of which 40,400
+    # are listed, against 1,373,701 visits.
+    assert exponent_bound(4, 200) == (1373701, 80401)
+    with pytest.raises(DomainError):
+        exponent_bound(1, 3)
+    with pytest.raises(DomainError):
+        exponent_bound(3, -1)
+    assert time.perf_counter() - start < 5
 
 
 def test_h1_dims_frozen_values():
