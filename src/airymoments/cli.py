@@ -25,7 +25,7 @@ from .errors import (
     SizeLimitError,
     StabilityError,
 )
-from .exact import Polynomial, format_rational
+from .exact import format_rational, format_terms
 from .hodge import format_thirds, hodge_numbers, tilde_mid_hodge, verify
 from .moments import cyclotomic, exponent_bound, formal_decomposition
 from .moments import h1_dims, s_nk_visits
@@ -271,7 +271,7 @@ def _decomp(config: RunConfig, k: int):
             [
                 str(config.n),
                 str(k),
-                Polynomial.from_coefficients(coeffs).format("x"),
+                format_terms(tuple(enumerate(coeffs)), "x"),
                 str(mult),
             ]
         )
@@ -363,7 +363,8 @@ def _decomp_cost(n: int, k: int) -> int:
 
 
 # Each range cap is set so that the widest range it accepts takes about
-# 2 s (2-vCPU VM); the times beside each are from there.
+# 2 s (2-vCPU VM); the times beside each are from there.  verify, tilde
+# and decomp have since become faster, so their caps leave headroom.
 COMMANDS = {
     "dims": Command(
         "closed-form cohomology dimensions (all and middle)",
@@ -432,8 +433,8 @@ COMMANDS = {
             ("k", "p", "q", "h"),
             lambda config, k: _table_payload(config, tilde_mid_hodge(k), k),
         ),
-        # The even k up to 1000: --k 4..1000 --parity even takes 1.3 to
-        # 1.9 s, where --k 4..10000 --parity even took 100 s and 1.6 GB.
+        # The even k up to 1000: --k 4..1000 --parity even takes 0.5 to
+        # 0.8 s, where --k 4..10000 --parity even took 100 s and 1.6 GB.
         limits=lambda config: (_linear, MAX_K, 250_500),
     ),
     "decomp": Command(
@@ -441,9 +442,10 @@ COMMANDS = {
         ("--n",),
         _each_k(("n", "k", "exponent", "multiplicity"), _decomp),
         # Its time follows its output more than its visits, so both
-        # count (see _decomp_cost): --n 4 --k 188, --n 5 --k 36, --n 7
-        # --k 15 and --n 2 --k 2..665 take 1.9 to 2.3 s, --n 3 --k 370
-        # and --n 8 --k 17 1.0 to 1.4 s; --n 8 --k 29 took 25.5 s.
+        # count (see _decomp_cost): --n 4 --k 188 takes 1.6 to 1.8 s,
+        # --n 2 --k 2..665 1.0 to 1.3 s, --n 5 --k 36, --n 7 --k 15 and
+        # --n 8 --k 17 0.6 to 1.1 s and --n 3 --k 370 0.5 to 0.8 s;
+        # --n 8 --k 29 took 25.5 s.
         limits=lambda config: (
             lambda k: _decomp_cost(config.n, k), 2_000_000, 2_000_000
         ),
@@ -452,8 +454,8 @@ COMMANDS = {
         "internal consistency checks",
         (),
         _verify,
-        # Σ 1..1000: --k 2..1000 takes 1.6 to 2.3 s, where --k 2..2000
-        # took 7.8 s and --k 2..10000 about 349 s.
+        # Σ 1..1000: --k 2..1000 takes 0.9 s, where --k 2..2000 took
+        # 7.8 s and --k 2..10000 about 349 s.
         limits=lambda config: (_linear, MAX_K, 500_500),
     ),
 }

@@ -18,7 +18,8 @@ from .errors import DomainError
 
 def format_rational(q: Fraction) -> str:
     """Serialise ``q`` as ``"num/den"``, or a bare integer when den == 1."""
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -67,11 +68,6 @@ class Polynomial:
     @classmethod
     def monomial(cls, degree: int, coeff=1) -> Polynomial:
         return cls(((degree, _coerce(coeff)),))
-
-    @classmethod
-    def from_coefficients(cls, dense) -> Polynomial:
-        """Build from a dense low-to-high coefficient list."""
-        return cls(tuple(enumerate(dense)))
 
     @property
     def degree(self) -> int:
@@ -151,22 +147,29 @@ class Polynomial:
     def format(self, variable: str) -> str:
         """Highest degree first, written in ``variable``:
         ``"5/6*x^2 - x + 1"``."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for d, c in reversed(self.terms):
-            if d == 0:
-                parts.append(format_rational(c))
+        return format_terms(self.terms, variable)
+
+
+def format_terms(terms, variable: str) -> str:
+    """The text of the polynomial with the (degree, coefficient) pairs
+    ``terms``, sorted by degree, highest degree first and written in
+    ``variable``: ``"5/6*x^2 - x + 1"``.  A zero coefficient is left
+    out, and no nonzero one gives ``"0"``."""
+    parts = []
+    for d, c in reversed(terms):
+        if not c:
+            continue
+        if d == 0:
+            parts.append(format_rational(c))
+        else:
+            var = variable if d == 1 else f"{variable}^{d}"
+            if c == 1:
+                parts.append(var)
+            elif c == -1:
+                parts.append(f"-{var}")
             else:
-                var = variable if d == 1 else f"{variable}^{d}"
-                if c == 1:
-                    parts.append(var)
-                elif c == -1:
-                    parts.append(f"-{var}")
-                else:
-                    parts.append(f"{format_rational(c)}*{var}")
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+                parts.append(f"{format_rational(c)}*{var}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .connection import omega_count, omega_thirds
 from .errors import DomainError
-from .moments import h1_dims, rho_preimage
+from .moments import h1_dims
 
 
 def format_thirds(t: int) -> str:
@@ -56,17 +56,17 @@ class HodgeTable:
         """Multiset of 3p, weighted by h."""
         counter: Counter = Counter()
         for p, _, h in self.thirds:
-            counter[p] += h
+            counter[p] = counter.get(p, 0) + h
         return counter
 
     def p_multiset(self) -> Counter:
         return _thirds_view(self.p_thirds())
 
     def is_symmetric(self) -> bool:
-        counter: Counter = Counter()
+        counter: dict[tuple[int, int], int] = {}
         for p, q, h in self.thirds:
-            counter[(p, q)] += h
-        return all(counter[(q, p)] == h for (p, q), h in counter.items())
+            counter[p, q] = counter.get((p, q), 0) + h
+        return all(counter.get((q, p), 0) == h for (p, q), h in counter.items())
 
 
 def hodge_numbers(k: int) -> tuple[HodgeTable, HodgeTable]:
@@ -152,13 +152,10 @@ def g_levels(k: int, which: str) -> GLevelMultiset:
     top = omega_count(k)
     counter: Counter = Counter()
     if which in ("Ai", "tilde"):
-        for i in range(1, top + 1):
-            counter[omega_thirds(k, i)] += 1
+        counter.update(omega_thirds(k, i) for i in range(1, top + 1))
     if which in ("L-twist", "tilde"):
-        for i in range(1, top + 1):
-            counter[_twist_thirds(k, i)] += 1
-        for j in range(k + 1):
-            counter[_residue_thirds(k, j)] += 1
+        counter.update(_twist_thirds(k, i) for i in range(1, top + 1))
+        counter.update(_residue_thirds(k, j) for j in range(k + 1))
     return GLevelMultiset(
         k=k, which=which, thirds=tuple(sorted(counter.items()))
     )
@@ -193,7 +190,11 @@ def tilde_mid_hodge(k: int) -> HodgeTable:
             elif epsilon and p == k // 2 + 1:
                 h = 1
             else:
-                h = rho_preimage(k, epsilon, p - 1)
+                # rho_preimage(k, epsilon, p - 1), counted inline: the
+                # totals 3p - 2 and 3p - 1 in [k + eps, 2k + eps].
+                h = (k + epsilon <= 3 * p - 2 <= 2 * k + epsilon) + (
+                    k + epsilon <= 3 * p - 1 <= 2 * k + epsilon
+                )
             if h:
                 level = 3 * p - epsilon
                 entries.append((level, 3 * (k + 1) - level, h))
@@ -285,8 +286,11 @@ def _counter_str(thirds: Counter) -> str:
 
 def _equal(check: str, expected, got, show=str) -> tuple:
     """The fields of a check that passes when ``expected == got``, each
-    side printed by ``show``."""
-    return check, expected == got, show(expected), show(got)
+    side printed by ``show``: once, shared by both, when they are equal."""
+    if expected == got:
+        text = show(expected)
+        return check, True, text, text
+    return check, False, show(expected), show(got)
 
 
 def _above(thirds: Counter, bound: int) -> Counter:

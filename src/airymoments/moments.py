@@ -210,9 +210,11 @@ def formal_decomposition(n: int, k: int) -> ExponentMultiset:
             "regular rank disagrees with the direct lattice count"
         )
     # The scale -n/(n+1) is negative: ordering the keys by their
-    # negation puts the scaled exponents in ascending order.
+    # negation puts the scaled exponents in ascending order.  Each
+    # distinct coefficient is scaled once.
+    scaled = {c: Fraction(-n * c, n + 1) for c in set().union(*tally)}
     entries = tuple(
-        (tuple(Fraction(-n * c, n + 1) for c in key), mult)
+        (tuple(map(scaled.__getitem__, key)), mult)
         for key, mult in sorted(
             tally.items(), key=lambda item: [-c for c in item[0]]
         )

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import time
@@ -19,6 +20,7 @@ from airymoments.errors import DomainError, InconsistencyError, SizeLimitError
 from airymoments.cli import main, parse_k_range
 from airymoments.hodge import hodge_numbers, tilde_mid_hodge
 from airymoments import cli, moments
+from airymoments.exact import Polynomial
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +146,29 @@ def test_decomp_json(capsys):
     assert [e["coefficients"] for e in payload["exponents"]] == [
         ["-2"], ["-2/3"], ["2/3"], ["2"]
     ]
+
+
+# Every order 2..8 at each k up to 12 whose enumeration visits at most
+# 3,000 compositions.  Budget: the 70 decompositions take about 0.3 s
+# on a 2-vCPU VM, and have 5 s.
+def test_decomp_text_matches_the_polynomial_text():
+    # decomp writes each exponent from its coefficients; the text of
+    # the Polynomial they make is the second route.
+    start = time.perf_counter()
+    for n in range(2, 9):
+        for k in range(1, 13):
+            if math.comb(n - 1 + k, k) > 3000:
+                break
+            config = cli.RunConfig("decomp", (k,), n=n, format="csv")
+            rows = list(csv.reader(io.StringIO(cli.run(config)[1])))[1:]
+            decomposition = moments.formal_decomposition(n, k)
+            expected = [
+                Polynomial(tuple(enumerate(coeffs))).format("x")
+                for coeffs, _ in decomposition.entries
+            ]
+            regular = 1 if decomposition.regular_rank else 0
+            assert [row[2] for row in rows[regular:]] == expected, (n, k)
+    assert time.perf_counter() - start < 5
 
 
 def test_verify_reports_per_k(capsys):
@@ -426,16 +451,16 @@ TOP_OF_BOUNDS_RETURNS = [
     (("basis", "--space", "gm", "--k", "2..72"), 3),  # 0.3 s
     (("gamma", "--k", TOP), 2),  # under 0.01 s
     (("hodge", "--k", TOP), 2),  # 0.03 s
-    (("tilde", "--k", TOP), 2),  # 0.08 s
-    (("decomp", "--k", TOP), 3),  # 0.25 s
-    # 1.9-2.3 s: the decomp cost cap at two orders and on a range
+    (("tilde", "--k", TOP), 2),  # 0.03-0.04 s
+    (("decomp", "--k", TOP), 3),  # 0.06-0.09 s
+    # 0.9-1.8 s: the decomp cost cap at two orders and on a range
     (("decomp", "--n", "4", "--k", "188"), 10),
     (("decomp", "--n", "5", "--k", "36"), 10),
     (("decomp", "--n", "2", "--k", "2..665"), 10),
-    (("verify", "--k", TOP), 2),  # 0.1 s
-    (("verify", "--k", "2..1000"), 10),  # 1.6-2.3 s: the k sum cap
+    (("verify", "--k", TOP), 2),  # 0.03-0.04 s
+    (("verify", "--k", "2..1000"), 10),  # 0.9 s: the k sum cap
     (("hodge", "--k", "2..1500"), 10),  # 1.2-2.4 s: the k sum cap
-    (("tilde", "--k", "4..1000", "--parity", "even"), 10),  # 1.3-1.9 s
+    (("tilde", "--k", "4..1000", "--parity", "even"), 10),  # 0.5-0.8 s
     (("basis", "--k", "2..600"), 10),  # 1.2-1.9 s: the k sum cap
     # 1.8-2.6 s each: the gamma work cap at both ends of the length
     (("gamma", "--k", f"2..{TOP}", "--parity", "even"), 12),

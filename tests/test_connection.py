@@ -1409,9 +1409,8 @@ def test_reduce_round_trips_combinations(space, twist, ks, data):
         label="coords",
     )
     j = data.draw(st.integers(0, k), label="generator")
-    poly = Polynomial.from_coefficients(
-        data.draw(st.lists(small_fractions, max_size=3), label="poly")
-    )
+    dense = data.draw(st.lists(small_fractions, max_size=3), label="poly")
+    poly = Polynomial(tuple(enumerate(dense)))
     element = ModuleElement(
         _exact_form(module, where, j, poly).coordinates
         + tuple(

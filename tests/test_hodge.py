@@ -5,8 +5,9 @@ import cProfile
 import io
 import pstats
 import time
+import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 
 from airymoments import cli, hodge
 from airymoments.errors import DomainError
-from airymoments.moments import h1_dims
+from airymoments.moments import h1_dims, rho_preimage
 from airymoments.hodge import (
+    CheckResult,
     GLevelMultiset,
     HodgeTable,
     g_levels,
@@ -157,6 +159,28 @@ def test_tilde_table_small_k():
     )
 
 
+# Budget: the 199 tables and their 122k reference counts take about
+# 0.1 s on a 2-vCPU VM, and have 10 s.
+def test_tilde_table_matches_rho_preimage():
+    # tilde_mid_hodge counts each fibre inline; rho_preimage is the
+    # second route.  Level 3p - eps has h = 1 in the fixed cases and
+    # rho_preimage(k, eps, p - 1) in all others, and a level is listed
+    # exactly when its h is nonzero.
+    start = time.perf_counter()
+    for k in range(4, 401, 2):
+        expected = {}
+        for epsilon in range(3):
+            fixed = (k // 2, k // 2 + 1) if epsilon == 0 else (k // 2 + 1,)
+            for p in range(k + 2):
+                h = 1 if p in fixed else rho_preimage(k, epsilon, p - 1)
+                if h:
+                    expected[3 * p - epsilon] = h
+        table = tilde_mid_hodge(k)
+        assert {level: h for level, _, h in table.thirds} == expected, k
+        assert all(p + q == 3 * (k + 1) for p, q, _ in table.thirds)
+    assert time.perf_counter() - start < 10
+
+
 def test_tilde_table_refusals():
     with pytest.raises(DomainError):
         tilde_mid_hodge(5)
@@ -240,6 +264,31 @@ def test_verify_validation():
         verify([])
     with pytest.raises(DomainError):
         verify([1, 3])
+
+
+# verify(range(2, 601)) holds 1.5-1.6 MB of report, where a passing
+# check that kept two copies of its text held 2.7 MB (tracemalloc,
+# Python 3.11).  Budget: tracemalloc slows verify about tenfold, to
+# 4.5 s on a 2-vCPU VM, and it has 30 s.
+def test_verify_report_holds_one_text_per_passing_check():
+    verify(range(2, 5))
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        report = verify(range(2, 601))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 30
+    assert report.passed
+    assert held <= 2_200_000
+    # A check result is still built from plain strings.
+    result = CheckResult(
+        k=2, check="table-mass", passed=False, expected="1", got="2"
+    )
+    assert (result.expected, result.got) == ("1", "2")
+    with pytest.raises(FrozenInstanceError):
+        result.got = "1"
 
 
 def test_tables_and_verify_build_no_fraction():
