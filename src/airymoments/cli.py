@@ -595,12 +595,21 @@ def run(config: RunConfig) -> tuple[int, str]:
             f"above the cap {range_cap} on a range"
         )
     cache_path = _cache_path(config)
-    if cache_path and os.path.exists(cache_path):
-        with open(cache_path, "r", encoding="utf-8") as handle:
-            return 0, handle.read()
-    exit_code, document = command.handler(config)
-    if cache_path and exit_code == 0:
-        _write_atomically(cache_path, document)
+    cached = cache_path and os.path.exists(cache_path)
+    if not cached:
+        exit_code, document = command.handler(config)
+    try:
+        if cached:
+            with open(cache_path, "r", encoding="utf-8") as handle:
+                return 0, handle.read()
+        if cache_path and exit_code == 0:
+            _write_atomically(cache_path, document)
+    except OSError as exc:
+        # A file where the cache directory should be, or a directory at
+        # the entry, is a bad --cache-dir, not a fault of the program.
+        raise DomainError(
+            f"cannot use the cache {config.cache_dir}: {exc}"
+        ) from exc
     return exit_code, document
 
 

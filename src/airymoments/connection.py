@@ -8,8 +8,11 @@ independent ways:
   new pivot, witnessing that the derivation has no kernel), which
   refuses, before any row of it, a truncation whose kernel rows times
   generators, counted from its layer plans, pass ``MAX_WORK``;
-* closed form: explicit cohomology bases whose size and independence are
-  checked against the brute-force answer.
+* closed form: explicit cohomology bases.  ``gm_cokernel_basis`` checks
+  their size and independence against the brute-force answer on every
+  call; ``h1_a1_basis`` and ``asymptotics.mid_basis`` serve theirs
+  unchecked, and the tests check them against it, the middle basis
+  also in acceptance criterion 6.
 
 Monomials are ordered by weighted degree, in which z has weight 1 and a
 generator of the order-n module has weight w/n for its integer weight
@@ -79,15 +82,13 @@ Column = tuple[tuple[int, int, int], ...]
 IdColumn = tuple[list[tuple[int, int]], int]
 
 #: One source's step of a layer plan (see ``_layer_plan``): its top part
-#: eliminated against the tops before it, as (id, coeff) pairs, the lead
-#: of that (None when it cancelled, or when the module is not
-#: homogeneous), the gcd of its coeffs, and the combination of sources
-#: it is, as (diagonal id, degree, integer coefficient) triples, all at
-#: the weight the plan was made at.  A step with a lead, moved m
-#: strides, is an image row that its lead names (see ``_Plans``).
+#: eliminated against the tops before it, as (id, coeff) pairs, the gcd
+#: of its coeffs, and the combination of sources it is, as (diagonal id,
+#: degree, integer coefficient) triples, all at the weight the plan was
+#: made at.  A step whose top has a lead, moved m strides, is an image
+#: row that its lead names (see ``_Plans``).
 PlanStep = tuple[
-    tuple[tuple[int, int], ...], int | None, int,
-    tuple[tuple[int, int, int], ...],
+    tuple[tuple[int, int], ...], int, tuple[tuple[int, int, int], ...],
 ]
 
 
@@ -115,6 +116,31 @@ class ConnectionModule:
     labels: tuple[str, ...]
     partial: tuple[Column, ...]
     weights: tuple[int, ...]
+
+    def __post_init__(self):
+        # A term off the contract aliases another's id (see
+        # ``_monomial_id``) or is dropped, and the brute force would
+        # answer for another derivation.
+        rank = len(self.labels)
+        if not rank == len(self.partial) == len(self.weights):
+            raise DomainError("labels, partial and weights differ in length")
+        if len(set(self.labels)) != rank:
+            raise DomainError("generator labels repeat")
+        if self.n < 1:
+            raise DomainError("module order must be at least 1")
+        if self.k < 0:
+            # k sets the first truncation, which must be positive.
+            raise DomainError("symmetric power must be at least 0")
+        for j, column in enumerate(self.partial):
+            for m, i, c in column:
+                if not 0 <= i < rank:
+                    raise DomainError(f"column {j} targets generator {i}")
+                if m < 0:
+                    raise DomainError(f"column {j} has degree {m}")
+                if type(c) is not int or not c:
+                    raise DomainError(f"column {j} has coefficient {c!r}")
+            if len({(m, i) for m, i, _ in column}) != len(column):
+                raise DomainError(f"column {j} repeats a (degree, target)")
 
     @property
     def rank(self) -> int:
@@ -283,18 +309,21 @@ class _Plans:
     A step moved m strides is led at its lead minus m strides.  No two
     planned leads agree mod the stride, n * gens, as a residue names a
     generator and a weight mod n, and a layer's leads share one weight.
-    So ``table`` maps a lead's residue to (lead, step, first, start),
-    the least m whose source exists and the weight the layer was planned
-    at.  ``layers`` holds per residue mod n (start, kernel steps as
-    (least m, step) by increasing m).  Sources weigh at most ``top``."""
+    So ``table`` maps a lead's residue to (lead, step, first), with the
+    least m whose source exists.  ``layers`` holds per residue mod n
+    (start, kernel steps as (least m, step) by increasing m), the layer
+    planned at weight start.  Truncation D's rows, from the sources of
+    weight at most n * D, lead at or above ``floor``, the id of the top
+    generator at weight n * D + s (s = 1 over A^1, n + 1 over G_m),
+    which the build sets; a reduction reading one below it is refused."""
 
-    table: dict[int, tuple[int, PlanStep, int, int]]
+    table: dict[int, tuple[int, PlanStep, int]]
     n: int
     stride: int
     scale: int
     twist: int
     layers: list[tuple[int, list[tuple[int, PlanStep]]]]
-    top: int = -1
+    floor: int = 0
 
     def kernel_rows(self, degree: int) -> int:
         """The rows truncation ``degree`` inserts: one per kernel step
@@ -306,24 +335,29 @@ class _Plans:
             for least, _ in kernel
         )
 
-    def row(self, at: int, any_truncation: bool = False) -> dict[int, int] | None:
-        """The planned row of this truncation, or of any, led at ``at``,
-        written out; None when there is none."""
+    def row(self, at: int) -> dict[int, int] | None:
+        """The planned row led at ``at``, written out; None when no row
+        is planned there.  Raises InconsistencyError when the row is
+        planned below ``floor``, past this truncation."""
         entry = self.table.get(at % self.stride)
         if entry:
-            lead, step, first, start = entry
+            lead, step, first = entry
             m = (lead - at) // self.stride
-            if first <= m and (any_truncation or start + m * self.n <= self.top):
+            if first <= m:
+                if at < self.floor:
+                    raise InconsistencyError(
+                        f"a reduction reads the planned lead {at} below {self.floor}"
+                    )
                 return self.replay(step, m)
         return None
 
     def count(self, threshold: int) -> int:
         """How many planned rows of this truncation are led at or above
         ``threshold``: a range of m per step."""
-        n, stride, top = self.n, self.stride, self.top
+        stride, least = self.stride, max(threshold, self.floor)
         return sum(
-            max(0, min((top - start) // n, (lead - threshold) // stride) - first + 1)
-            for lead, _, first, start in self.table.values()
+            max(0, (lead - least) // stride - first + 1)
+            for lead, _, first in self.table.values()
         )
 
     def replay(self, step: PlanStep, m: int) -> dict[int, int]:
@@ -333,7 +367,7 @@ class _Plans:
         z^(d+m) * g_i, whose coeff in scale * (z^up d/dz + twist) is
         (d + m) * scale + twist; all divided by the content, which the
         planned top's gcd g starts."""
-        top, _, g, combination = step
+        top, g, combination = step
         shift, scale, twist = m * self.stride, self.scale, self.twist
         gcd = math.gcd
         row = {}
@@ -453,15 +487,11 @@ class _Echelon:
 
     def insert(self, row: dict[int, int]) -> bool:
         """Reduce ``row`` against the current rows and store what is
-        left; returns False when the row reduced to zero.  Raises
-        InconsistencyError at a lead some truncation's plans give."""
+        left; returns False when the row reduced to zero.  The plans
+        refuse a planned lead below their floor, so none is stored."""
         lead, _ = self._reduce(row)
         if lead is None:
             return False
-        if self.plans and self.plans.row(lead, any_truncation=True):
-            raise InconsistencyError(
-                f"an inserted image row takes the planned lead {lead}"
-            )
         self.rows[lead] = _primitive(row, lead)
         return True
 
@@ -485,7 +515,6 @@ class _StableImage:
     """Certificate-bearing echelon of the derivation's image, with the
     class solvers built against it, keyed by their class tuple."""
 
-    gens: int
     window: int
     degree: int
     dim: int
@@ -493,12 +522,6 @@ class _StableImage:
     solvers: dict[tuple[ModuleElement, ...], _Echelon] = field(
         default_factory=dict
     )
-
-    @property
-    def tag(self) -> int:
-        """First id past every monomial id, where class tags start: the
-        highest monomial id is gens - 1, that of z^0 * g_0."""
-        return self.gens
 
 
 #: The one image held, keyed by (module, space): at most one entry.
@@ -594,12 +617,11 @@ def _stable_image(module: ConnectionModule, where: str) -> _StableImage:
 def _layer_plan(
     columns: list[IdColumn],
     sources: list[tuple[int, int]],
-    start: int,
     plans: _Plans,
     homogeneous: bool,
 ) -> list[tuple[int, PlanStep]]:
-    """The elimination inside the top block of weight ``start``: one
-    step per source z^d * g_j of ``sources``, (d, j) in build order.
+    """The elimination inside one top block: one step per source
+    z^d * g_j of ``sources``, (d, j) in build order, at one weight.
 
     Only these sources' rows are led at the top weight, where each is
     its top part, its column.  So each top is eliminated against the
@@ -629,15 +651,12 @@ def _layer_plan(
             if pos >= tag:
                 e, i = sources[pos - tag]
                 combination.append((columns[i][1] - e * stride, e, u))
+        step = top, math.gcd(*(c for _, c in top)), tuple(combination)
         if lead < tag and homogeneous:
             held[lead] = combined
+            plans.table[lead % stride] = lead, step, -d
         else:
-            lead = None
-        step = top, lead, math.gcd(*(c for _, c in top)), tuple(combination)
-        if lead is None:
             kernel.append((-d, step))
-        else:
-            plans.table[lead % stride] = lead, step, -d, start
     return kernel
 
 
@@ -664,7 +683,7 @@ def _plan(module: ConnectionModule, where: str) -> _Plans:
         start = layer[-1][0] if layer else r
         sources = [((start - w) // n, j) for w, j in layer]
         plans.layers.append(
-            (start, _layer_plan(columns, sources, start, plans, homogeneous))
+            (start, _layer_plan(columns, sources, plans, homogeneous))
         )
     return plans
 
@@ -683,23 +702,26 @@ def _build_stable_image(
     whose tops σ kills, and every row of a module that is not
     homogeneous.
 
-    No inserted row takes a planned lead.  A row from source weight W
-    has its support at weight at most W + s, s = 1 over the affine line
-    and n + 1 over the punctured one, and a planned lead lies at exactly
-    W + s.  A kernel row's top cancels, so its lead lies below W + s,
-    where the planned rows come from sources below W, whose leads its
-    reduction eliminates.  ``insert`` still checks each lead it stores.
+    No reduction reads a planned lead below the floor.  A planned row
+    from source weight W leads at weight W + s, its top weight.  A
+    kernel row from source weight W <= n * D lies wholly at weight W - n
+    over the affine line or W over the punctured one, as its top
+    cancels, so every id its reduction meets lies at weight at most W,
+    under the floor's weight n * D + s: at or above the floor.  So does
+    every id that an element of the window, of weight at most
+    n * (D // 2), meets.
 
     ``_stable_image`` checks the request and the first two truncations;
     each further doubling is checked here, before any of its rows.
     """
     n, gens, weights = module.n, module.rank, module.weights
+    s = n + 1 if where == "gm" else 1
     echelon = _Echelon(plans)
     insert = echelon.insert
     processed, previous = -1, None
     degree = _first_truncation(module.k, where)
     while True:
-        plans.top = n * degree
+        plans.floor = _monomial_id(n * degree + s, gens - 1, gens)
         for weight in range(processed + 1, n * degree + 1):
             start, kernel = plans.layers[weight % n]
             m = (weight - start) // n
@@ -720,7 +742,7 @@ def _build_stable_image(
         threshold = _monomial_id(bound, gens - 1, gens)
         dim = monomials - echelon.pivots_at_or_above(threshold)
         if previous == dim:
-            return _StableImage(gens, window, degree, dim, echelon)
+            return _StableImage(window, degree, dim, echelon)
         if previous is not None:
             what = f"dimension did not stabilise by truncation degree {degree}"
             _check_work(plans, 2 * degree, StabilityError, what)
@@ -775,7 +797,7 @@ def _element_ids(
                     f"element weighted degree {Fraction(weight, n)} exceeds "
                     f"the stabilised window {state.window}"
                 )
-            out[_monomial_id(weight, i, state.gens)] = c
+            out[_monomial_id(weight, i, module.rank)] = c
     scale = math.lcm(*(c.denominator for c in out.values()))
     return scale, {
         pos: c.numerator * (scale // c.denominator) for pos, c in out.items()
@@ -798,13 +820,14 @@ def _class_solver(
     state = _stable_image(module, where)
     solver = state.solvers.get(classes)
     if solver is None:
+        tag = module.rank
         solver = _Echelon()
         for i, element in enumerate(classes):
             scale, form = state.echelon.normal_form(
                 _element_ids(element, module, state)
             )
-            solver.insert({**form, state.tag + i: scale})
-        if any(lead >= state.tag for lead in solver.rows):
+            solver.insert({**form, tag + i: scale})
+        if any(lead >= tag for lead in solver.rows):
             raise InconsistencyError("basis classes are dependent in cohomology")
         state.solvers[classes] = solver
     return state, solver
@@ -894,7 +917,7 @@ def reduce_to_basis(
         raise DomainError("element module and basis have different twists")
     where = "gm" if basis.space == "gm" else "a1"
     state, solver = _class_solver(basis.classes, module, where)
-    tag = state.tag
+    tag = module.rank
     scale, residual = solver.normal_form(
         state.echelon.normal_form(_element_ids(element, module, state))
     )

@@ -253,10 +253,30 @@ def test_cache_write_leaves_no_temporary_file(capsys, tmp_path, monkeypatch):
         raise OSError("rigged")
 
     monkeypatch.setattr(cli.os, "replace", failing_replace)
-    with pytest.raises(OSError):
-        main(["dims", "--k", "5", "--format", "json",
-              "--cache-dir", str(tmp_path)])
+    code, out, err = run_cli(capsys, "dims", "--k", "5", "--format", "json",
+                             "--cache-dir", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == f"airymoments: error: cannot use the cache {tmp_path}: rigged\n"
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("blocked", ["file", "under-file", "entry"])
+def test_unusable_cache_is_an_error(capsys, tmp_path, blocked):
+    argv = ("hodge", "--k", "5", "--format", "json")
+    cache = tmp_path
+    if blocked == "entry":
+        (tmp_path / cache_name(*argv)).mkdir()
+    else:
+        cache = tmp_path / "F"
+        cache.write_text("kept\n")
+        if blocked == "under-file":
+            cache = cache / "sub"
+    tree = sorted(tmp_path.rglob("*"))
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(cache))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"airymoments: error: cannot use the cache {cache}:")
+    assert sorted(tmp_path.rglob("*")) == tree
+    assert blocked == "entry" or (tmp_path / "F").read_text() == "kept\n"
 
 
 def test_text_output_is_never_cached(capsys, tmp_path, monkeypatch):

@@ -336,6 +336,47 @@ def test_derivation_killing_a_generator_is_refused(where):
         h1_dim_bruteforce(module, where)
 
 
+# Each change breaks the contract of the Airy module, d/dz u0 = u1 and
+# d/dz u1 = z u0.  Served, such a module would give a wrong answer: the
+# repeated pair, which means d/dz u0 = 0, would read as d/dz u0 = -u1
+# (dimension 1 over A^1, where the kernel must be refused); a target -1
+# takes the ids of the last generator one weight down (d/dz v = z^3 v
+# would give dimension 2, not 3); repeated labels leave one generator
+# that no element names; k = -3 starts the A^1 truncations at degree 0,
+# where they never grow (d/dz v = z^3 v would give dimension 1).
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        ({"weights": (0,)}, "differ in length"),
+        ({"partial": (((0, 1, 1),),)}, "differ in length"),
+        ({"labels": ("u0", "u0")}, "labels repeat"),
+        ({"n": 0}, "at least 1"),
+        ({"k": -3}, "at least 0"),
+        ({"partial": (((0, -1, 1),), ((1, 0, 1),))}, "targets generator -1"),
+        ({"partial": (((0, 2, 1),), ((1, 0, 1),))}, "targets generator 2"),
+        ({"partial": (((-1, 1, 1),), ((1, 0, 1),))}, "degree -1"),
+        ({"partial": (((0, 1, 0),), ((1, 0, 1),))}, "coefficient 0"),
+        ({"partial": (((0, 1, HALF),), ((1, 0, 1),))}, "coefficient Fraction"),
+        ({"partial": (((0, 1, 1.0),), ((1, 0, 1),))}, "coefficient 1.0"),
+        ({"partial": (((0, 1, 1), (0, 1, -1)), ((1, 0, 1),))}, "repeats"),
+    ],
+    ids=["short-weights", "short-partial", "repeated-label", "order-0",
+         "negative-k", "target-below", "target-above", "negative-degree",
+         "zero-coeff", "fraction-coeff", "float-coeff", "repeated-pair"],
+)
+def test_module_refuses_what_breaks_its_contract(change, match):
+    airy = build_symk(2, 1)
+    with pytest.raises(DomainError, match=match):
+        dataclasses.replace(airy, **change)
+
+
+def test_module_contract_allows_an_empty_column():
+    # d/dz v1 = 0 keeps its contract: the brute force refuses its kernel
+    # (``test_derivation_killing_a_generator_is_refused``), not the module.
+    airy = build_symk(2, 1)
+    assert dataclasses.replace(airy, partial=(airy.partial[0], ())).rank == 2
+
+
 def _pivot(echelon: _Echelon, at: int) -> dict[int, int] | None:
     """The row of ``echelon`` led at ``at``, looked up as
     ``_Echelon._reduce`` looks it up: the held row, else the row of the
@@ -348,13 +389,12 @@ def _pivot(echelon: _Echelon, at: int) -> dict[int, int] | None:
 
 def _image(echelon: _Echelon) -> dict[int, dict[int, int]]:
     """Every row of ``echelon`` by its lead, through ``_pivot``: the
-    held leads, and every id a planned row may lead, up to n + 1
-    weights above the truncation's top source weight."""
+    held leads, and every id a planned row of the truncation may lead,
+    from the plans' floor up."""
     ids = set(echelon.rows)
     plans = echelon.plans
     if plans:
-        n, gens = plans.n, plans.stride // plans.n
-        ids.update(range(_monomial_id(plans.top + n + 1, gens - 1, gens), gens))
+        ids.update(range(plans.floor, plans.stride // plans.n))
     image = {}
     for at in sorted(ids):
         row = _pivot(echelon, at)
@@ -552,19 +592,22 @@ def test_ungraded_columns_insert_every_row(counted, where):
 
 
 def test_insert_refuses_a_lead_a_later_truncation_plans():
-    # A kernel row stored where a later truncation plans a row would
-    # hide that row from every reduction, so ``insert`` refuses it.  No
-    # build meets this (see ``_build_stable_image``); here it is forced.
+    # A planned lead below the floor is a later truncation's: a row
+    # stored there would hide that row from every reduction, so a
+    # reduction that reads one is refused, in ``insert`` and in
+    # ``normal_form``.  No build meets this (see ``_build_stable_image``);
+    # here it is forced, one stride past a step's last row.
     state = _build(build_symk(2, 4), "a1")
     echelon, plans = state.echelon, state.echelon.plans
-    lead, _, _, start = next(iter(plans.table.values()))
-    m = (plans.top - start) // plans.n + 1
-    at = lead - m * plans.stride
-    assert _pivot(echelon, at) is None
-    assert plans.row(at, any_truncation=True)
+    lead, _, _ = next(iter(plans.table.values()))
+    at = lead - ((lead - plans.floor) // plans.stride + 1) * plans.stride
+    assert at < plans.floor <= at + plans.stride
+    assert plans.row(at + plans.stride)
     held = dict(echelon.rows)
     with pytest.raises(InconsistencyError, match="planned lead"):
         echelon.insert({at: 1})
+    with pytest.raises(InconsistencyError, match="planned lead"):
+        echelon.normal_form((1, {at: 1}))
     assert echelon.rows == held
 
 
@@ -612,10 +655,10 @@ def test_cached_image_keeps_the_window_rows_of_the_full_build(
     module = build_symk(n, k, twist)
     state = _stable_image(module, where)
     bound = n * state.window
-    first = _window_start(state, n)
+    first = _window_start(state, module)
     for i in range(module.rank):
         for weight in (bound - 1, bound, bound + 1):
-            at = _monomial_id(weight, i, state.gens)
+            at = _monomial_id(weight, i, module.rank)
             assert (at >= first) == (weight <= bound)
     monomials = sum((bound - w) // n + 1 for w in module.weights if w <= bound)
     assert monomials - state.echelon.pivots_at_or_above(first) == state.dim
@@ -813,10 +856,10 @@ WINDOW_MODULES = (
 )
 
 
-def _window_start(state, n: int) -> int:
+def _window_start(state, module) -> int:
     """First id of the window: the top generator at the window's
     weight, n times its weighted degree."""
-    return _monomial_id(n * state.window, state.gens - 1, state.gens)
+    return _monomial_id(module.n * state.window, module.rank - 1, module.rank)
 
 
 def _draw_entries(data, module, top) -> dict[tuple[int, int], Fraction]:
@@ -857,7 +900,7 @@ def _window_normal_form_stays_in_the_window(data):
     )
     vector = _element_ids(_element(module, entries), module, state)
     _, form = state.echelon.normal_form(vector)
-    first = _window_start(state, n)
+    first = _window_start(state, module)
     assert all(
         pos >= first and _pivot(state.echelon, pos) is None for pos in form
     )
@@ -1104,9 +1147,9 @@ def test_build_inserts_exactly_where_s_nk_is_positive(grid):
 def test_plans_predict_the_inserts(grid, counted):
     # The work bound counts the kernel rows from the plans, before any
     # row: at the certified degree that count is the build's inserts,
-    # which ``insert`` then checks take no planned lead.  Where no
-    # column is homogeneous every source is a kernel step, so z^1000 v
-    # predicts its 4,105 sources.
+    # none of whose reductions reads a planned lead below the floor.
+    # Where no column is homogeneous every source is a kernel step, so
+    # z^1000 v predicts its 4,105 sources.
     assert _failing(grid, lambda n, k, twist, where, built: (
         built.predicted == built.inserted
     )) == []
