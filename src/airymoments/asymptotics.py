@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .connection import (
     HALF,
@@ -33,8 +33,7 @@ from .exact import Polynomial, polynomial_gcd
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class OffsetSeries:
+class OffsetSeries(NamedTuple):
     """Truncated series in w = 1/z on the lattice ``offset + 3j``:
     ``coefficients[j]`` is the coefficient of w^(offset + 3j).
 

@@ -12,7 +12,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -50,11 +49,7 @@ MAX_K_DIGITS = 100
 FORMATS = ("text", "json", "csv", "latex")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully-resolved CLI invocation.  Its defaults are the only
-    ones: the parser leaves out every option not given."""
-
+class _ConfigFields(NamedTuple):
     command: str
     k_values: tuple[int, ...]
     n: int = 2
@@ -64,8 +59,16 @@ class RunConfig:
     space: str = "a1"
     twist: Fraction = Fraction(0)
 
-    def __post_init__(self):
-        object.__setattr__(self, "twist", Fraction(self.twist))
+
+class RunConfig(_ConfigFields):
+    """One fully-resolved CLI invocation.  Its defaults are the only
+    ones: the parser leaves out every option not given."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        return self._replace(twist=Fraction(self.twist))
 
 
 class _UsageError(Exception):
@@ -531,7 +534,7 @@ def cache_key(config: RunConfig) -> str:
     they ask for the same answer from the same code."""
     import hashlib  # imported here: only cached runs pay for it at start-up
 
-    settings = asdict(config)
+    settings = config._asdict()
     del settings["cache_dir"]
     settings["twist"] = format_rational(config.twist)
     settings["version"] = __version__

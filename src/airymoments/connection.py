@@ -44,10 +44,10 @@ asked of an image no longer held rebuilds it, with the same rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -92,8 +92,16 @@ PlanStep = tuple[
 ]
 
 
-@dataclass(frozen=True)
-class ConnectionModule:
+class _ModuleFields(NamedTuple):
+    n: int
+    k: int
+    twist: Fraction
+    labels: tuple[str, ...]
+    partial: tuple[Column, ...]
+    weights: tuple[int, ...]
+
+
+class ConnectionModule(_ModuleFields):
     """Free module over the polynomial ring carrying a derivation.
 
     ``partial`` describes d/dz on generators, untwisted: column j
@@ -110,17 +118,13 @@ class ConnectionModule:
     elsewhere each row is eliminated.
     """
 
-    n: int
-    k: int
-    twist: Fraction
-    labels: tuple[str, ...]
-    partial: tuple[Column, ...]
-    weights: tuple[int, ...]
+    # No ``__slots__``: ``_index`` is cached in the instance dict.
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
         # A term off the contract aliases another's id (see
         # ``_monomial_id``) or is dropped, and the brute force would
         # answer for another derivation.
+        self = super().__new__(cls, *args, **kwargs)
         rank = len(self.labels)
         if not rank == len(self.partial) == len(self.weights):
             raise DomainError("labels, partial and weights differ in length")
@@ -141,6 +145,7 @@ class ConnectionModule:
                     raise DomainError(f"column {j} has coefficient {c!r}")
             if len({(m, i) for m, i, _ in column}) != len(column):
                 raise DomainError(f"column {j} repeats a (degree, target)")
+        return self
 
     @property
     def rank(self) -> int:
@@ -209,18 +214,21 @@ def build_symk(n: int, k: int, twist: Fraction | int = 0) -> ConnectionModule:
     )
 
 
-@dataclass(frozen=True)
-class ModuleElement:
+class _ElementFields(NamedTuple):
+    coordinates: tuple[tuple[str, Polynomial], ...] = ()
+
+
+class ModuleElement(_ElementFields):
     """Element of a connection module: polynomial coefficients keyed by
     generator label, stored sorted with zero coefficients dropped."""
 
-    coordinates: tuple[tuple[str, Polynomial], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, coordinates=()):
         # Add only at a repeated label, so coordinates already in
         # normal form build no new polynomial.
         merged: dict[str, Polynomial] = {}
-        for label, poly in self.coordinates:
+        for label, poly in coordinates:
             if not isinstance(poly, Polynomial):
                 poly = Polynomial.constant(poly)
             previous = merged.get(label)
@@ -230,7 +238,7 @@ class ModuleElement:
             for label in sorted(merged)
             if not merged[label].is_zero()
         )
-        object.__setattr__(self, "coordinates", cleaned)
+        return super().__new__(cls, cleaned)
 
     def __str__(self) -> str:
         if not self.coordinates:
@@ -251,8 +259,15 @@ def monomial_element(label: str, degree: int = 0) -> ModuleElement:
     return ModuleElement(((label, Polynomial.monomial(degree)),))
 
 
-@dataclass(frozen=True)
-class CohomologyBasis:
+class _BasisFields(NamedTuple):
+    space: str
+    k: int
+    twist: Fraction
+    classes: tuple[ModuleElement, ...]
+    g_levels: tuple[Fraction, ...] | None = None
+
+
+class CohomologyBasis(_BasisFields):
     """An ordered basis of classes in first de Rham cohomology.
 
     ``space`` is "a1" (cohomology over the affine line), "gm" (over the
@@ -261,19 +276,19 @@ class CohomologyBasis:
     each class when a closed form for it exists, else None.
     """
 
-    space: str
-    k: int
-    twist: Fraction
-    classes: tuple[ModuleElement, ...]
-    g_levels: tuple[Fraction, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.space not in SPACES:
             raise DomainError(f"unknown cohomology space {self.space!r}")
         if self.g_levels is not None and len(self.g_levels) != len(self.classes):
             raise DomainError("one level per class required")
+        return self
 
     def __len__(self) -> int:
+        # ``_replace`` checks the field count with len(), so it refuses
+        # a basis: build a new one instead.
         return len(self.classes)
 
 
@@ -302,7 +317,6 @@ def _primitive(row: dict[int, int], lead: int) -> dict[int, int]:
     return row
 
 
-@dataclass
 class _Plans:
     """A build's layer plans: a table of planned leads, and kernel steps.
 
@@ -317,13 +331,11 @@ class _Plans:
     generator at weight n * D + s (s = 1 over A^1, n + 1 over G_m),
     which the build sets; a reduction reading one below it is refused."""
 
-    table: dict[int, tuple[int, PlanStep, int]]
-    n: int
-    stride: int
-    scale: int
-    twist: int
-    layers: list[tuple[int, list[tuple[int, PlanStep]]]]
-    floor: int = 0
+    def __init__(self, n: int, stride: int, scale: int, twist: int):
+        self.n, self.stride, self.scale, self.twist = n, stride, scale, twist
+        self.table: dict[int, tuple[int, PlanStep, int]] = {}
+        self.layers: list[tuple[int, list[tuple[int, PlanStep]]]] = []
+        self.floor = 0
 
     def kernel_rows(self, degree: int) -> int:
         """The rows truncation ``degree`` inserts: one per kernel step
@@ -510,18 +522,14 @@ class _Echelon:
         return held + self.plans.count(threshold) if self.plans else held
 
 
-@dataclass
 class _StableImage:
     """Certificate-bearing echelon of the derivation's image, with the
     class solvers built against it, keyed by their class tuple."""
 
-    window: int
-    degree: int
-    dim: int
-    echelon: _Echelon
-    solvers: dict[tuple[ModuleElement, ...], _Echelon] = field(
-        default_factory=dict
-    )
+    def __init__(self, window: int, degree: int, dim: int, echelon: _Echelon):
+        self.window, self.degree, self.dim = window, degree, dim
+        self.echelon = echelon
+        self.solvers: dict[tuple[ModuleElement, ...], _Echelon] = {}
 
 
 #: The one image held, keyed by (module, space): at most one entry.
@@ -675,7 +683,7 @@ def _plan(module: ConnectionModule, where: str) -> _Plans:
         for j, column in enumerate(module.partial)
     )
     scale, twist = module.twist.denominator, module.twist.numerator
-    plans = _Plans({}, n, n * module.rank, scale, twist, [])
+    plans = _Plans(n, n * module.rank, scale, twist)
     # The sources of weight W are the z^d * g_j with w_j = W - n * d,
     # w_j in W's residue class mod n, listed by increasing w_j.
     for r in range(n):

@@ -11,8 +11,8 @@ in one place, the integer echelon of :mod:`airymoments.connection`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -33,8 +33,11 @@ def _coerce(value) -> Fraction:
     raise DomainError(f"cannot interpret {value!r} as an exact rational")
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class _PolynomialFields(NamedTuple):
+    terms: tuple[tuple[int, Fraction], ...] = ()
+
+
+class Polynomial(_PolynomialFields):
     """Univariate polynomial over the rationals in the variable ``z``.
 
     Stored sparsely as a tuple of ``(degree, coefficient)`` pairs, sorted
@@ -42,13 +45,13 @@ class Polynomial:
     (and hashable) as objects.
     """
 
-    terms: tuple[tuple[int, Fraction], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, terms=()):
         # Add only at a repeated degree, so terms already in normal
         # form build no new coefficient.
         cleaned: dict[int, Fraction] = {}
-        for degree, coeff in self.terms:
+        for degree, coeff in terms:
             if degree < 0:
                 raise DomainError("polynomial degrees must be nonnegative")
             c = _coerce(coeff)
@@ -59,7 +62,7 @@ class Polynomial:
         normalised = tuple(
             (d, cleaned[d]) for d in sorted(cleaned) if cleaned[d]
         )
-        object.__setattr__(self, "terms", normalised)
+        return super().__new__(cls, normalised)
 
     @classmethod
     def constant(cls, value) -> Polynomial:

@@ -8,7 +8,6 @@ and a verifier tying all of them together.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -27,8 +26,7 @@ def _thirds_view(counter: Counter) -> Counter:
     return Counter({Fraction(t, 3): mult for t, mult in counter.items()})
 
 
-@dataclass(frozen=True)
-class HodgeTable:
+class HodgeTable(NamedTuple):
     """Graded Hodge numbers as entries (p, q, h), sorted by (p, q).
 
     Every p and q lies on the lattice (1/3)Z, so the table stores
@@ -108,8 +106,7 @@ def hodge_numbers(k: int) -> tuple[HodgeTable, HodgeTable]:
     return full, mid
 
 
-@dataclass(frozen=True)
-class GLevelMultiset:
+class GLevelMultiset(NamedTuple):
     """Multiset of irregular filtration levels of a closed-form basis,
     stored as ``thirds``, the pairs (3 * level, multiplicity);
     ``counter`` is the Fraction view of them."""
@@ -252,8 +249,7 @@ def yu_pole_level(k: int, r: int, nu: int, variant: str) -> PoleLevel:
     )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     k: int
     check: str
     passed: bool
@@ -261,8 +257,7 @@ class CheckResult:
     got: str
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     results: tuple[CheckResult, ...]
 
     @property

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -172,8 +171,7 @@ def h1_dims(n: int, k: int) -> H1Dims:
     return H1Dims(dim_all, dim_mid)
 
 
-@dataclass(frozen=True)
-class ExponentMultiset:
+class ExponentMultiset(NamedTuple):
     """Formal exponents at infinity of a symmetric power.
 
     Each irregular summand is recorded by the coefficient of its
@@ -269,8 +267,7 @@ def rho_preimage(k: int, epsilon: int, p: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class MkInvariants:
+class MkInvariants(NamedTuple):
     """Discrete invariants of the Fourier-dual module of a symmetric
     power twisted by a cube-root character epsilon."""
 

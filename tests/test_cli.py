@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -236,6 +235,23 @@ def test_cache_key_covers_every_setting(capsys, tmp_path, first, second):
     assert run_cli(capsys, *second, *tail) == fresh
     assert run_cli(capsys, *second, *tail) == fresh
     assert len(os.listdir(tmp_path)) == 2
+
+
+def test_cache_keys_are_pinned():
+    # Pinned at version 0.1.0: a change in how the settings are
+    # serialised would silently orphan every cache entry on disk.
+    keys = [
+        cli.cache_key(
+            cli.RunConfig("basis", (4,), format="json", space="gm", twist="1/2")
+        ),
+        cli.cache_key(
+            cli.RunConfig("gamma", (6,), format="json", series_terms=5)
+        ),
+    ]
+    assert keys == [
+        "0d7305aa38369395f78b5a50f9b07b2fd7ce5fa4b9c77cae98ab5bac536e4235",
+        "e702f5b82cde1606811e2cad4d251f92ba320e15b2509f2d3739e8187ed29e5a",
+    ]
 
 
 def test_cache_handles_long_k_ranges(capsys, tmp_path):
@@ -617,9 +633,9 @@ def test_every_cap_refuses_before_any_work(monkeypatch, config):
     assert refused, "neither cap can be reached below MAX_K"
     for k_values in refused:
         with pytest.raises(SizeLimitError, match="cap"):
-            cli.run(dataclasses.replace(config, k_values=k_values))
+            cli.run(config._replace(k_values=k_values))
     for k_values in accepted:
-        cli.run(dataclasses.replace(config, k_values=k_values))
+        cli.run(config._replace(k_values=k_values))
     assert served == accepted
 
 

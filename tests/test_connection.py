@@ -2,15 +2,14 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import dataclasses
 import functools
 import gc
 import hashlib
 import io
 import math
+import sys
 import time
 import tracemalloc
-import weakref
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -319,6 +318,39 @@ def test_echelon_cache_tells_derivations_apart():
     assert h1_dim_bruteforce(build_symk(2, 1), "a1")[0] == 1
 
 
+# The certified table is keyed by the module's repr, so two modules that
+# differ in any one field must differ in repr.  Over the punctured line
+# a changed n, k, partial or weights changes Sym^5's answer, (9, 18):
+# to (9, 36), (9, 20), (8, 18) and (9, 36).  A changed twist or labels
+# leaves it, so for those pairs only the reprs tell them apart.
+SYM5 = build_symk(2, 5)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n", 1),
+        ("k", 6),
+        ("twist", HALF),
+        ("labels", SYM5.labels[::-1]),
+        ("partial", SYM5.partial[:-1] + (((2, 0, 1),),)),
+        ("weights", tuple(2 * w for w in SYM5.weights)),
+    ],
+)
+def test_certified_table_tells_each_field_apart(field, value, monkeypatch):
+    other = ConnectionModule(*SYM5._replace(**{field: value}))
+    assert repr(SYM5) != repr(other)
+
+    def asked(*modules):
+        monkeypatch.setattr(connection, "_CERTIFIED", {})
+        monkeypatch.setattr(connection, "_STABLE_CACHE", {})
+        return [h1_dim_bruteforce(module, "gm") for module in modules]
+
+    alone = asked(SYM5) + asked(other)
+    assert asked(SYM5, other) == alone
+    assert asked(other, SYM5) == alone[::-1]
+
+
 @pytest.mark.parametrize("where", ["a1", "gm"])
 def test_derivation_killing_a_generator_is_refused(where):
     # d/dz v1 = 0: the row of v1 itself is zero over both lines (no
@@ -367,14 +399,15 @@ def test_derivation_killing_a_generator_is_refused(where):
 def test_module_refuses_what_breaks_its_contract(change, match):
     airy = build_symk(2, 1)
     with pytest.raises(DomainError, match=match):
-        dataclasses.replace(airy, **change)
+        ConnectionModule(*airy._replace(**change))
 
 
 def test_module_contract_allows_an_empty_column():
     # d/dz v1 = 0 keeps its contract: the brute force refuses its kernel
     # (``test_derivation_killing_a_generator_is_refused``), not the module.
     airy = build_symk(2, 1)
-    assert dataclasses.replace(airy, partial=(airy.partial[0], ())).rank == 2
+    empty = airy._replace(partial=(airy.partial[0], ()))
+    assert ConnectionModule(*empty).rank == 2
 
 
 def _pivot(echelon: _Echelon, at: int) -> dict[int, int] | None:
@@ -532,7 +565,7 @@ NEGATIVE_AIRY = ConnectionModule(
     [
         (NEGATIVE_AIRY, "a1"),
         (NEGATIVE_AIRY, "gm"),
-        (dataclasses.replace(NEGATIVE_AIRY, twist=HALF), "gm"),
+        (NEGATIVE_AIRY._replace(twist=HALF), "gm"),
         (build_symk(2, 2, HALF), "gm"),
         (build_symk(2, 2), "a1"),
         (build_symk(2, 4), "a1"),
@@ -573,7 +606,7 @@ def test_build_stores_the_rows_that_insert_would(module, where):
 # Column 0 of this module has weight 0 where its generator has weight 0
 # too, not 0 + 1: its top-weight rows are not its columns, so no row of
 # it may be stored from a plan.
-UNGRADED_AIRY = dataclasses.replace(NEGATIVE_AIRY, weights=(0, 0))
+UNGRADED_AIRY = NEGATIVE_AIRY._replace(weights=(0, 0))
 
 
 @pytest.mark.parametrize("where", ["a1", "gm"])
@@ -744,14 +777,15 @@ def test_gm_bases_hold_one_image_and_keep_every_dimension(builds):
 def test_dims_table_keeps_no_module_alive(builds):
     # A range certifies every k in the dims table, which must not keep
     # each k's module alive: it is keyed by the module's repr.  An equal
-    # module, built again, is still answered from it.
+    # module, built again, is still answered from it.  A module is a
+    # tuple, which takes no weak reference, so its references are
+    # counted: none may be left once the next k's image is held.
     module = build_symk(2, 9)
-    alive = weakref.ref(module)
+    unheld = sys.getrefcount(module)
     certified = h1_dim_bruteforce(module, "gm")
     h1_dim_bruteforce(build_symk(2, 10), "gm")
     builds.clear()  # the fixture's record of each build holds its module
-    del module
-    assert alive() is None
+    assert sys.getrefcount(module) == unheld
     assert h1_dim_bruteforce(build_symk(2, 9), "gm") == certified
     assert builds == []
 

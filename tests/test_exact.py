@@ -7,9 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airymoments.connection import ModuleElement, _Echelon
+from airymoments import cli
+from airymoments.connection import (
+    CohomologyBasis,
+    ModuleElement,
+    _Echelon,
+    build_symk,
+    h1_a1_basis,
+)
 from airymoments.errors import DomainError
-from airymoments.asymptotics import OffsetSeries
+from airymoments.asymptotics import OffsetSeries, gamma
+from airymoments.hodge import g_levels, hodge_numbers, verify
+from airymoments.moments import formal_decomposition, mk_invariants
 from airymoments.exact import (
     Polynomial,
     compositions,
@@ -154,6 +163,44 @@ def test_module_element_constructor_matches_reference_normaliser(coordinates):
         for degree, c in (value if isinstance(value, list) else [(0, value)])
     )
     assert all(not poly.is_zero() for _, poly in element.coordinates)
+
+
+# Every public record, and the fields it is built from: raw ones where
+# the constructor normalises them, else None, its own fields.  Built
+# again, it must be equal and hash equal, and no field may be assigned.
+@pytest.mark.parametrize(
+    "record, raw",
+    [
+        (Z, (((1, 2), (0, 0), (1, Fraction(-1))),)),
+        (
+            ModuleElement((("u1", Polynomial.constant(2)),)),
+            ((("u1", 1), ("u0", Polynomial()), ("u1", Fraction(1))),),
+        ),
+        (
+            cli.RunConfig("hodge", (5,), twist=Fraction(1, 2)),
+            ("hodge", (5,), 2, "text", None, 30, "a1", "1/2"),
+        ),
+        (build_symk(2, 3), None),
+        (h1_a1_basis(5), None),
+        (gamma(4, 3), None),
+        (hodge_numbers(6)[0], None),
+        (g_levels(6, "Ai"), None),
+        (verify(range(2, 4)), None),
+        (verify(range(2, 4)).results[0], None),
+        (formal_decomposition(3, 2), None),
+        (mk_invariants(6, 1), None),
+    ],
+    ids=lambda value: {tuple: "raw", type(None): "copy"}.get(
+        type(value), type(value).__name__
+    ),
+)
+def test_records_compare_by_value_and_refuse_assignment(record, raw):
+    twin = type(record)(*(record if raw is None else raw))
+    assert twin is not record
+    assert twin == record and hash(twin) == hash(record)
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
 
 
 # The exact elimination kernel: a matrix is a list of integer rows, and

@@ -7,7 +7,6 @@ import pstats
 import time
 import tracemalloc
 from collections import Counter
-from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -287,7 +286,7 @@ def test_verify_report_holds_one_text_per_passing_check():
         k=2, check="table-mass", passed=False, expected="1", got="2"
     )
     assert (result.expected, result.got) == ("1", "2")
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         result.got = "1"
 
 
@@ -320,14 +319,14 @@ ADMISSIBLE = "all admissible with matching levels"
 
 def _asymmetric_full(tables, k):
     full, mid = tables
-    return replace(full, thirds=full.thirds[:-1] + ((11, 8, 1),)), mid
+    return full._replace(thirds=full.thirds[:-1] + ((11, 8, 1),)), mid
 
 
 def _reflection_broken_mid(tables, k):
     # Still symmetric under (p, q) -> (q, p), but p + q is off weight.
     full, mid = tables
     shifted = tuple((p + 1, q + 1, h) for p, q, h in mid.thirds)
-    return full, replace(mid, thirds=shifted)
+    return full, mid._replace(thirds=shifted)
 
 
 def _inadmissible_residue(thirds, k, r, nu, variant):
@@ -362,7 +361,7 @@ RIGS = {
     "odd-level-multiset": (
         7,
         "g_levels",
-        lambda levels, k, which: replace(levels, thirds=levels.thirds[1:]),
+        lambda levels, k, which: levels._replace(thirds=levels.thirds[1:]),
         [
             ("table-symmetry", True, "h(p,q) = h(q,p) in both tables",
              "symmetric"),
@@ -375,7 +374,7 @@ RIGS = {
     "high-level-match": (
         10,
         "tilde_mid_hodge",
-        lambda table, k: replace(table, thirds=table.thirds[:-1]),
+        lambda table, k: table._replace(thirds=table.thirds[:-1]),
         [
             ("table-symmetry", True, "h(p,q) = h(q,p) in both tables",
              "symmetric"),

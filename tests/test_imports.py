@@ -15,6 +15,10 @@ a module-level helper or constant of a test file, public or private,
 that no test file names is left over, but for the test functions and
 fixtures that pytest finds by name.
 
+Starting the CLI loads neither ``dataclasses`` nor ``inspect``: the
+package defines no dataclass, as that import and the class bodies it
+compiles cost every invocation about 15 ms of its set-up.
+
 Every backticked ``module.NAME`` in the README or a package docstring
 must name an attribute of that package module, so the docs name no
 deleted constant.
@@ -247,6 +251,25 @@ def test_every_test_helper_is_reached(path):
         str(caller): caller.read_text(encoding="utf-8") for caller in TESTS
     }
     assert unreached_test_helpers(str(path), callers) == []
+
+
+def test_cli_starts_without_dataclasses():
+    # -S keeps the environment's site hooks, such as a .pth file that
+    # imports its own modules, out of the count.
+    probe = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "from airymoments import cli\n"
+        "cli.build_parser()\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 def dotted_doc_names(text: str, modules: set[str]) -> list[tuple[str, str]]:
